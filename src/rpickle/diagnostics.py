@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import ConfigError, NonPsdHessianError, SingularSystemError
 from .gp_prior import CkleBasis
@@ -244,7 +244,7 @@ def coverage(
     ref = np.asarray(reference, dtype=np.float64)
     if method == "gaussian":
         sigma = np.asarray(std_field, dtype=np.float64)
-        z = norm.ppf(0.5 * (1.0 + level))
+        z = ndtri(0.5 * (1.0 + level))
         inside = np.abs(ref - mu) <= z * sigma
     elif method == "empirical":
         if field_samples is None:

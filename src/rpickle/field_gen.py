@@ -4,9 +4,9 @@ A case fixes the ground truth for one experiment: a reference
 log-transmissivity drawn from the prior kernel (optionally smoothed to lower
 its effective dimensionality), the head field it induces, and the observation
 wells where both are measured exactly.  Smoothing runs Jacobi-style sweeps
-that replace each cell's log value by the arithmetic mean over face-adjacent
-neighbors (the geometric mean in transmissivity), excluding the cell itself;
-boundary cells average over the neighbors they have.
+that replace each cell's log value by the arithmetic mean over the cell and
+its face-adjacent neighbors (the geometric mean in transmissivity); boundary
+cells average over the neighbors they have.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, EnsembleFailureError, IllConditionedError, NumericalError
-from .mesh_fv import BoundaryConditions, Mesh, solve_forward
+from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
 from .seeding import STREAM_MC_PRIOR, spawn_rng
 
 __all__ = [
@@ -279,6 +279,12 @@ def truncated_eig(cov: np.ndarray, energy: float | None = DEFAULT_ENERGY, n_term
     either way.  Eigenvector signs are fixed so the largest-magnitude entry is
     positive.
     """
+    vals, vecs, n = _eig_truncation(cov, energy, n_terms)
+    return vals[:n].copy(), vecs[:, :n].copy(), n
+
+
+def _eig_truncation(cov, energy, n_terms):
+    """Full clipped spectrum and eigenvectors of :func:`truncated_eig`, with its count."""
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ConfigError("covariance must be square")
@@ -311,7 +317,7 @@ def truncated_eig(cov: np.ndarray, energy: float | None = DEFAULT_ENERGY, n_term
             target = energy * total * (1.0 - 1e-12)
             n = int(np.searchsorted(np.cumsum(vals), target) + 1)
             n = min(n, vals.size)
-    return vals[:n].copy(), vecs[:, :n].copy(), n
+    return vals, vecs, n
 
 
 @dataclass(frozen=True)
@@ -352,12 +358,16 @@ class CkleBasis:
 
 
 def build_basis(gp: ConditionedGP, energy: float | None = DEFAULT_ENERGY, n_terms: int | None = None) -> CkleBasis:
-    """Truncate a conditioned field into an expansion basis."""
-    vals, vecs, n = truncated_eig(gp.covariance, energy=energy, n_terms=n_terms)
-    sym = (gp.covariance + gp.covariance.T) / 2.0
-    total = max(float(np.clip(np.linalg.eigvalsh(sym), 0.0, None).sum()), 0.0)
-    retained = 1.0 if total == 0.0 else min(float(vals.sum()) / total, 1.0)
-    return CkleBasis(mean=gp.mean, eigenvalues=vals, eigenvectors=vecs, retained_energy=retained)
+    """Truncate a conditioned field into an expansion basis.
+
+    ``retained_energy`` is the kept share of the clipped spectrum's sum.
+    """
+    vals, vecs, n = _eig_truncation(gp.covariance, energy, n_terms)
+    total = float(vals.sum())
+    retained = 1.0 if total == 0.0 else min(float(vals[:n].sum()) / total, 1.0)
+    return CkleBasis(
+        mean=gp.mean, eigenvalues=vals[:n].copy(), eigenvectors=vecs[:, :n].copy(), retained_energy=retained
+    )
 
 
 def ckle_eval(basis: CkleBasis, coeffs) -> np.ndarray:
@@ -383,27 +393,39 @@ def mc_state_prior(
     index, so results do not depend on ``n_workers``), solve the forward
     problem for each, and return the sample mean and unbiased covariance.
     Draws whose solve fails are dropped; more than 1% failures raises
-    :class:`EnsembleFailureError`.
+    :class:`EnsembleFailureError`.  Every draw is solved by one
+    :class:`FlowOperator` unless ``solver(mesh, y, bc)`` replaces it.
     """
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
-    solve = solver if solver is not None else solve_forward
+    if solver is None:
+        solve = FlowOperator(mesh, bc).solve
+    else:
+        def solve(y):
+            return solver(mesh, y, bc)
 
     coeffs = np.empty((n_mc, y_basis.n_terms))
     for i in range(n_mc):
         coeffs[i] = spawn_rng(seed, STREAM_MC_PRIOR, i).standard_normal(y_basis.n_terms)
+    mean, modes = y_basis.mean, y_basis.modes
 
-    def run(i):
-        try:
-            return solve(mesh, ckle_eval(y_basis, coeffs[i]), bc)
-        except NumericalError:
-            return None
+    def run(draws):
+        out = []
+        for i in draws:
+            try:
+                out.append(solve(mean + modes @ coeffs[i]))
+            except NumericalError:
+                out.append(None)
+        return out
 
     if n_workers > 1:
+        # One task per worker: handing out draws one by one costs more than
+        # a small mesh's solve.
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, range(n_mc)))
+            blocks = pool.map(run, np.array_split(np.arange(n_mc), n_workers))
+            results = [u for block in blocks for u in block]
     else:
-        results = [run(i) for i in range(n_mc)]
+        results = run(range(n_mc))
 
     failed = sum(1 for r in results if r is None)
     if failed > 0.01 * n_mc:

@@ -123,12 +123,14 @@ def log_posterior_and_grad(model, params: LossParams, z) -> tuple[float, np.ndar
     return -float(loss) / gamma, -grad / gamma
 
 
-def leapfrog(z, momentum, step_size, n_steps, grad_fn):
+def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
     """Fixed-length leapfrog with identity mass matrix.
 
-    ``grad_fn`` returns the gradient of the log posterior.  Zero steps is the
-    identity.  A non-finite trajectory is returned as-is; the caller treats
-    it as a rejected proposal.
+    ``grad_fn`` returns the gradient of the log posterior; ``grad``, when
+    given, is its value at ``z`` and saves the first call.  Zero steps is the
+    identity.  Otherwise the last ``grad_fn`` call of a finite trajectory is
+    at the returned point.  A non-finite trajectory is returned as-is; the
+    caller treats it as a rejected proposal.
     """
     if not step_size > 0:
         raise ConfigError("step_size must be positive")
@@ -136,7 +138,7 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn):
     p = np.array(momentum, dtype=np.float64)
     if n_steps == 0:
         return z, p
-    p = p + 0.5 * step_size * grad_fn(z)
+    p = p + 0.5 * step_size * (grad_fn(z) if grad is None else grad)
     for k in range(n_steps):
         z = z + step_size * p
         if not np.all(np.isfinite(z)):
@@ -205,10 +207,16 @@ def _run_chain(model, params, config: HmcConfig, seed: int, chain_id: int) -> Ch
     )
     z = prior_scale * rng.standard_normal(dim)
 
-    def grad_fn(x):
-        return log_posterior_and_grad(model, params, x)[1]
+    # Log posterior and gradient at the last point grad_fn saw.  Leapfrog's
+    # last call is at the proposal, so its log posterior, and its gradient
+    # once accepted, are read from here instead of being evaluated again.
+    last = {}
 
-    lp, _ = log_posterior_and_grad(model, params, z)
+    def grad_fn(x):
+        last["lp"], last["grad"] = log_posterior_and_grad(model, params, x)
+        return last["grad"]
+
+    lp, grad = log_posterior_and_grad(model, params, z)
     if not np.isfinite(lp):
         raise NumericalError(
             f"chain {chain_id}: non-finite log posterior at the initial point "
@@ -229,17 +237,17 @@ def _run_chain(model, params, config: HmcConfig, seed: int, chain_id: int) -> Ch
         # Divergent trajectories overflow before they are rejected; the
         # resulting warnings carry no information, so mute them here.
         with np.errstate(over="ignore", invalid="ignore"):
-            z_new, p_new = leapfrog(z, p, step_t, config.leapfrog_steps, grad_fn)
+            z_new, p_new = leapfrog(z, p, step_t, config.leapfrog_steps, grad_fn, grad)
             finite = np.all(np.isfinite(z_new)) and np.all(np.isfinite(p_new))
             if finite:
-                lp_new, _ = log_posterior_and_grad(model, params, z_new)
+                lp_new = last["lp"]
                 log_alpha = (lp_new - lp) + 0.5 * (p @ p - p_new @ p_new)
             else:
                 lp_new, log_alpha = -np.inf, -np.inf
         alpha = float(np.exp(min(0.0, log_alpha))) if np.isfinite(log_alpha) else 0.0
         accept = rng.uniform() < alpha
         if accept:
-            z, lp = z_new, lp_new
+            z, lp, grad = z_new, lp_new, last["grad"]
 
         if config.adapt and t < config.burn_in:
             step = adapter.update(alpha)

@@ -21,6 +21,15 @@ module provides its exact first derivatives (sparse Jacobians in ``y`` and
 ``u``), adjoint products, and second-derivative contractions against a weight
 vector, which downstream modules assemble into loss gradients, sampling
 corrections, and Laplace Hessians.
+
+All of these live on :class:`FlowOperator`, built once per mesh and boundary
+conditions.  It keeps what does not change between evaluations (face
+incidence and transmissibilities, Dirichlet and Neumann terms, and the
+sparsity pattern of the Jacobians with the index that scatters face terms
+into it), so a caller that evaluates many fields, such as the optimizer or the
+Monte Carlo head prior, holds one operator.  The module functions
+(:func:`assemble_residual`, :func:`solve_forward`, ...) build a fresh
+operator per call and give identical results.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ __all__ = [
     "build_structured_mesh",
     "boundary_values",
     "face_transmissivity",
+    "FlowOperator",
     "assemble_residual",
     "solve_forward",
     "residual_jacobians",
@@ -328,62 +338,194 @@ def face_transmissivity(y_i, y_j):
     return np.exp((y_i + y_j) / 2) / np.cosh((y_i - y_j) / 2)
 
 
-def _face_state(mesh: Mesh, y: np.ndarray):
-    """Per-face transmissivity and its logistic log-derivative weights.
+class FlowOperator:
+    """The discrete Darcy operator of one mesh and one set of boundary values.
 
-    Returns ``(i, j, k, s_i, s_j)`` with ``dk/dy_i = k s_i``,
-    ``dk/dy_j = k s_j`` and ``s_i + s_j = 1``.
+    Everything that depends only on the mesh and the boundary conditions is
+    computed once, at construction: face endpoints and geometric
+    transmissibilities, the Dirichlet cells with their half-cell
+    transmissibilities and head values, the Neumann load, and the CSR
+    pattern shared by ``dR/du``, ``dR/dy`` and the Hessian contractions,
+    with the index that scatters face and Dirichlet terms into its data.
+    The methods then take only fields, so repeated evaluations (optimizer
+    steps, Monte Carlo forward solves) pay for arithmetic alone and keep no
+    state between calls.
+
+    Every sum into a cell or matrix slot adds its terms in one fixed order,
+    starting from zero: faces by their ``i`` end, faces by their ``j`` end,
+    Dirichlet faces, Neumann faces.  That is the order in which ``np.add.at``
+    or a COO-to-CSR assembly would add the same terms, so the rounding is
+    theirs too.
     """
-    i = mesh.face_cells[:, 0]
-    j = mesh.face_cells[:, 1]
-    yi, yj = y[i], y[j]
-    k = face_transmissivity(yi, yj)
-    # s_i = T_j / (T_i + T_j), written as a logistic in y_j - y_i for stability
-    s_i = 1.0 / (1.0 + np.exp(yi - yj))
-    return i, j, k, s_i, 1.0 - s_i
 
+    def __init__(self, mesh: Mesh, bc: BoundaryConditions):
+        bc.validate(mesh)
+        self.n_cells = n = mesh.n_cells
+        i, j = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+        d_idx, n_idx = mesh.dirichlet_index, mesh.neumann_index
+        d = mesh.boundary_cells[d_idx]
+        self._i, self._j, self._d = i, j, d
+        self._tau = mesh.face_trans
+        self._tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
+        self._u_d = bc.dirichlet_values
+        self._neumann_load = bc.neumann_fluxes * mesh.boundary_areas[n_idx]
+        self._cells = np.concatenate([i, j, d, mesh.boundary_cells[n_idx]])
+        self._face_cells = self._cells[: 2 * i.size + d.size]
+        self._boundary_cells = self._cells[2 * i.size :]
 
-def _check_fields(mesh: Mesh, y: np.ndarray, u: np.ndarray | None = None):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (mesh.n_cells,):
-        raise ConfigError(f"y must have shape ({mesh.n_cells},), got {y.shape}")
-    if u is None:
-        return y, None
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (mesh.n_cells,):
-        raise ConfigError(f"u must have shape ({mesh.n_cells},), got {u.shape}")
-    return y, u
+        keys = np.unique(np.concatenate([i * n + i, i * n + j, j * n + i, j * n + j, d * n + d]))
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+        ii, ij, ji, jj, dd = (
+            np.searchsorted(keys, rows * n + cols) for rows, cols in ((i, i), (i, j), (j, i), (j, j), (d, d))
+        )
+        # COO entry orders: rows (i, i, j, j) x cols (i, j, i, j) for the
+        # Jacobians and the mixed Hessian block, (i, j, i, j) x (i, j, j, i)
+        # for the (y, y) block.
+        self._slots = np.concatenate([ii, ij, ji, jj, dd])
+        self._slots_yy = np.concatenate([ii, jj, ij, ji, dd])
+
+    def _check(self, **fields):
+        n = self.n_cells
+        out = []
+        for name, value in fields.items():
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != (n,):
+                raise ConfigError(f"{name} must have shape ({n},), got {value.shape}")
+            out.append(value)
+        return out
+
+    def _faces(self, y):
+        """Per-face transmissivity ``k`` and its logistic log-derivative weights.
+
+        ``dk/dy_i = k s_i``, ``dk/dy_j = k s_j`` and ``s_i + s_j = 1``.
+        """
+        yi, yj = y[self._i], y[self._j]
+        k = face_transmissivity(yi, yj)
+        # s_i = T_j / (T_i + T_j), written as a logistic in y_j - y_i for stability
+        s_i = 1.0 / (1.0 + np.exp(yi - yj))
+        return k, s_i, 1.0 - s_i
+
+    def _sum(self, cells, terms):
+        return np.bincount(cells, weights=np.concatenate(terms), minlength=self.n_cells)
+
+    def _matrix(self, slots, terms) -> sp.csr_matrix:
+        data = np.bincount(slots, weights=np.concatenate(terms), minlength=self._indices.size)
+        n = self.n_cells
+        return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
+
+    def residual(self, y, u) -> np.ndarray:
+        """The cell-balance residual R(y, u)."""
+        y, u = self._check(y=y, u=u)
+        i, j, d = self._i, self._j, self._d
+        flux = self._tau * face_transmissivity(y[i], y[j]) * (u[i] - u[j])
+        dirichlet = self._tau_b * np.exp(y[d]) * (u[d] - self._u_d)
+        return self._sum(self._cells, [flux, -flux, dirichlet, self._neumann_load])
+
+    def jacobians(self, y, u) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Exact sparse Jacobians (dR/dy, dR/du) at (y, u)."""
+        y, u = self._check(y=y, u=u)
+        i, j, d = self._i, self._j, self._d
+        k, s_i, s_j = self._faces(y)
+        tau = self._tau
+        du = u[i] - u[j]
+        tk = tau * k
+        # dR/dy: d(flux)/dy_i = tau k s_i du, rows i (+) and j (-)
+        gi = tau * k * s_i * du
+        gj = tau * k * s_j * du
+        kd = np.exp(y[d])
+        dr_dy = self._matrix(self._slots, [gi, gj, -gi, -gj, self._tau_b * kd * (u[d] - self._u_d)])
+        # dR/du: face stencil [[tk, -tk], [-tk, tk]]
+        dr_du = self._matrix(self._slots, [tk, -tk, -tk, tk, self._tau_b * kd])
+        return dr_dy, dr_du
+
+    def vjp(self, y, u, w) -> tuple[np.ndarray, np.ndarray]:
+        """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices."""
+        y, u, w = self._check(y=y, u=u, w=w)
+        i, j, d = self._i, self._j, self._d
+        k, s_i, s_j = self._faces(y)
+        tau = self._tau
+        du = u[i] - u[j]
+        dw = w[i] - w[j]
+        wkd = w[d] * self._tau_b * np.exp(y[d])
+        gy = self._sum(self._face_cells, [tau * k * s_i * du * dw, tau * k * s_j * du * dw, wkd * (u[d] - self._u_d)])
+        gu = self._sum(self._face_cells, [tau * k * dw, -tau * k * dw, wkd])
+        return gy, gu
+
+    def hessian_contract(self, y, u, w) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Weighted second derivatives ``(sum_i w_i d2R_i/dydy, sum_i w_i d2R_i/dydu)``.
+
+        The residual is linear in ``u``, so the (u, u) block vanishes; the two
+        returned sparse matrices are the only nonzero blocks of
+        ``sum_i w_i Hess(R_i)`` (the (u, y) block is the transpose of the second).
+        """
+        y, u, w = self._check(y=y, u=u, w=w)
+        i, j, d = self._i, self._j, self._d
+        k, s_i, s_j = self._faces(y)
+        tau = self._tau
+        du = u[i] - u[j]
+        dw = w[i] - w[j]
+        wkd = w[d] * self._tau_b * np.exp(y[d])
+
+        # Second derivatives of the harmonic mean:
+        #   d2k/dy_i2 = k s_i (s_i - s_j), d2k/dy_j2 = k s_j (s_j - s_i),
+        #   d2k/dy_i dy_j = 2 k s_i s_j   (their sum is k, matching k(y+c) = e^c k)
+        wface = dw * tau * du
+        kii = k * s_i * (s_i - s_j)
+        kjj = k * s_j * (s_j - s_i)
+        kij = 2 * k * s_i * s_j
+        h_yy = self._matrix(
+            self._slots_yy, [wface * kii, wface * kjj, wface * kij, wface * kij, wkd * (u[d] - self._u_d)]
+        )
+        # Mixed block: d2(flux)/dy_a du_i = tau k s_a, du_j enters with minus
+        ci = dw * tau * k * s_i
+        cj = dw * tau * k * s_j
+        h_yu = self._matrix(self._slots, [ci, -ci, cj, -cj, wkd])
+        return h_yy, h_yu
+
+    def solve(self, y, tol: float = 1e-10, method: str = "auto") -> np.ndarray:
+        """Solve R(y, u) = 0 for the head field u.
+
+        Uses a sparse direct factorization up to 10^4 cells and Jacobi-
+        preconditioned conjugate gradients above (``method`` forces one or the
+        other).  The returned solution satisfies
+        ``max|R| <= tol * max(1, max|b|)`` or :class:`SolveConvergenceError` is
+        raised with the achieved residual.
+        """
+        (y,) = self._check(y=y)
+        if self._d.size == 0:
+            raise SingularSystemError(
+                "forward solve needs at least one dirichlet face; "
+                "an all-neumann problem fixes u only up to a constant"
+            )
+        if method not in ("auto", "direct", "cg"):
+            raise ConfigError(f"unknown solve method {method!r}")
+        # R is affine in u, so R(y, u) = A u - b with A = dR/du and b = -R(y, 0).
+        # The face fluxes vanish at u = 0, which leaves the boundary terms in b.
+        tk = self._tau * face_transmissivity(y[self._i], y[self._j])
+        kd = self._tau_b * np.exp(y[self._d])
+        a = self._matrix(self._slots, [tk, -tk, -tk, tk, kd])
+        b = -self._sum(self._boundary_cells, [kd * (0.0 - self._u_d), self._neumann_load])
+        scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+        if method == "direct" or (method == "auto" and self.n_cells <= DIRECT_SOLVE_LIMIT):
+            u = spla.spsolve(a, b)
+        else:
+            inv_diag = 1.0 / a.diagonal()
+            precond = spla.LinearOperator(a.shape, matvec=lambda v: inv_diag * v)
+            u, _ = spla.cg(a, b, rtol=1e-14, atol=tol * scale / 10, maxiter=20 * self.n_cells, M=precond)
+        achieved = float(np.max(np.abs(a @ u - b)))
+        if not np.isfinite(achieved) or achieved > tol * scale:
+            raise SolveConvergenceError(
+                f"forward solve residual {achieved:.3e} exceeds tolerance {tol * scale:.3e}"
+            )
+        return u
 
 
 def assemble_residual(
     mesh: Mesh, y: np.ndarray, u: np.ndarray, bc: BoundaryConditions
 ) -> np.ndarray:
     """Evaluate the cell-balance residual R(y, u)."""
-    y, u = _check_fields(mesh, y, u)
-    bc.validate(mesh)
-    i, j, k, _, _ = _face_state(mesh, y)
-    flux = mesh.face_trans * k * (u[i] - u[j])
-    r = np.zeros(mesh.n_cells)
-    np.add.at(r, i, flux)
-    np.add.at(r, j, -flux)
-
-    d_idx = mesh.dirichlet_index
-    if d_idx.size:
-        cells = mesh.boundary_cells[d_idx]
-        tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
-        np.add.at(r, cells, tau_b * np.exp(y[cells]) * (u[cells] - bc.dirichlet_values))
-
-    n_idx = mesh.neumann_index
-    if n_idx.size:
-        np.add.at(r, mesh.boundary_cells[n_idx], bc.neumann_fluxes * mesh.boundary_areas[n_idx])
-    return r
-
-
-def _forward_system(mesh: Mesh, y: np.ndarray, bc: BoundaryConditions):
-    """Sparse SPD system A u = b equivalent to R(y, u) = 0."""
-    a = residual_jacobians(mesh, y, np.zeros(mesh.n_cells), bc)[1]
-    b = -assemble_residual(mesh, y, np.zeros(mesh.n_cells), bc)
-    return a.tocsr(), b
+    return FlowOperator(mesh, bc).residual(y, u)
 
 
 def solve_forward(
@@ -393,82 +535,15 @@ def solve_forward(
     tol: float = 1e-10,
     method: str = "auto",
 ) -> np.ndarray:
-    """Solve R(y, u) = 0 for the head field u.
-
-    Uses a sparse direct factorization up to 10^4 cells and Jacobi-
-    preconditioned conjugate gradients above (``method`` forces one or the
-    other).  The returned solution satisfies
-    ``max|R| <= tol * max(1, max|b|)`` or :class:`SolveConvergenceError` is
-    raised with the achieved residual.
-    """
-    y, _ = _check_fields(mesh, y)
-    bc.validate(mesh)
-    if mesh.dirichlet_index.size == 0:
-        raise SingularSystemError(
-            "forward solve needs at least one dirichlet face; "
-            "an all-neumann problem fixes u only up to a constant"
-        )
-    if method not in ("auto", "direct", "cg"):
-        raise ConfigError(f"unknown solve method {method!r}")
-    a, b = _forward_system(mesh, y, bc)
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if method == "direct" or (method == "auto" and mesh.n_cells <= DIRECT_SOLVE_LIMIT):
-        u = spla.spsolve(a, b)
-    else:
-        inv_diag = 1.0 / a.diagonal()
-        precond = spla.LinearOperator(a.shape, matvec=lambda v: inv_diag * v)
-        u, _ = spla.cg(a, b, rtol=1e-14, atol=tol * scale / 10, maxiter=20 * mesh.n_cells, M=precond)
-    achieved = float(np.max(np.abs(a @ u - b)))
-    if not np.isfinite(achieved) or achieved > tol * scale:
-        raise SolveConvergenceError(
-            f"forward solve residual {achieved:.3e} exceeds tolerance {tol * scale:.3e}"
-        )
-    return u
+    """Solve R(y, u) = 0 for the head field u; see :meth:`FlowOperator.solve`."""
+    return FlowOperator(mesh, bc).solve(y, tol=tol, method=method)
 
 
 def residual_jacobians(
     mesh: Mesh, y: np.ndarray, u: np.ndarray, bc: BoundaryConditions
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Exact sparse Jacobians (dR/dy, dR/du) at (y, u)."""
-    y, u = _check_fields(mesh, y, u)
-    bc.validate(mesh)
-    i, j, k, s_i, s_j = _face_state(mesh, y)
-    tau = mesh.face_trans
-    du = u[i] - u[j]
-    tk = tau * k
-    n = mesh.n_cells
-
-    # dR/du: face stencil [[tk, -tk], [-tk, tk]]
-    rows_u = [i, i, j, j]
-    cols_u = [i, j, i, j]
-    data_u = [tk, -tk, -tk, tk]
-
-    # dR/dy: d(flux)/dy_i = tau k s_i du, rows i (+) and j (-)
-    gi = tau * k * s_i * du
-    gj = tau * k * s_j * du
-    rows_y = [i, i, j, j]
-    cols_y = [i, j, i, j]
-    data_y = [gi, gj, -gi, -gj]
-
-    d_idx = mesh.dirichlet_index
-    if d_idx.size:
-        cells = mesh.boundary_cells[d_idx]
-        tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
-        kd = np.exp(y[cells])
-        rows_u.append(cells)
-        cols_u.append(cells)
-        data_u.append(tau_b * kd)
-        rows_y.append(cells)
-        cols_y.append(cells)
-        data_y.append(tau_b * kd * (u[cells] - bc.dirichlet_values))
-
-    def build(rows, cols, data):
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-
-    return build(rows_y, cols_y, data_y), build(rows_u, cols_u, data_u)
+    return FlowOperator(mesh, bc).jacobians(y, u)
 
 
 def residual_vjp(
@@ -479,30 +554,7 @@ def residual_vjp(
     w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices."""
-    y, u = _check_fields(mesh, y, u)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (mesh.n_cells,):
-        raise ConfigError(f"w must have shape ({mesh.n_cells},), got {w.shape}")
-    i, j, k, s_i, s_j = _face_state(mesh, y)
-    tau = mesh.face_trans
-    du = u[i] - u[j]
-    dw = w[i] - w[j]
-
-    gy = np.zeros(mesh.n_cells)
-    np.add.at(gy, i, tau * k * s_i * du * dw)
-    np.add.at(gy, j, tau * k * s_j * du * dw)
-    gu = np.zeros(mesh.n_cells)
-    np.add.at(gu, i, tau * k * dw)
-    np.add.at(gu, j, -tau * k * dw)
-
-    d_idx = mesh.dirichlet_index
-    if d_idx.size:
-        cells = mesh.boundary_cells[d_idx]
-        tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
-        kd = np.exp(y[cells])
-        np.add.at(gy, cells, w[cells] * tau_b * kd * (u[cells] - bc.dirichlet_values))
-        np.add.at(gu, cells, w[cells] * tau_b * kd)
-    return gy, gu
+    return FlowOperator(mesh, bc).vjp(y, u, w)
 
 
 def residual_hessian_contract(
@@ -512,59 +564,8 @@ def residual_hessian_contract(
     bc: BoundaryConditions,
     w: np.ndarray,
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Weighted second derivatives ``(sum_i w_i d2R_i/dydy, sum_i w_i d2R_i/dydu)``.
-
-    The residual is linear in ``u``, so the (u, u) block vanishes; the two
-    returned sparse matrices are the only nonzero blocks of
-    ``sum_i w_i Hess(R_i)`` (the (u, y) block is the transpose of the second).
-    """
-    y, u = _check_fields(mesh, y, u)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (mesh.n_cells,):
-        raise ConfigError(f"w must have shape ({mesh.n_cells},), got {w.shape}")
-    i, j, k, s_i, s_j = _face_state(mesh, y)
-    tau = mesh.face_trans
-    du = u[i] - u[j]
-    dw = w[i] - w[j]
-    n = mesh.n_cells
-
-    # Second derivatives of the harmonic mean:
-    #   d2k/dy_i2 = k s_i (s_i - s_j), d2k/dy_j2 = k s_j (s_j - s_i),
-    #   d2k/dy_i dy_j = 2 k s_i s_j   (their sum is k, matching k(y+c) = e^c k)
-    wface = dw * tau * du
-    kii = k * s_i * (s_i - s_j)
-    kjj = k * s_j * (s_j - s_i)
-    kij = 2 * k * s_i * s_j
-    rows_yy = [i, j, i, j]
-    cols_yy = [i, j, j, i]
-    data_yy = [wface * kii, wface * kjj, wface * kij, wface * kij]
-
-    # Mixed block: d2(flux)/dy_a du_i = tau k s_a, du_j enters with minus
-    ci = dw * tau * k * s_i
-    cj = dw * tau * k * s_j
-    rows_yu = [i, i, j, j]
-    cols_yu = [i, j, i, j]
-    data_yu = [ci, -ci, cj, -cj]
-
-    d_idx = mesh.dirichlet_index
-    if d_idx.size:
-        cells = mesh.boundary_cells[d_idx]
-        tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
-        kd = np.exp(y[cells])
-        rows_yy.append(cells)
-        cols_yy.append(cells)
-        data_yy.append(w[cells] * tau_b * kd * (u[cells] - bc.dirichlet_values))
-        rows_yu.append(cells)
-        cols_yu.append(cells)
-        data_yu.append(w[cells] * tau_b * kd)
-
-    def build(rows, cols, data):
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-
-    return build(rows_yy, cols_yy, data_yy), build(rows_yu, cols_yu, data_yu)
+    """Weighted second derivatives; see :meth:`FlowOperator.hessian_contract`."""
+    return FlowOperator(mesh, bc).hessian_contract(y, u, w)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,7 @@ from scipy.optimize import minimize
 
 from .errors import ConfigError
 from .gp_prior import CkleBasis
-from .mesh_fv import (
-    BoundaryConditions,
-    Mesh,
-    assemble_residual,
-    residual_hessian_contract,
-    residual_jacobians,
-    residual_vjp,
-)
+from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
 
 __all__ = [
     "LossParams",
@@ -106,7 +99,7 @@ class ResidualModel:
     def __init__(self, mesh: Mesh, y_basis: CkleBasis, u_basis: CkleBasis, bc: BoundaryConditions):
         if y_basis.n_cells != mesh.n_cells or u_basis.n_cells != mesh.n_cells:
             raise ConfigError("basis sizes must match the mesh cell count")
-        bc.validate(mesh)
+        self.operator = FlowOperator(mesh, bc)
         self.mesh = mesh
         self.y_basis = y_basis
         self.u_basis = u_basis
@@ -134,24 +127,24 @@ class ResidualModel:
 
     def residual(self, xi, eta) -> np.ndarray:
         y, u = self.fields(xi, eta)
-        return assemble_residual(self.mesh, y, u, self.bc)
+        return self.operator.residual(y, u)
 
     def jacobians(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n_residual, n_xi) and (n_residual, n_eta) Jacobian blocks."""
         y, u = self.fields(xi, eta)
-        dr_dy, dr_du = residual_jacobians(self.mesh, y, u, self.bc)
+        dr_dy, dr_du = self.operator.jacobians(y, u)
         return dr_dy @ self._phi_y, dr_du @ self._phi_u
 
     def vjp(self, xi, eta, w) -> tuple[np.ndarray, np.ndarray]:
         """Gradient pieces ``((dR/dxi)^T w, (dR/deta)^T w)`` via the adjoint."""
         y, u = self.fields(xi, eta)
-        gy, gu = residual_vjp(self.mesh, y, u, self.bc, w)
+        gy, gu = self.operator.vjp(y, u, w)
         return self._phi_y.T @ gy, self._phi_u.T @ gu
 
     def hessian_contract(self, xi, eta, w) -> np.ndarray:
         """Dense symmetric ``sum_n w_n Hess_z R_n`` over stacked coefficients."""
         y, u = self.fields(xi, eta)
-        h_yy, h_yu = residual_hessian_contract(self.mesh, y, u, self.bc, w)
+        h_yy, h_yu = self.operator.hessian_contract(y, u, w)
         block_xx = self._phi_y.T @ (h_yy @ self._phi_y)
         block_xx = 0.5 * (block_xx + block_xx.T)
         block_xe = self._phi_y.T @ (h_yu @ self._phi_u)

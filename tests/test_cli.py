@@ -372,3 +372,12 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "oracle-check" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a stage's start-up; no stage needs it
+    code = "import sys, rpickle.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "importing rpickle.cli loaded scipy.stats"

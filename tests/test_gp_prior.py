@@ -209,6 +209,14 @@ class TestTruncatedEig:
         assert vals[0] == pytest.approx(9.0)
         np.testing.assert_allclose(np.abs(vecs[:, 0]), np.abs(v) / 3.0, atol=1e-12)
 
+    def test_retained_energy_matches_full_spectrum_sum(self):
+        mesh = mf.build_structured_mesh(8, 8)
+        cov = gp.matern52(mesh.cell_centers, mesh.cell_centers, gp.KernelParams(sigma=0.7, length_scale=0.5))
+        basis = gp.build_basis(gp.ConditionedGP(mean=np.zeros(64), covariance=cov), energy=0.95)
+        total = np.clip(np.linalg.eigvalsh((cov + cov.T) / 2.0), 0.0, None).sum()
+        assert basis.retained_energy == pytest.approx(basis.eigenvalues.sum() / total, rel=1e-12, abs=0)
+        assert 0.95 <= basis.retained_energy < 1.0
+
     def test_explicit_n_terms(self):
         vals, vecs, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), n_terms=2)
         assert n == 2 and vals.shape == (2,) and vecs.shape == (3, 2)
@@ -348,6 +356,13 @@ class TestMcStatePrior:
         out4 = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7, n_workers=4)
         assert np.array_equal(out1[0], out4[0])
         assert np.array_equal(out1[1], out4[1])
+
+    def test_shared_operator_matches_solve_forward(self):
+        mesh, basis, bc = self.make_inputs()
+        shared = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7)
+        per_draw = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7, solver=mf.solve_forward)
+        assert np.array_equal(shared[0], per_draw[0])
+        assert np.array_equal(shared[1], per_draw[1])
 
     def test_failure_fraction_aborts(self):
         mesh, basis, bc = self.make_inputs()

@@ -237,6 +237,25 @@ class TestRunHmc:
         for ca, cb in zip(seq, par):
             assert np.array_equal(ca.states, cb.states)
 
+    def test_one_gradient_per_leapfrog_step(self, monkeypatch):
+        import rpickle.hmc_sampler as hmc
+
+        model = cases.make_random_linear(np.random.default_rng(57), n_res=12, n_xi=3, n_eta=2)
+        params = LossParams(sigma_r_sq=0.5)
+        config = HmcConfig(n_samples=3, n_chains=1, burn_in=5, leapfrog_steps=32, step_size=0.01)
+        calls = {"n": 0}
+        counted = hmc.log_posterior_and_grad
+
+        def counting(*args):
+            calls["n"] += 1
+            return counted(*args)
+
+        monkeypatch.setattr(hmc, "log_posterior_and_grad", counting)
+        (chain,) = run_hmc(model, params, config, seed=57)
+        # one evaluation at the initial point, then one per leapfrog step
+        assert calls["n"] == 1 + 32 * (config.burn_in + config.n_samples)
+        assert chain.acceptance_rate > 0.5
+
     def test_nonfinite_initial_posterior_aborts(self):
         model = _HugeResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)

@@ -239,6 +239,69 @@ class TestDerivatives:
         np.testing.assert_allclose(h_yy.toarray(), h_yy.toarray().T, atol=1e-12)
 
 
+def assert_identical(a, b):
+    """Equal values, and for sparse matrices an equal pattern too."""
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    elif hasattr(a, "indptr"):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+    else:
+        assert np.array_equal(a, b)
+
+
+class TestFlowOperator:
+    def setup_method(self):
+        self.mesh = mf.build_structured_mesh(6, 4, 1.5, 1.0)
+        self.bc = mf.boundary_values(
+            self.mesh, {"west": 1.0, "east": 0.0, "south": 0.2, "north": -0.1}
+        )
+
+    def test_reused_operator_matches_fresh_operators(self):
+        op = mf.FlowOperator(self.mesh, self.bc)
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            y, u, w = (rng.normal(scale=0.8, size=self.mesh.n_cells) for _ in range(3))
+            calls = (
+                lambda o: o.residual(y, u),
+                lambda o: o.vjp(y, u, w),
+                lambda o: o.jacobians(y, u),
+                lambda o: o.hessian_contract(y, u, w),
+                lambda o: o.solve(y),
+            )
+            for call in calls:
+                reused = call(op)
+                assert_identical(reused, call(mf.FlowOperator(self.mesh, self.bc)))
+                # scribbling over a result must not reach the operator
+                for part in reused if isinstance(reused, tuple) else (reused,):
+                    if hasattr(part, "indptr"):
+                        part.indices[:] = 0
+                        part.data[:] = np.nan
+                    else:
+                        part[:] = np.nan
+
+    def test_all_neumann_operator_evaluates_but_cannot_solve(self):
+        mesh = all_neumann(3, 3)
+        op = mf.FlowOperator(mesh, mf.BoundaryConditions(neumann_fluxes=np.zeros(12)))
+        np.testing.assert_allclose(op.residual(np.zeros(9), np.ones(9)), 0.0, atol=1e-14)
+        with pytest.raises(SingularSystemError):
+            op.solve(np.zeros(9))
+
+    def test_rejects_bad_shapes_and_counts(self):
+        op = mf.FlowOperator(self.mesh, self.bc)
+        n = self.mesh.n_cells
+        with pytest.raises(ConfigError, match="w must have shape"):
+            op.vjp(np.zeros(n), np.zeros(n), np.zeros(n - 1))
+        with pytest.raises(ConfigError, match="y must have shape"):
+            op.solve(np.zeros(n + 1))
+        with pytest.raises(ConfigError, match="unknown solve method"):
+            op.solve(np.zeros(n), method="lu")
+        with pytest.raises(ConfigError, match="dirichlet"):
+            mf.FlowOperator(self.mesh, mf.BoundaryConditions(neumann_fluxes=self.bc.neumann_fluxes))
+
 class TestSerialization:
     def test_mesh_json_roundtrip(self, tmp_path):
         mesh = mf.build_structured_mesh(4, 3, 2.0, 1.5)

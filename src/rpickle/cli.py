@@ -81,7 +81,7 @@ from .rpickle_sampler import (
     run_ensemble,
     write_manifest,
 )
-from .seeding import STREAM_REFERENCE, spawn_rng
+from .seeding import STREAM_REFERENCE, float_token, spawn_rng
 
 __all__ = [
     "RunConfig",
@@ -359,10 +359,6 @@ def load_run_config(path, seed: int | None = None, out: str | None = None) -> Ru
     return parse_run_config(raw)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _csv_stamp(config: RunConfig) -> dict:
     return {"config_hash": config.config_hash, "base_seed": config.base_seed}
 
@@ -379,7 +375,7 @@ def _json_stamp(config: RunConfig, gamma: float | None = None) -> dict:
 
 
 def _gamma_dir(config: RunConfig, gamma: float) -> str:
-    return os.path.join(config.output_dir, f"gamma_{_fmt(gamma)}")
+    return os.path.join(config.output_dir, f"gamma_{float_token(gamma)}")
 
 
 def _require(path: str, stage: str) -> str:
@@ -548,7 +544,7 @@ def cmd_map(config: RunConfig, threads: int = 1) -> None:
         path = os.path.join(gamma_dir, "map.json")
         map_result_to_json(result, path, meta=_json_stamp(config, gamma=gamma))
         print(
-            f"map: gamma={_fmt(gamma)} loss={result.loss:.6e} "
+            f"map: gamma={float_token(gamma)} loss={result.loss:.6e} "
             f"converged={result.converged} -> {path}"
         )
     _record_timing(config.output_dir, "map", time.perf_counter() - start)
@@ -573,7 +569,7 @@ def cmd_sample_rpickle(config: RunConfig, threads: int = 1) -> None:
         )
         accept = "-" if ensemble.acceptance_rate is None else f"{ensemble.acceptance_rate:.3f}"
         print(
-            f"sample-rpickle: gamma={_fmt(gamma)} n={len(ensemble)} "
+            f"sample-rpickle: gamma={float_token(gamma)} n={len(ensemble)} "
             f"usable={ensemble.n_usable} acceptance={accept} -> {gamma_dir}"
         )
     _record_timing(config.output_dir, "sample-rpickle", time.perf_counter() - start)
@@ -604,7 +600,7 @@ def cmd_sample_hmc(config: RunConfig, threads: int = 1) -> None:
             extra=_json_stamp(config, gamma=gamma),
         )
         rates = ", ".join(f"{chain.acceptance_rate:.3f}" for chain in chains)
-        print(f"sample-hmc: gamma={_fmt(gamma)} acceptance=[{rates}] -> {gamma_dir}")
+        print(f"sample-hmc: gamma={float_token(gamma)} acceptance=[{rates}] -> {gamma_dir}")
     _record_timing(config.output_dir, "sample-hmc", time.perf_counter() - start)
 
 
@@ -622,10 +618,10 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
     """Report files for one gamma; returns the summary row as a dict."""
     gamma_dir = _gamma_dir(config, gamma)
     ensemble = ensemble_from_csv(_require(os.path.join(gamma_dir, "rpickle.csv"), "sample-rpickle"))
-    row = {"gamma": _fmt(gamma), "n_usable": str(ensemble.n_usable)}
+    row = {"gamma": float_token(gamma), "n_usable": str(ensemble.n_usable)}
     if not ensemble.moments_defined:
         warnings.warn(
-            f"gamma={_fmt(gamma)}: fewer than two usable samples, skipping field moments",
+            f"gamma={float_token(gamma)}: fewer than two usable samples, skipping field moments",
             UserWarning,
             stacklevel=2,
         )
@@ -661,11 +657,11 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
     report_to_csv(report, gamma_dir, meta=_csv_stamp(config))
     row.update(
         {
-            "lpp": _fmt(lpp_value),
-            "coverage": _fmt(coverage_value),
-            "rel_l2": _fmt(rel_l2),
-            "l_inf": _fmt(l_inf),
-            "condition_number": _fmt(condition),
+            "lpp": float_token(lpp_value),
+            "coverage": float_token(coverage_value),
+            "rel_l2": float_token(rel_l2),
+            "l_inf": float_token(l_inf),
+            "condition_number": float_token(condition),
         }
     )
     return row

@@ -21,7 +21,8 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, NonPsdHessianError, SingularSystemError
 from .gp_prior import CkleBasis
-from .pickle_map import CoefficientPair, LossParams
+from .pickle_map import CoefficientPair, LossParams, PickleLoss
+from .seeding import float_token
 
 __all__ = [
     "LinearModel",
@@ -320,9 +321,10 @@ def laplace_posterior(
     """Gaussian (Laplace) posterior approximation around the MAP.
 
     The negative log posterior is ``loss / gamma``; its Hessian at the MAP
-    is assembled analytically from the residual Jacobian (Gauss-Newton
-    term), the second-derivative contraction against the residual, and the
-    prior precisions:
+    (:meth:`PickleLoss.hessian` with the residual as misfit) is assembled
+    analytically from the residual Jacobian (Gauss-Newton term), the
+    second-derivative contraction against the residual, and the prior
+    precisions:
 
         H = (G^T G + sum_n R_n d2R_n) / sigma_r_sq + prior precision.
 
@@ -331,19 +333,8 @@ def laplace_posterior(
     passing a stationary point; a Hessian with a nonpositive eigenvalue
     (saddle or worse) is rejected.
     """
-    xi, eta = map_point.xi, map_point.eta
-    r = model.residual(xi, eta)
-    jac_xi, jac_eta = model.jacobians(xi, eta)
-    g = np.hstack([jac_xi, jac_eta])
-    curvature = model.hessian_contract(xi, eta, r)
-    prior_diag = np.concatenate(
-        [
-            np.full(model.n_xi, 1.0 / params.sigma_xi_sq),
-            np.full(model.n_eta, 1.0 / params.sigma_eta_sq),
-        ]
-    )
-    hessian = (g.T @ g + curvature) / params.sigma_r_sq + np.diag(prior_diag)
-    hessian = 0.5 * (hessian + hessian.T)
+    r = model.residual(map_point.xi, map_point.eta)
+    hessian = PickleLoss(model, params).hessian(map_point.stacked, r)
     eigvals, eigvecs = np.linalg.eigh(hessian)
     if eigvals[0] <= 0.0:
         raise NonPsdHessianError(
@@ -357,10 +348,6 @@ def laplace_posterior(
     spectrum = 1.0 / eigvals
     condition = float(spectrum[0] / spectrum[-1])
     return cov, condition, spectrum
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def report_to_json(report: DiagnosticsReport, path, meta: dict | None = None) -> None:
@@ -390,7 +377,7 @@ def report_to_csv(report: DiagnosticsReport, out_dir, meta: dict | None = None) 
     stamp = [f"# {key}={meta[key]}" for key in sorted(meta or {})]
     lines = stamp + ["cell,mean,std"]
     for i, (m, s) in enumerate(zip(report.mean_field, report.std_field)):
-        lines.append(f"{i},{_fmt(m)},{_fmt(s)}")
+        lines.append(f"{i},{float_token(m)},{float_token(s)}")
     with open(f"{out_dir}/fields.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -400,9 +387,9 @@ def report_to_csv(report: DiagnosticsReport, out_dir, meta: dict | None = None) 
         mean_r, std_r = curves.get("mean"), curves.get("std")
         length = len(mean_r) if mean_r is not None else len(std_r) if std_r is not None else 0
         for m in range(length):
-            mean_cell = "" if mean_r is None else _fmt(mean_r[m])
+            mean_cell = "" if mean_r is None else float_token(mean_r[m])
             std_cell = (
-                "" if std_r is None or np.isnan(std_r[m]) else _fmt(std_r[m])
+                "" if std_r is None or np.isnan(std_r[m]) else float_token(std_r[m])
             )
             lines.append(f"{coord},{m + 1},{mean_cell},{std_cell}")
     with open(f"{out_dir}/convergence.csv", "w") as fh:

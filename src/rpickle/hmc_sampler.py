@@ -20,8 +20,8 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .pickle_map import CoefficientPair, LossParams
-from .seeding import STREAM_HMC, seed_token, spawn_rng
+from .pickle_map import LossParams, PickleLoss
+from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng
 
 __all__ = [
     "HmcConfig",
@@ -103,24 +103,9 @@ class Chain:
 
 def log_posterior_and_grad(model, params: LossParams, z) -> tuple[float, np.ndarray]:
     """Log posterior ``-loss/gamma`` (constant aside) and its exact gradient."""
-    pair = z if isinstance(z, CoefficientPair) else CoefficientPair.from_stacked(
-        np.asarray(z, dtype=np.float64), model.n_xi
-    )
-    gamma = params.sigma_r_sq
-    r = model.residual(pair.xi, pair.eta)
-    loss = (
-        0.5 * (r @ r)
-        + 0.5 * gamma * (pair.xi @ pair.xi) / params.sigma_xi_sq
-        + 0.5 * gamma * (pair.eta @ pair.eta) / params.sigma_eta_sq
-    )
-    g_xi, g_eta = model.vjp(pair.xi, pair.eta, r)
-    grad = np.concatenate(
-        [
-            g_xi + gamma * pair.xi / params.sigma_xi_sq,
-            g_eta + gamma * pair.eta / params.sigma_eta_sq,
-        ]
-    )
-    return -float(loss) / gamma, -grad / gamma
+    loss = PickleLoss(model, params)
+    value, grad = loss.value_grad(loss.stacked(z))
+    return -value, -grad
 
 
 def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
@@ -156,24 +141,22 @@ def dual_averaging_adapt(
 ) -> float:
     """Step size after replaying a burn-in acceptance history.
 
-    Standard dual-averaging recursion: the running statistic pulls the
-    log-step toward more (less) aggressive values while observed acceptance
-    stays above (below) the target.  Returns the step size the next
-    iteration would use; an empty history returns the initial step.
+    Replays the history through :class:`_DualAveraging`: the running
+    statistic pulls the log-step toward more (less) aggressive values while
+    observed acceptance stays above (below) the target.  Returns the step
+    size the next iteration would use; an empty history returns the initial
+    step.
     """
     if not initial_step_size > 0:
         raise ConfigError("initial_step_size must be positive")
-    mu = np.log(10.0 * initial_step_size)
-    h_bar = 0.0
-    log_step = np.log(initial_step_size)
-    for t, accept_prob in enumerate(history, start=1):
-        h_bar += (target_accept - accept_prob - h_bar) / (t + DA_OFFSET)
-        log_step = mu - np.sqrt(t) / DA_SHRINKAGE * h_bar
-    return float(np.exp(log_step))
+    adapter = _DualAveraging(initial_step_size, target_accept)
+    for accept_prob in history:
+        adapter.update(accept_prob)
+    return float(np.exp(adapter.log_step))
 
 
 class _DualAveraging:
-    """Incremental form of :func:`dual_averaging_adapt`, plus the frozen average."""
+    """Standard dual-averaging step-size recursion, plus the frozen average."""
 
     def __init__(self, initial_step_size, target_accept):
         self.mu = np.log(10.0 * initial_step_size)
@@ -329,10 +312,6 @@ def split_chain_psrf(chains) -> np.ndarray:
 # Serialization
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def chains_to_csv(chains, n_xi: int, path, meta: dict | None = None) -> None:
     """One row per retained state: seed, chain id, coefficients, log posterior, flag."""
     if not chains:
@@ -352,8 +331,8 @@ def chains_to_csv(chains, n_xi: int, path, meta: dict | None = None) -> None:
     for chain in chains:
         for k in range(chain.states.shape[0]):
             row = [chain.seed, str(chain.chain_id)]
-            row += [_fmt(v) for v in chain.states[k]]
-            row.append(_fmt(chain.log_posteriors[k]))
+            row += [float_token(v) for v in chain.states[k]]
+            row.append(float_token(chain.log_posteriors[k]))
             row.append("1" if chain.accept_flags[k] else "0")
             lines.append(",".join(row))
     with open(path, "w") as fh:

@@ -43,6 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularSystemError, SolveConvergenceError
+from .seeding import float_token
 
 __all__ = [
     "Mesh",
@@ -627,7 +628,7 @@ def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", me
         writer.writerow(["cell", "x", "y", name])
         for c in range(mesh.n_cells):
             writer.writerow(
-                [c, repr(float(mesh.cell_centers[c, 0])), repr(float(mesh.cell_centers[c, 1])), repr(float(values[c]))]
+                [c, float_token(mesh.cell_centers[c, 0]), float_token(mesh.cell_centers[c, 1]), float_token(values[c])]
             )
 
 

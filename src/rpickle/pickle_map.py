@@ -9,11 +9,12 @@ of coefficients.  The deterministic loss
 (with ``gamma = sigma_r_sq`` and unit prior variances) is, up to the factor
 ``1/gamma`` and a constant, the negative log posterior of the coefficients
 under a Gaussian residual likelihood and standard-normal priors, so its
-minimizer is the MAP point.  The optimizer is limited-memory quasi-Newton on
-the ``1/gamma``-scaled loss (same argmin, better conditioned), with an
-optional damped Gauss-Newton polish that exploits the exact least-squares
-structure when quasi-Newton stalls above tolerance.  The same machinery
-minimizes the noise-shifted loss used for posterior sampling.
+minimizer is the MAP point.  :class:`PickleLoss` is the one place that loss,
+its noise-shifted form used for posterior sampling, and their derivatives are
+written.  The optimizer is limited-memory quasi-Newton on the
+``1/gamma``-scaled loss (same argmin, better conditioned), with an optional
+damped Gauss-Newton polish that exploits the exact least-squares structure
+when quasi-Newton stalls above tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "LossParams",
     "CoefficientPair",
     "ResidualModel",
+    "PickleLoss",
     "OptimConfig",
     "OptimResult",
     "MapResult",
@@ -156,38 +158,113 @@ class ResidualModel:
         return out
 
 
-def _as_pair(model, z) -> CoefficientPair:
-    if isinstance(z, CoefficientPair):
+class PickleLoss:
+    """The PICKLE loss over stacked coefficients ``z = (xi, eta)``.
+
+    With residual target ``omega`` and prior targets ``(alpha, beta)``, all
+    zero when not given, the loss is
+
+        L(z) = 1/2 ||R(z) - omega||^2 + gamma/2 ||xi - alpha||^2 / s_xi
+               + gamma/2 ||eta - beta||^2 / s_eta
+
+    with ``gamma = sigma_r_sq``.  Zero targets give the deterministic loss,
+    whose minimizer is the MAP point; Gaussian targets give one randomized
+    draw.  ``L / gamma`` is the negative log posterior up to a constant, and
+    the methods return it and its derivatives: value and gradient for the
+    optimizer and HMC, the Gauss-Newton matrix for the polish, and the full
+    Hessian for the Metropolis log-det and the Laplace approximation.  The
+    methods take a stacked vector as it is; :meth:`stacked` checks one.
+    """
+
+    def __init__(self, model, params: LossParams, omega=None, alpha=None, beta=None):
+        self.model = model
+        self.gamma = params.sigma_r_sq
+        self.s_xi, self.s_eta = params.sigma_xi_sq, params.sigma_eta_sq
+        self.n_xi = model.n_xi
+        self.size = model.n_xi + model.n_eta
+        self.omega = _target(omega, model.n_residual)
+        self.alpha = _target(alpha, model.n_xi)
+        self.beta = _target(beta, model.n_eta)
+
+    def stacked(self, z) -> np.ndarray:
+        """``z``, a :class:`CoefficientPair` or a vector, as a checked stacked vector."""
+        if isinstance(z, CoefficientPair):
+            z = z.stacked
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (self.size,):
+            raise ConfigError(f"coefficient vector must have length {self.size}, got {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ConfigError("coefficients must be finite")
         return z
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.n_xi + model.n_eta,):
-        raise ConfigError(
-            f"coefficient vector must have length {model.n_xi + model.n_eta}, got {z.shape}"
+
+    def prior_variances(self) -> np.ndarray:
+        """Per-coordinate prior variances ``s`` over stacked coefficients."""
+        n_eta = self.size - self.n_xi
+        return np.concatenate([np.full(self.n_xi, self.s_xi), np.full(n_eta, self.s_eta)])
+
+    def _unscaled(self, z) -> tuple[float, np.ndarray]:
+        """``L(z)`` and its gradient; a non-finite ``z`` gives non-finite values."""
+        xi, eta = z[: self.n_xi], z[self.n_xi :]
+        dr = self.model.residual(xi, eta) - self.omega
+        dxi, deta = xi - self.alpha, eta - self.beta
+        gamma = self.gamma
+        value = (
+            0.5 * (dr @ dr)
+            + 0.5 * gamma * (dxi @ dxi) / self.s_xi
+            + 0.5 * gamma * (deta @ deta) / self.s_eta
         )
-    return CoefficientPair.from_stacked(z, model.n_xi)
+        g_xi, g_eta = self.model.vjp(xi, eta, dr)
+        grad = np.concatenate([g_xi + gamma * dxi / self.s_xi, g_eta + gamma * deta / self.s_eta])
+        return float(value), grad
+
+    def value_grad(self, z) -> tuple[float, np.ndarray]:
+        """``L(z) / gamma`` and its gradient."""
+        value, grad = self._unscaled(z)
+        return value / self.gamma, grad / self.gamma
+
+    def _jacobian(self, z) -> np.ndarray:
+        j_xi, j_eta = self.model.jacobians(z[: self.n_xi], z[self.n_xi :])
+        return np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
+
+    def gn_matrix(self, z) -> np.ndarray:
+        """Gauss-Newton matrix ``J^T J / gamma + diag(1/s)`` of ``L / gamma``."""
+        j = self._jacobian(z)
+        return j.T @ j / self.gamma + np.diag(1.0 / self.prior_variances())
+
+    def hessian(self, z, misfit) -> np.ndarray:
+        """Symmetrized ``(J^T J + sum_n misfit_n Hess R_n) / gamma + diag(1/s)``.
+
+        With ``misfit = R(z) - omega`` this is the Hessian of ``L / gamma``.
+        """
+        misfit = np.asarray(misfit, dtype=np.float64)
+        if misfit.shape != (self.model.n_residual,):
+            raise ConfigError("misfit length must match the residual dimension")
+        j = self._jacobian(z)
+        curvature = self.model.hessian_contract(z[: self.n_xi], z[self.n_xi :], misfit)
+        h = (j.T @ j + curvature) / self.gamma + np.diag(1.0 / self.prior_variances())
+        return 0.5 * (h + h.T)
+
+
+def _target(value, n: int):
+    """A noise target as a length-``n`` vector; ``None`` is zero."""
+    if value is None:
+        return 0.0
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != (n,):
+        raise ConfigError("noise vector shapes must match the model")
+    return value
 
 
 def pickle_loss(model, params: LossParams, z) -> float:
     """Deterministic loss ``1/2 ||R||^2 + gamma/2 (||xi||^2/s_xi + ||eta||^2/s_eta)``."""
-    pair = _as_pair(model, z)
-    r = model.residual(pair.xi, pair.eta)
-    gamma = params.sigma_r_sq
-    return float(
-        0.5 * (r @ r)
-        + 0.5 * gamma * (pair.xi @ pair.xi) / params.sigma_xi_sq
-        + 0.5 * gamma * (pair.eta @ pair.eta) / params.sigma_eta_sq
-    )
+    loss = PickleLoss(model, params)
+    return loss._unscaled(loss.stacked(z))[0]
 
 
 def pickle_grad(model, params: LossParams, z) -> np.ndarray:
     """Exact gradient of :func:`pickle_loss` over stacked (xi, eta)."""
-    pair = _as_pair(model, z)
-    r = model.residual(pair.xi, pair.eta)
-    g_xi, g_eta = model.vjp(pair.xi, pair.eta, r)
-    gamma = params.sigma_r_sq
-    return np.concatenate(
-        [g_xi + gamma * pair.xi / params.sigma_xi_sq, g_eta + gamma * pair.eta / params.sigma_eta_sq]
-    )
+    loss = PickleLoss(model, params)
+    return loss._unscaled(loss.stacked(z))[1]
 
 
 @dataclass(frozen=True)
@@ -224,49 +301,32 @@ class OptimResult:
 def minimize_randomized(
     model,
     params: LossParams,
-    omega: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    init: np.ndarray | None = None,
+    omega: np.ndarray | None,
+    alpha: np.ndarray | None,
+    beta: np.ndarray | None,
+    init=None,
     config: OptimConfig | None = None,
 ) -> OptimResult:
     """Minimize the noise-shifted scaled loss.
 
-    The objective is ``1/2 ||R(z) - omega||^2 / gamma + 1/2 ||xi - alpha||^2 /
-    s_xi + 1/2 ||eta - beta||^2 / s_eta``; with zero noise this equals the
-    deterministic loss divided by ``gamma``, so one code path serves both the
-    MAP solve and every randomized sample.
+    The objective is :class:`PickleLoss`'s ``L / gamma`` for the targets
+    ``omega``, ``alpha``, ``beta`` (``None`` is zero); with zero targets it is
+    the deterministic loss divided by ``gamma``, so one code path serves both
+    the MAP solve and every randomized sample.  ``init``, a vector or a
+    :class:`CoefficientPair`, defaults to zero.
     """
     config = config or OptimConfig()
-    n_xi, n_eta = model.n_xi, model.n_eta
-    n = n_xi + n_eta
-    gamma = params.sigma_r_sq
-    s_xi, s_eta = params.sigma_xi_sq, params.sigma_eta_sq
-    omega = np.asarray(omega, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if omega.shape != (model.n_residual,) or alpha.shape != (n_xi,) or beta.shape != (n_eta,):
-        raise ConfigError("noise vector shapes must match the model")
-    x0 = np.zeros(n) if init is None else np.asarray(init, dtype=np.float64).copy()
-    if x0.shape != (n,):
-        raise ConfigError(f"init must have length {n}")
+    loss = PickleLoss(model, params, omega, alpha, beta)
+    n = loss.size
+    x0 = np.zeros(n) if init is None else loss.stacked(init).copy()
 
-    def fun_grad(z):
-        xi, eta = z[:n_xi], z[n_xi:]
-        dr = model.residual(xi, eta) - omega
-        dxi, deta = xi - alpha, eta - beta
-        value = 0.5 * (dr @ dr) / gamma + 0.5 * (dxi @ dxi) / s_xi + 0.5 * (deta @ deta) / s_eta
-        g_xi, g_eta = model.vjp(xi, eta, dr / gamma)
-        grad = np.concatenate([g_xi + dxi / s_xi, g_eta + deta / s_eta])
-        return value, grad
-
-    value0, grad0 = fun_grad(x0)
+    value0, grad0 = loss.value_grad(x0)
     gnorm0 = float(np.linalg.norm(grad0))
     if gnorm0 <= config.tolerance(value0):
         return OptimResult(z=x0, loss=float(value0), grad_norm=gnorm0, n_iter=0, converged=True)
 
     res = minimize(
-        fun_grad,
+        loss.value_grad,
         x0,
         jac=True,
         method="L-BFGS-B",
@@ -279,14 +339,12 @@ def minimize_randomized(
         },
     )
     z = np.asarray(res.x, dtype=np.float64)
-    value, grad = fun_grad(z)
+    value, grad = loss.value_grad(z)
     n_iter = int(res.nit)
     gnorm = float(np.linalg.norm(grad))
 
     if config.polish and gnorm > config.tolerance(value):
-        z, value, grad, extra = _gauss_newton_polish(
-            model, params, omega, alpha, beta, z, value, grad, config
-        )
+        z, value, grad, extra = _gauss_newton_polish(loss, z, value, grad, config)
         gnorm = float(np.linalg.norm(grad))
         n_iter += extra
 
@@ -299,32 +357,15 @@ def minimize_randomized(
     )
 
 
-def _gauss_newton_polish(model, params, omega, alpha, beta, z, value, grad, config):
+def _gauss_newton_polish(loss: PickleLoss, z, value, grad, config):
     """Damped Gauss-Newton steps on the exact least-squares structure."""
-    n_xi = model.n_xi
-    gamma = params.sigma_r_sq
-    s_xi, s_eta = params.sigma_xi_sq, params.sigma_eta_sq
-    prior_diag = np.concatenate(
-        [np.full(n_xi, 1.0 / s_xi), np.full(model.n_eta, 1.0 / s_eta)]
-    )
-
-    def fun_grad(zz):
-        xi, eta = zz[:n_xi], zz[n_xi:]
-        dr = model.residual(xi, eta) - omega
-        shift = zz - np.concatenate([alpha, beta])
-        val = 0.5 * (dr @ dr) / gamma + 0.5 * np.sum(prior_diag * shift**2)
-        g_xi, g_eta = model.vjp(xi, eta, dr / gamma)
-        return val, np.concatenate([g_xi, g_eta]) + prior_diag * shift
-
     mu = 0.0
     steps = 0
     for _ in range(config.polish_maxiter):
         gnorm = np.linalg.norm(grad)
         if gnorm <= config.tolerance(value):
             break
-        j_xi, j_eta = model.jacobians(z[:n_xi], z[n_xi:])
-        j = np.hstack([j_xi, j_eta])
-        normal = j.T @ j / gamma + np.diag(prior_diag)
+        normal = loss.gn_matrix(z)
         accepted = False
         for _ in range(60):
             try:
@@ -333,7 +374,7 @@ def _gauss_newton_polish(model, params, omega, alpha, beta, z, value, grad, conf
                 mu = max(10.0 * mu, 1e-12 * float(np.trace(normal)) / normal.shape[0])
                 continue
             z_new = z + step
-            value_new, grad_new = fun_grad(z_new)
+            value_new, grad_new = loss.value_grad(z_new)
             # Near the minimum the value improvement drops below float
             # resolution while the gradient still shrinks by orders of
             # magnitude, so a step also counts when it clearly reduces the
@@ -384,16 +425,7 @@ def map_optimize(
     Initialization defaults to zero coefficients (the prior mean).  A
     non-converged run is flagged but still returns the best iterate.
     """
-    x0 = None if init is None else _as_pair(model, init).stacked
-    res = minimize_randomized(
-        model,
-        params,
-        omega=np.zeros(model.n_residual),
-        alpha=np.zeros(model.n_xi),
-        beta=np.zeros(model.n_eta),
-        init=x0,
-        config=config,
-    )
+    res = minimize_randomized(model, params, None, None, None, init=init, config=config)
     pair = CoefficientPair.from_stacked(res.z, model.n_xi)
     return MapResult(
         coefficients=pair,

@@ -25,10 +25,11 @@ from .pickle_map import (
     CoefficientPair,
     LossParams,
     OptimConfig,
+    PickleLoss,
     map_optimize,
     minimize_randomized,
 )
-from .seeding import STREAM_METROPOLIS, STREAM_NOISE, seed_token, spawn_rng
+from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng
 
 __all__ = [
     "NoiseDraw",
@@ -150,19 +151,8 @@ def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDr
 
 def randomized_loss(model, params: LossParams, z, noise: NoiseDraw) -> float:
     """Noise-shifted loss ``1/2||R - omega||^2/s_r + 1/2||xi - alpha||^2/s_xi + ...``."""
-    pair = z if isinstance(z, CoefficientPair) else CoefficientPair.from_stacked(
-        np.asarray(z, dtype=np.float64), model.n_xi
-    )
-    if noise.omega.shape != (model.n_residual,):
-        raise ConfigError("omega length must match the residual dimension")
-    dr = model.residual(pair.xi, pair.eta) - noise.omega
-    dxi = pair.xi - noise.alpha
-    deta = pair.eta - noise.beta
-    return float(
-        0.5 * (dr @ dr) / params.sigma_r_sq
-        + 0.5 * (dxi @ dxi) / params.sigma_xi_sq
-        + 0.5 * (deta @ deta) / params.sigma_eta_sq
-    )
+    loss = PickleLoss(model, params, noise.omega, noise.alpha, noise.beta)
+    return loss.value_grad(loss.stacked(z))[0]
 
 
 def sample_once(
@@ -177,9 +167,8 @@ def sample_once(
     Runs the same optimizer as the MAP solve.  A non-converged solve is
     flagged, not raised, so ensemble-level policy can decide what to do.
     """
-    x0 = init.stacked if isinstance(init, CoefficientPair) else init
     res = minimize_randomized(
-        model, params, noise.omega, noise.alpha, noise.beta, init=x0, config=config
+        model, params, noise.omega, noise.alpha, noise.beta, init=init, config=config
     )
     pair = CoefficientPair.from_stacked(res.z, model.n_xi)
     delta = model.residual(pair.xi, pair.eta) - noise.omega
@@ -197,28 +186,15 @@ def sample_once(
 def jacobian_logdet(model, params: LossParams, z_star, delta) -> float:
     """Log |det| of the noise-to-minimizer Jacobian factor at a minimizer.
 
-    The matrix is ``I + S (H + G^T G / s_r)`` over stacked coefficients,
-    where ``S = diag(prior variances)``, ``G`` is the residual Jacobian, and
-    ``H`` contracts the residual's second derivatives against ``delta/s_r``.
-    An absolute determinant at or below 1e-300 reports ``-inf``.
+    The matrix is ``S`` times the loss Hessian at ``z_star`` with misfit
+    ``delta`` (:meth:`PickleLoss.hessian`), which equals ``I + S (H + G^T G /
+    s_r)`` over stacked coefficients, where ``S = diag(prior variances)``,
+    ``G`` is the residual Jacobian, and ``H`` contracts the residual's second
+    derivatives against ``delta/s_r``.  An absolute determinant at or below
+    1e-300 reports ``-inf``.
     """
-    pair = z_star if isinstance(z_star, CoefficientPair) else CoefficientPair.from_stacked(
-        np.asarray(z_star, dtype=np.float64), model.n_xi
-    )
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (model.n_residual,):
-        raise ConfigError("delta length must match the residual dimension")
-    h = model.hessian_contract(pair.xi, pair.eta, delta / params.sigma_r_sq)
-    j_xi, j_eta = model.jacobians(pair.xi, pair.eta)
-    g = np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
-    gram = g.T @ g / params.sigma_r_sq
-    scales = np.concatenate(
-        [
-            np.full(model.n_xi, params.sigma_xi_sq),
-            np.full(model.n_eta, params.sigma_eta_sq),
-        ]
-    )
-    m = np.eye(scales.size) + scales[:, None] * (h + gram)
+    loss = PickleLoss(model, params)
+    m = loss.prior_variances()[:, None] * loss.hessian(loss.stacked(z_star), delta)
     sign, logdet = np.linalg.slogdet(m)
     if sign == 0 or logdet <= np.log(DET_FLOOR):
         return float("-inf")
@@ -370,10 +346,6 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
 # Serialization
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None) -> None:
     """One row per sample: seed, coefficients, loss, log-det, flags.
 
@@ -391,17 +363,17 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
     )
     lines = [f"# n_xi={n_xi}", f"# n_eta={n_eta}"]
     if ensemble.acceptance_rate is not None:
-        lines.append(f"# acceptance_rate={_fmt(ensemble.acceptance_rate)}")
+        lines.append(f"# acceptance_rate={float_token(ensemble.acceptance_rate)}")
     lines.append(f"# n_failed={ensemble.n_failed}")
     for key in sorted(meta or {}):
         lines.append(f"# {key}={meta[key]}")
     lines.append(",".join(cols))
     for s in ensemble.samples:
         row = [s.seed]
-        row += [_fmt(v) for v in s.z_star.xi]
-        row += [_fmt(v) for v in s.z_star.eta]
-        row.append(_fmt(s.loss))
-        row.append("" if s.log_det_j is None else _fmt(s.log_det_j))
+        row += [float_token(v) for v in s.z_star.xi]
+        row += [float_token(v) for v in s.z_star.eta]
+        row.append(float_token(s.loss))
+        row.append("" if s.log_det_j is None else float_token(s.log_det_j))
         row.append("1" if s.accepted else "0")
         row.append("1" if s.optimizer_converged else "0")
         lines.append(",".join(row))

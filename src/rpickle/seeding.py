@@ -6,6 +6,8 @@ bit-identical for a fixed base seed no matter how work is split across
 workers: draw ``i`` of stream ``s`` is the same generator whether it is the
 first thing computed or the last.  Stream ids are fixed constants; per-item
 counters (sample index, chain id, Monte Carlo draw) form the rest of the path.
+:func:`float_token` is the one text form of a float in every artifact, so
+reruns stay byte-identical and every value reads back exactly.
 """
 
 from __future__ import annotations
@@ -30,3 +32,8 @@ def spawn_rng(base_seed: int, *path: int) -> np.random.Generator:
 def seed_token(base_seed: int, *path: int) -> str:
     """Human-readable reproducibility token for a draw (``"seed/stream/..."``)."""
     return "/".join(str(p) for p in (base_seed, *path))
+
+
+def float_token(x) -> str:
+    """Shortest text that reads back as the same float (``repr``)."""
+    return repr(float(x))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.optimize import minimize as scipy_minimize
 from rpickle.diagnostics import linear_oracle
 from rpickle.errors import ConfigError
 from rpickle.gp_prior import CkleBasis
+from rpickle.hmc_sampler import log_posterior_and_grad
 from rpickle.pickle_map import (
     CoefficientPair,
     LossParams,
@@ -19,6 +21,7 @@ from rpickle.pickle_map import (
     pickle_loss,
     sweep_gammas,
 )
+from rpickle.rpickle_sampler import draw_noise, jacobian_logdet, randomized_loss
 
 import cases
 import oracles
@@ -355,6 +358,40 @@ class TestRandomizedObjective:
             )
 
 
+class TestGaussNewtonPolish:
+    """One quasi-Newton iteration stops above tolerance; the polish must finish the solve."""
+
+    def test_finishes_truncated_map_solve(self):
+        model, params, _ = cases.make_flow_case()
+        short = OptimConfig(maxiter=1)
+        result = map_optimize(model, params, config=short)
+        assert result.converged
+        np.testing.assert_allclose(
+            result.coefficients.stacked,
+            map_optimize(model, params).coefficients.stacked,
+            rtol=0,
+            atol=1e-7,
+        )
+        assert not map_optimize(model, params, config=replace(short, polish=False)).converged
+
+    def test_finishes_truncated_randomized_solve(self):
+        model, params, _ = cases.make_flow_case()
+        noise = draw_noise(model, params, base_seed=4, index=2)
+        targets = (noise.omega, noise.alpha, noise.beta)
+        short = OptimConfig(maxiter=1)
+        result = minimize_randomized(model, params, *targets, config=short)
+        full = minimize_randomized(model, params, *targets)
+        assert result.converged and full.converged
+        # Both solves stop with a gradient norm below the tolerance and the
+        # scaled Hessian's eigenvalues are near or above the unit prior
+        # precision, so the minimizers lie within about twice the tolerance.
+        assert np.linalg.norm(result.z - full.z) <= 2.0 * short.tolerance(full.loss)
+        unpolished = minimize_randomized(
+            model, params, *targets, config=replace(short, polish=False)
+        )
+        assert not unpolished.converged
+
+
 class TestValidation:
     def test_loss_params_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -377,3 +414,23 @@ class TestValidation:
         small = cases.make_darcy_model(nx=4, ny=4)
         with pytest.raises(ConfigError):
             ResidualModel(base.mesh, small.y_basis, base.u_basis, base.bc)
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1)], ids=["short", "long", "column"])
+    @pytest.mark.parametrize(
+        "entry", ["pickle_loss", "randomized_loss", "log_posterior_and_grad", "jacobian_logdet"]
+    )
+    def test_wrong_length_coefficients_rejected(self, entry, shape):
+        model = cases.make_random_linear(np.random.default_rng(27))
+        params = LossParams(sigma_r_sq=0.5)
+        calls = {
+            "pickle_loss": lambda z: pickle_loss(model, params, z),
+            "randomized_loss": lambda z: randomized_loss(
+                model, params, z, draw_noise(model, params, 0, 0)
+            ),
+            "log_posterior_and_grad": lambda z: log_posterior_and_grad(model, params, z),
+            "jacobian_logdet": lambda z: jacobian_logdet(
+                model, params, z, np.zeros(model.n_residual)
+            ),
+        }
+        with pytest.raises(ConfigError):
+            calls[entry](np.zeros(shape))

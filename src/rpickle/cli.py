@@ -498,9 +498,7 @@ def cmd_build_prior(config: RunConfig, threads: int = 1) -> None:
         y_basis = build_basis(gp_y, energy=None, n_terms=config.n_xi)
     else:
         y_basis = build_basis(gp_y, energy=config.energy)
-    u_mean, u_cov = mc_state_prior(
-        mesh, y_basis, bc, n_mc=config.mc_draws, seed=config.base_seed, n_workers=threads
-    )
+    u_mean, u_cov = mc_state_prior(mesh, y_basis, bc, n_mc=config.mc_draws, seed=config.base_seed)
     gp_u = condition_on_cells(u_mean, u_cov, case.u_obs)
     if config.n_eta is not None:
         u_basis = build_basis(gp_u, energy=None, n_terms=config.n_eta)

@@ -13,7 +13,6 @@ problem, take moments, then condition on head observations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import json
 import warnings
@@ -384,17 +383,18 @@ def mc_state_prior(
     bc: BoundaryConditions,
     n_mc: int,
     seed: int,
-    n_workers: int = 1,
     solver=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and covariance of the head under the y prior.
 
     Draw ``n_mc`` standard-normal coefficient vectors (one RNG stream per draw
-    index, so results do not depend on ``n_workers``), solve the forward
-    problem for each, and return the sample mean and unbiased covariance.
-    Draws whose solve fails are dropped; more than 1% failures raises
-    :class:`EnsembleFailureError`.  Every draw is solved by one
-    :class:`FlowOperator` unless ``solver(mesh, y, bc)`` replaces it.
+    index), solve the forward problem for each in draw order, and return the
+    sample mean and unbiased covariance.  Draws whose solve fails are
+    dropped; more than 1% failures raises :class:`EnsembleFailureError`.
+    Every draw is solved by one :class:`FlowOperator`, whose cell ordering
+    and band layout are computed once, unless ``solver(mesh, y, bc)``
+    replaces it.  The draws run in one thread: the band LU holds the
+    interpreter lock, so worker threads only add overhead.
     """
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
@@ -404,28 +404,14 @@ def mc_state_prior(
         def solve(y):
             return solver(mesh, y, bc)
 
-    coeffs = np.empty((n_mc, y_basis.n_terms))
-    for i in range(n_mc):
-        coeffs[i] = spawn_rng(seed, STREAM_MC_PRIOR, i).standard_normal(y_basis.n_terms)
     mean, modes = y_basis.mean, y_basis.modes
-
-    def run(draws):
-        out = []
-        for i in draws:
-            try:
-                out.append(solve(mean + modes @ coeffs[i]))
-            except NumericalError:
-                out.append(None)
-        return out
-
-    if n_workers > 1:
-        # One task per worker: handing out draws one by one costs more than
-        # a small mesh's solve.
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            blocks = pool.map(run, np.array_split(np.arange(n_mc), n_workers))
-            results = [u for block in blocks for u in block]
-    else:
-        results = run(range(n_mc))
+    results = []
+    for i in range(n_mc):
+        coeffs = spawn_rng(seed, STREAM_MC_PRIOR, i).standard_normal(y_basis.n_terms)
+        try:
+            results.append(solve(mean + modes @ coeffs))
+        except NumericalError:
+            results.append(None)
 
     failed = sum(1 for r in results if r is None)
     if failed > 0.01 * n_mc:

@@ -325,8 +325,17 @@ def minimize_randomized(
     if gnorm0 <= config.tolerance(value0):
         return OptimResult(z=x0, loss=float(value0), grad_norm=gnorm0, n_iter=0, converged=True)
 
+    # L-BFGS usually returns the point it evaluated last, so keep that
+    # evaluation; its result can also be an earlier point, hence the check.
+    last = {}
+
+    def value_grad(x):
+        value, grad = loss.value_grad(x)
+        last.update(x=x.copy(), value=value, grad=grad.copy())
+        return value, grad
+
     res = minimize(
-        loss.value_grad,
+        value_grad,
         x0,
         jac=True,
         method="L-BFGS-B",
@@ -339,7 +348,10 @@ def minimize_randomized(
         },
     )
     z = np.asarray(res.x, dtype=np.float64)
-    value, grad = loss.value_grad(z)
+    if np.array_equal(z, last.get("x")):
+        value, grad = last["value"], last["grad"]
+    else:
+        value, grad = loss.value_grad(z)
     n_iter = int(res.nit)
     gnorm = float(np.linalg.norm(grad))
 

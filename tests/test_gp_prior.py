@@ -350,13 +350,6 @@ class TestMcStatePrior:
         d = (u[0] - u[1]) / np.sqrt(2.0)
         np.testing.assert_allclose(cov_u, np.outer(d, d), atol=1e-14)
 
-    def test_worker_count_does_not_change_results(self):
-        mesh, basis, bc = self.make_inputs()
-        out1 = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7, n_workers=1)
-        out4 = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7, n_workers=4)
-        assert np.array_equal(out1[0], out4[0])
-        assert np.array_equal(out1[1], out4[1])
-
     def test_shared_operator_matches_solve_forward(self):
         mesh, basis, bc = self.make_inputs()
         shared = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7)

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpickle.errors import ConfigError, SingularSystemError
+from rpickle.errors import ConfigError, SingularSystemError, SolveConvergenceError
 from rpickle import mesh_fv as mf
 
 import oracles
@@ -301,6 +302,105 @@ class TestFlowOperator:
             op.solve(np.zeros(n), method="lu")
         with pytest.raises(ConfigError, match="dirichlet"):
             mf.FlowOperator(self.mesh, mf.BoundaryConditions(neumann_fluxes=self.bc.neumann_fluxes))
+
+
+def shuffled(mesh, seed):
+    """The same mesh with its cells renumbered by a random permutation."""
+    new_label = np.random.default_rng(seed).permutation(mesh.n_cells)
+    old_cell = np.argsort(new_label)
+    return mf.Mesh(
+        cell_centers=mesh.cell_centers[old_cell],
+        cell_areas=mesh.cell_areas[old_cell],
+        face_cells=new_label[mesh.face_cells],
+        face_trans=mesh.face_trans,
+        boundary_cells=new_label[mesh.boundary_cells],
+        boundary_areas=mesh.boundary_areas,
+        boundary_distances=mesh.boundary_distances,
+        boundary_tags=mesh.boundary_tags,
+        boundary_labels=mesh.boundary_labels,
+    )
+
+
+SIDES = {"west": 1.0, "east": 0.0, "south": 0.2, "north": -0.1}
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            mf.build_structured_mesh(8, 8),
+            mf.build_structured_mesh(32, 32),
+            mf.build_structured_mesh(23, 5, 4.6, 1.0),
+            shuffled(mf.build_structured_mesh(12, 7), seed=3),
+        ],
+        ids=["8x8", "32x32", "23x5", "12x7-shuffled"],
+    )
+    def test_matches_superlu(self, mesh):
+        bc = mf.boundary_values(mesh, SIDES)
+        op = mf.FlowOperator(mesh, bc)
+        assert op.half_bandwidth <= mf.BAND_LIMIT
+        rng = np.random.default_rng(mesh.n_cells)
+        zero = np.zeros(mesh.n_cells)
+        for _ in range(3):
+            y = rng.normal(scale=1.0, size=mesh.n_cells)
+            a = op.jacobians(y, zero)[1]
+            reference = spla.spsolve(a.tocsc(), -op.residual(y, zero))
+            u = op.solve(y)
+            assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_ordering_narrows_the_band(self):
+        mesh = mf.build_structured_mesh(23, 5)
+        bc = mf.boundary_values(mesh, SIDES)
+        op = mf.FlowOperator(mesh, bc)
+        a = op.jacobians(np.zeros(mesh.n_cells), np.zeros(mesh.n_cells))[1].tocoo()
+        assert np.max(np.abs(a.row - a.col)) == 23
+        assert op.half_bandwidth == 6
+        for seed in range(5):
+            assert mf.FlowOperator(shuffled(mesh, seed), bc).half_bandwidth <= 6
+
+    def test_wide_band_goes_to_superlu(self, monkeypatch):
+        mesh = mf.build_structured_mesh(70, 70)
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+        assert op.half_bandwidth > mf.BAND_LIMIT
+        calls = []
+        spsolve = mf.spla.spsolve
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return spsolve(a, b)
+
+        monkeypatch.setattr(mf.spla, "spsolve", counting)
+        y = np.random.default_rng(2).normal(size=mesh.n_cells)
+        u = op.solve(y)
+        assert calls == [(mesh.n_cells, mesh.n_cells)]
+        assert np.max(np.abs(op.residual(y, u))) <= 1e-10
+
+    def test_band_path_never_calls_superlu(self, monkeypatch):
+        mesh = mf.build_structured_mesh(32, 32)
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+
+        def refuse(a, b):
+            raise AssertionError("spsolve called")
+
+        monkeypatch.setattr(mf.spla, "spsolve", refuse)
+        y = np.random.default_rng(4).normal(size=mesh.n_cells)
+        u = op.solve(y)
+        assert np.max(np.abs(op.residual(y, u))) <= 1e-10
+
+    def test_single_isolated_cell_has_empty_band(self):
+        op = mf.FlowOperator(all_neumann(1, 1), mf.BoundaryConditions(neumann_fluxes=np.zeros(4)))
+        assert op.half_bandwidth == 0
+        np.testing.assert_array_equal(op.residual(np.zeros(1), np.ones(1)), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_raises(self, bad):
+        mesh = mf.build_structured_mesh(8, 8)
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+        y = np.zeros(mesh.n_cells)
+        y[27] = bad
+        with pytest.raises(SolveConvergenceError):
+            op.solve(y)
+
 
 class TestSerialization:
     def test_mesh_json_roundtrip(self, tmp_path):

@@ -69,15 +69,11 @@ __all__ = [
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-# Largest system solved directly; bigger meshes fall back to preconditioned
-# conjugate gradients.
+# Largest system solved directly, by a LAPACK band LU in the reverse
+# Cuthill-McKee order; bigger meshes fall back to preconditioned conjugate
+# gradients.  On a structured grid of up to 10^4 cells the half-bandwidth is
+# at most about 100, so the band storage stays under about 25 MB.
 DIRECT_SOLVE_LIMIT = 10_000
-# Widest half-bandwidth, in the reverse Cuthill-McKee order, that the direct
-# solve factors as a LAPACK band matrix; wider systems go to SuperLU.  Band LU
-# work grows as n * kl^2, faster than SuperLU's under a fill-reducing order,
-# so SuperLU wins once the band is wide enough.  Up to kl 64 (a 64x64 grid)
-# the band LU took a half to a fifth of SuperLU's time on a 2-core machine.
-BAND_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -513,9 +509,8 @@ class FlowOperator:
         """Solve R(y, u) = 0 for the head field u.
 
         Up to 10^4 cells the solve is direct: a LAPACK band LU (``dgbtrf``)
-        in the reverse Cuthill-McKee order computed at construction when its
-        half-bandwidth is at most :data:`BAND_LIMIT`, SuperLU otherwise.
-        Above 10^4 cells it runs Jacobi-preconditioned conjugate gradients;
+        in the reverse Cuthill-McKee order computed at construction.  Above
+        10^4 cells it runs Jacobi-preconditioned conjugate gradients;
         ``method`` forces direct or CG.  The returned solution satisfies
         ``max|R(y, u)| <= tol * max(1, max|b|)`` or
         :class:`SolveConvergenceError` is raised with the achieved residual,
@@ -541,8 +536,6 @@ class FlowOperator:
             inv_diag = 1.0 / a.diagonal()
             precond = spla.LinearOperator(a.shape, matvec=lambda v: inv_diag * v)
             u, _ = spla.cg(a, b, rtol=1e-14, atol=tol * scale / 10, maxiter=20 * self.n_cells, M=precond)
-        elif self.half_bandwidth > BAND_LIMIT:
-            u = spla.spsolve(self._matrix(self._slots, terms), b)
         else:
             u = self._band_solve(terms, b)
         achieved = float(np.max(np.abs(self.residual(y, u))))

@@ -16,11 +16,13 @@ the output directory:
 All randomness flows from the single ``base_seed`` through fixed stream
 indices (reference field 0, wells 1, state prior 2, residual noise 3,
 Metropolis 4, HMC 5), so rerunning any stage with the same config is
-byte-identical regardless of ``--threads``.  Every output file carries the
-hash of the scientific part of the config (everything except the output
-location) together with the seed.  Stages compute fully before writing, so
-a failed stage leaves no partial artifacts; ``timing.json`` collects wall
-times and is the one file excluded from byte-identity.
+byte-identical.  Ensembles and chains run in index order in one thread;
+``--threads`` is accepted on every subcommand for compatibility and has no
+effect.  Every output file carries the hash of the scientific part of the
+config (everything except the output location) together with the seed.
+Stages compute fully before writing, so a failed stage leaves no partial
+artifacts; ``timing.json`` collects the wall time of each stage that
+succeeds and is the one file excluded from byte-identity.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
 failure (including a failed oracle check).
@@ -446,9 +448,8 @@ def _reject_linear(config: RunConfig, stage: str) -> None:
         )
 
 
-def cmd_generate(config: RunConfig, threads: int = 1) -> None:
+def cmd_generate(config: RunConfig) -> None:
     """Sample the reference experiment and persist it under ``case/``."""
-    start = time.perf_counter()
     _reject_linear(config, "generate")
     if config.kernel_sigma is None or config.kernel_length_scale is None:
         raise ConfigError(
@@ -474,13 +475,11 @@ def cmd_generate(config: RunConfig, threads: int = 1) -> None:
     manifest = {"stage": "generate", "n_cells": mesh.n_cells, "provenance": case.provenance}
     manifest.update(_json_stamp(config))
     _write_json(os.path.join(case_dir, "manifest.json"), manifest)
-    _record_timing(config.output_dir, "generate", time.perf_counter() - start)
     print(f"generate: {mesh.n_cells} cells, {len(case.y_obs)}+{len(case.u_obs)} wells -> {case_dir}")
 
 
-def cmd_build_prior(config: RunConfig, threads: int = 1) -> None:
+def cmd_build_prior(config: RunConfig) -> None:
     """Condition both expansions on the case's wells; persist under ``prior/``."""
-    start = time.perf_counter()
     _reject_linear(config, "build-prior")
     mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
     bc = boundary_values(mesh, config.bc)
@@ -524,16 +523,14 @@ def cmd_build_prior(config: RunConfig, threads: int = 1) -> None:
     }
     manifest.update(_json_stamp(config))
     _write_json(os.path.join(prior_dir, "manifest.json"), manifest)
-    _record_timing(config.output_dir, "build-prior", time.perf_counter() - start)
     print(
         f"build-prior: n_xi={y_basis.n_terms} n_eta={u_basis.n_terms} "
         f"kernel=(sigma={kernel.sigma:.4g}, l={kernel.length_scale:.4g}) -> {prior_dir}"
     )
 
 
-def cmd_map(config: RunConfig, threads: int = 1) -> None:
+def cmd_map(config: RunConfig) -> None:
     """One MAP solve per sigma_r_sq value, written to ``gamma_*/map.json``."""
-    start = time.perf_counter()
     model = _sampling_model(config)
     results = sweep_gammas(model, config.gammas)
     for gamma, result in results:
@@ -545,18 +542,14 @@ def cmd_map(config: RunConfig, threads: int = 1) -> None:
             f"map: gamma={float_token(gamma)} loss={result.loss:.6e} "
             f"converged={result.converged} -> {path}"
         )
-    _record_timing(config.output_dir, "map", time.perf_counter() - start)
 
 
-def cmd_sample_rpickle(config: RunConfig, threads: int = 1) -> None:
+def cmd_sample_rpickle(config: RunConfig) -> None:
     """Randomized-loss ensembles over the sigma_r_sq grid."""
-    start = time.perf_counter()
     if config.sampler_kind not in ("rpickle", "both"):
         raise ConfigError("sampler.kind excludes rpickle; set it to 'rpickle' or 'both'")
     model = _sampling_model(config)
-    ens_config = EnsembleConfig(
-        base_seed=config.base_seed, metropolize=config.metropolize, n_workers=threads
-    )
+    ens_config = EnsembleConfig(base_seed=config.base_seed, metropolize=config.metropolize)
     for gamma in config.gammas:
         ensemble = run_ensemble(model, LossParams(sigma_r_sq=gamma), config.n_ens, ens_config)
         gamma_dir = _gamma_dir(config, gamma)
@@ -570,12 +563,10 @@ def cmd_sample_rpickle(config: RunConfig, threads: int = 1) -> None:
             f"sample-rpickle: gamma={float_token(gamma)} n={len(ensemble)} "
             f"usable={ensemble.n_usable} acceptance={accept} -> {gamma_dir}"
         )
-    _record_timing(config.output_dir, "sample-rpickle", time.perf_counter() - start)
 
 
-def cmd_sample_hmc(config: RunConfig, threads: int = 1) -> None:
+def cmd_sample_hmc(config: RunConfig) -> None:
     """HMC chains over the sigma_r_sq grid."""
-    start = time.perf_counter()
     if config.sampler_kind not in ("hmc", "both"):
         raise ConfigError("sampler.kind excludes hmc; set it to 'hmc' or 'both'")
     model = _sampling_model(config)
@@ -586,7 +577,7 @@ def cmd_sample_hmc(config: RunConfig, threads: int = 1) -> None:
     )
     for gamma in config.gammas:
         params = LossParams(sigma_r_sq=gamma)
-        chains = run_hmc(model, params, hmc_config, seed=config.base_seed, n_workers=threads)
+        chains = run_hmc(model, params, hmc_config, seed=config.base_seed)
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         chains_to_csv(chains, model.n_xi, os.path.join(gamma_dir, "hmc.csv"), meta=_csv_stamp(config))
@@ -599,7 +590,6 @@ def cmd_sample_hmc(config: RunConfig, threads: int = 1) -> None:
         )
         rates = ", ".join(f"{chain.acceptance_rate:.3f}" for chain in chains)
         print(f"sample-hmc: gamma={float_token(gamma)} acceptance=[{rates}] -> {gamma_dir}")
-    _record_timing(config.output_dir, "sample-hmc", time.perf_counter() - start)
 
 
 def _map_point_from_json(path: str, n_xi: int) -> CoefficientPair:
@@ -665,9 +655,8 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
     return row
 
 
-def cmd_diagnose(config: RunConfig, threads: int = 1) -> None:
+def cmd_diagnose(config: RunConfig) -> None:
     """Per-gamma reports plus ``summary.csv``, one row per sigma_r_sq value."""
-    start = time.perf_counter()
     _reject_linear(config, "diagnose")
     if config.sampler_kind == "hmc":
         raise ConfigError(
@@ -686,12 +675,9 @@ def cmd_diagnose(config: RunConfig, threads: int = 1) -> None:
     for row in rows:
         print(",".join(row[key] for key in SUMMARY_COLUMNS))
     print(f"diagnose: {len(rows)} rows -> {summary_path}")
-    _record_timing(config.output_dir, "diagnose", time.perf_counter() - start)
 
 
-def cmd_oracle_check(
-    seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05, threads: int = 1
-) -> bool:
+def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) -> bool:
     """Linear-Gaussian consistency suite; prints PASS/FAIL per check.
 
     On an affine residual the randomized-loss samples are exact posterior
@@ -707,9 +693,7 @@ def cmd_oracle_check(
     map_err = float(np.max(np.abs(map_result.coefficients.stacked - mean)))
     checks = [("map vs oracle mean", map_err <= 1e-6, f"max coordinate error {map_err:.3e} (tol 1e-06)")]
 
-    ensemble = run_ensemble(
-        model, params, n_ens, EnsembleConfig(base_seed=seed, metropolize=False, n_workers=threads)
-    )
+    ensemble = run_ensemble(model, params, n_ens, EnsembleConfig(base_seed=seed, metropolize=False))
     samples = ensemble.coefficient_matrix()
     se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
     worst = float(np.max(np.abs(samples.mean(axis=0) - mean) / se))
@@ -719,9 +703,7 @@ def cmd_oracle_check(
     rel = float(np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov))
     checks.append(("sample covariance", rel <= cov_tol, f"relative Frobenius error {rel:.4f} (tol {cov_tol:g})"))
 
-    filtered = run_ensemble(
-        model, params, 1000, EnsembleConfig(base_seed=seed, metropolize=True, n_workers=threads)
-    )
+    filtered = run_ensemble(model, params, 1000, EnsembleConfig(base_seed=seed, metropolize=True))
     acc = filtered.acceptance_rate
     checks.append(
         ("metropolis acceptance", acc == 1.0, f"{acc} over 1000 proposals (expected exactly 1.0)")
@@ -745,6 +727,7 @@ _STAGE_HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    threads_help = "accepted for compatibility; has no effect"
     parser = argparse.ArgumentParser(
         prog="rpickle",
         description="Randomized-loss posterior sampling pipeline for Darcy-flow inversion.",
@@ -763,12 +746,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="run configuration JSON file")
         cmd.add_argument("--out", help="output directory (overrides output_dir)")
         cmd.add_argument("--seed", type=int, help="base seed (overrides base_seed)")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+        cmd.add_argument("--threads", type=int, default=1, help=threads_help)
     oracle = sub.add_parser("oracle-check", help="built-in linear-Gaussian consistency suite")
     oracle.add_argument("--seed", type=int, default=0, help="base seed for the linear model")
     oracle.add_argument("--n-ens", type=int, default=20_000, help="ensemble size for the moment checks")
     oracle.add_argument("--cov-tol", type=float, default=0.05, help="relative Frobenius tolerance")
-    oracle.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    oracle.add_argument("--threads", type=int, default=1, help=threads_help)
     return parser
 
 
@@ -776,12 +759,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "oracle-check":
-            passed = cmd_oracle_check(
-                seed=args.seed, n_ens=args.n_ens, cov_tol=args.cov_tol, threads=args.threads
-            )
+            passed = cmd_oracle_check(seed=args.seed, n_ens=args.n_ens, cov_tol=args.cov_tol)
             return 0 if passed else 2
         config = load_run_config(args.config, seed=args.seed, out=args.out)
-        _STAGE_HANDLERS[args.command](config, threads=args.threads)
+        start = time.perf_counter()
+        _STAGE_HANDLERS[args.command](config)
+        _record_timing(config.output_dir, args.command, time.perf_counter() - start)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

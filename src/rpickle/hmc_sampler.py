@@ -6,13 +6,12 @@ constant); proposals integrate Hamiltonian dynamics with a plain fixed-length
 leapfrog and identity mass matrix, and the step size adapts during burn-in by
 dual averaging toward a target acceptance rate, then freezes.  Each iteration
 jitters the step within a narrow band to avoid resonant trajectories.  Chains
-are independent (one RNG stream each), so they can run in parallel without
-changing results.
+are independent (one RNG stream each) and run one after another in chain-id
+order; no chain's result depends on that order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import json
 import warnings
@@ -254,21 +253,14 @@ def _run_chain(model, params, config: HmcConfig, seed: int, chain_id: int) -> Ch
     )
 
 
-def run_hmc(model, params: LossParams, config: HmcConfig, seed: int, n_workers: int = 1) -> list[Chain]:
-    """Run independent chains initialized from prior draws.
+def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Chain]:
+    """Run independent chains initialized from prior draws, in chain-id order.
 
-    Chains use one RNG stream each, so the worker count never changes
-    results.  A split-chain potential-scale-reduction factor above 1.05
+    Chains use one RNG stream each, so a chain's result does not depend on
+    the others.  A split-chain potential-scale-reduction factor above 1.05
     draws a warning (never an error).
     """
-    ids = list(range(config.n_chains))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chains = list(
-                pool.map(lambda c: _run_chain(model, params, config, seed, c), ids)
-            )
-    else:
-        chains = [_run_chain(model, params, config, seed, c) for c in ids]
+    chains = [_run_chain(model, params, config, seed, c) for c in range(config.n_chains)]
 
     if config.n_samples >= 4:
         psrf = split_chain_psrf(chains)

@@ -7,14 +7,13 @@ approximation of the coefficient posterior, exact when the residual is
 linear.  An optional Metropolis pass corrects the nonlinear bias using the
 log-determinant of that map's Jacobian at each minimizer: a proposal is
 accepted with probability ``min(1, exp((logdet_new - logdet_prev)/2))`` and a
-rejection repeats the previous state.  Proposal generation is embarrassingly
-parallel; the filter is a sequential pass, so results do not depend on the
-worker count.
+rejection repeats the previous state.  Proposals are solved one after
+another in index order; each draws its noise from its own RNG stream, so no
+proposal depends on when the others were solved.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 import json
 
@@ -74,26 +73,21 @@ class NoiseDraw:
 
 @dataclass(frozen=True)
 class PosteriorSample:
-    """One posterior draw: minimizer, residual misfit, and bookkeeping.
+    """One posterior draw: minimizer, loss, and bookkeeping.
 
-    ``delta`` is ``R(z_star) - omega`` for the noise draw identified by
-    ``seed``.  ``log_det_j`` is set only when Metropolization is enabled.
-    ``accepted`` is False at chain positions holding a carried-forward copy
-    of the previous state; ``optimizer_converged`` is False when the stored
-    coefficients come from a solve that ended above tolerance.
+    ``seed`` identifies the noise draw.  ``log_det_j`` is set only when
+    Metropolization is enabled.  ``accepted`` is False at chain positions
+    holding a carried-forward copy of the previous state;
+    ``optimizer_converged`` is False when the stored coefficients come from a
+    solve that ended above tolerance.
     """
 
     z_star: CoefficientPair
-    delta: np.ndarray | None
     loss: float
     log_det_j: float | None
     accepted: bool
     optimizer_converged: bool
     seed: str
-
-    def __post_init__(self):
-        if self.delta is not None:
-            object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ class PosteriorEnsemble:
 
 
 def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDraw:
-    """Noise for sample ``index``: one RNG stream per index, worker-agnostic."""
+    """Noise for sample ``index``: one RNG stream per index, order-agnostic."""
     rng = spawn_rng(base_seed, STREAM_NOISE, index)
     return NoiseDraw(
         omega=np.sqrt(params.sigma_r_sq) * rng.standard_normal(model.n_residual),
@@ -170,11 +164,8 @@ def sample_once(
     res = minimize_randomized(
         model, params, noise.omega, noise.alpha, noise.beta, init=init, config=config
     )
-    pair = CoefficientPair.from_stacked(res.z, model.n_xi)
-    delta = model.residual(pair.xi, pair.eta) - noise.omega
     return PosteriorSample(
-        z_star=pair,
-        delta=delta,
+        z_star=CoefficientPair.from_stacked(res.z, model.n_xi),
         loss=res.loss,
         log_det_j=None,
         accepted=True,
@@ -251,14 +242,11 @@ def metropolis_filter(proposals, rng) -> PosteriorEnsemble:
 class EnsembleConfig:
     """Run settings for :func:`run_ensemble`.
 
-    ``metropolize=None`` picks the default by dimension.  ``n_workers`` is an
-    execution detail: it never changes results and is excluded from config
-    snapshots so reruns stay byte-identical across worker counts.
+    ``metropolize=None`` picks the default by dimension.
     """
 
     base_seed: int = 0
     metropolize: bool | None = None
-    n_workers: int = 1
     warm_start: bool = True
     max_failure_fraction: float = 0.01
     optim: OptimConfig = field(default_factory=OptimConfig)
@@ -288,11 +276,13 @@ def _config_snapshot(params: LossParams, n_ens: int, config: EnsembleConfig, met
 def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig | None = None) -> PosteriorEnsemble:
     """Generate a posterior ensemble of ``n_ens`` randomized solves.
 
-    Noise comes from counter-derived seeds (stream per sample index), each
-    solve warm-starts at the MAP by default, and log-dets plus the Metropolis
-    pass are applied when enabled.  More than ``max_failure_fraction``
-    non-converged solves aborts with diagnostics; below that, failures stay
-    flagged in the ensemble (unfiltered runs) or are rejected by the filter.
+    Noise comes from counter-derived seeds (stream per sample index), the
+    solves run in index order and each warm-starts at the MAP by default, and
+    log-dets plus the Metropolis pass are applied when enabled.  The log-det
+    of a converged proposal takes its misfit ``R(z_star) - omega``.  More
+    than ``max_failure_fraction`` non-converged solves aborts with
+    diagnostics; below that, failures stay flagged in the ensemble
+    (unfiltered runs) or are rejected by the filter.
     """
     config = config or EnsembleConfig()
     if n_ens < 1:
@@ -305,22 +295,17 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
     if config.warm_start:
         init = map_optimize(model, params, config=config.optim).coefficients.stacked
 
-    noises = [draw_noise(model, params, config.base_seed, i) for i in range(n_ens)]
-
-    def propose(i):
-        sample = sample_once(model, params, noises[i], init=init, config=config.optim)
+    def propose(noise):
+        sample = sample_once(model, params, noise, init=init, config=config.optim)
         if metropolize and sample.optimizer_converged:
-            ld = jacobian_logdet(model, params, sample.z_star, sample.delta)
-            sample = replace(sample, log_det_j=ld)
+            z = sample.z_star
+            delta = model.residual(z.xi, z.eta) - noise.omega
+            sample = replace(sample, log_det_j=jacobian_logdet(model, params, z, delta))
         elif metropolize:
             sample = replace(sample, log_det_j=float("-inf"))
         return sample
 
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            proposals = list(pool.map(propose, range(n_ens)))
-    else:
-        proposals = [propose(i) for i in range(n_ens)]
+    proposals = [propose(draw_noise(model, params, config.base_seed, i)) for i in range(n_ens)]
 
     failed = [i for i, p in enumerate(proposals) if not p.optimizer_converged]
     if len(failed) > config.max_failure_fraction * n_ens:
@@ -382,7 +367,7 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
 
 
 def ensemble_from_csv(path) -> PosteriorEnsemble:
-    """Rebuild an ensemble from its CSV (deltas are not stored in CSV)."""
+    """Rebuild an ensemble from its CSV."""
     meta = {}
     rows = []
     header = None
@@ -409,7 +394,6 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
                 z_star=CoefficientPair.from_stacked(
                     np.array([float(v) for v in values]), n_xi
                 ),
-                delta=None,
                 loss=float(loss),
                 log_det_j=None if log_det == "" else float(log_det),
                 accepted=accepted == "1",

@@ -2,10 +2,11 @@
 
 Every random draw in the package comes from a generator built by
 :func:`spawn_rng` with a ``(stream, index)`` path, so results are
-bit-identical for a fixed base seed no matter how work is split across
-workers: draw ``i`` of stream ``s`` is the same generator whether it is the
-first thing computed or the last.  Stream ids are fixed constants; per-item
-counters (sample index, chain id, Monte Carlo draw) form the rest of the path.
+bit-identical for a fixed base seed whatever order the draws are computed
+in: draw ``i`` of stream ``s`` is the same generator whether it is the first
+thing computed or the last, and no draw consumes another's stream.  Stream
+ids are fixed constants; per-item counters (sample index, chain id, Monte
+Carlo draw) form the rest of the path.
 :func:`float_token` is the one text form of a float in every artifact, so
 reruns stay byte-identical and every value reads back exactly.
 """

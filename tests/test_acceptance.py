@@ -71,12 +71,8 @@ def darcy_runs():
     """Full-scale Metropolized ensemble and HMC baseline on the flow case."""
     model, params, _ = cases.make_flow_case()
     start = time.perf_counter()
-    ens = run_ensemble(
-        model, params, 10_000, EnsembleConfig(base_seed=0, metropolize=True, n_workers=4)
-    )
-    chains = run_hmc(
-        model, params, HmcConfig(n_samples=3334, n_chains=3, burn_in=10_000), seed=101, n_workers=3
-    )
+    ens = run_ensemble(model, params, 10_000, EnsembleConfig(base_seed=0, metropolize=True))
+    chains = run_hmc(model, params, HmcConfig(n_samples=3334, n_chains=3, burn_in=10_000), seed=101)
     elapsed = time.perf_counter() - start
     return ens, chains, elapsed
 
@@ -157,7 +153,7 @@ def test_reference_lpp_peaks_inside_noise_grid():
     model, _, case = cases.make_conditioning_case()
     y_basis = cases.conditioning_y_basis()
     grid = [1e-5, 1e-4, 1e-2, 1e-1, 1.0]
-    config = EnsembleConfig(base_seed=21, metropolize=True, n_workers=4)
+    config = EnsembleConfig(base_seed=21, metropolize=True)
     scores = []
     for gamma in grid:
         ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, config)

@@ -218,6 +218,24 @@ class TestLinearCaseStages:
         assert cli.main(["sample-hmc", "--config", path]) == 1
         assert "sampler.kind" in capsys.readouterr().err
 
+    def test_samplers_start_no_thread_whatever_threads_says(self, tmp_path, monkeypatch):
+        import threading
+
+        path = write_config(
+            tmp_path / "c.json",
+            tmp_path / "out",
+            linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1},
+            sampler={"kind": "both", "n_ens": 6, "hmc_samples": 8, "hmc_chains": 3,
+                     "hmc_burn_in": 10},
+        )
+
+        def refuse(thread):
+            raise RuntimeError("a stage started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert cli.main(["sample-rpickle", "--config", path, "--threads", "4"]) == 0
+        assert cli.main(["sample-hmc", "--config", path, "--threads", "3"]) == 0
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -359,7 +377,7 @@ class TestExitCodes:
     def test_numerical_failure_maps_to_two(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path / "c.json", tmp_path / "out")
 
-        def explode(config, threads=1):
+        def explode(config):
             raise NumericalError("synthetic blow-up")
 
         monkeypatch.setitem(cli._STAGE_HANDLERS, "map", explode)

@@ -32,7 +32,6 @@ def synthetic_ensemble(xi_rows, eta_width=0):
     samples = [
         PosteriorSample(
             z_star=CoefficientPair(xi=row, eta=np.zeros(eta_width)),
-            delta=None,
             loss=0.0,
             log_det_j=None,
             accepted=True,
@@ -139,7 +138,6 @@ class TestPosteriorMoments:
         samples = [
             PosteriorSample(
                 z_star=CoefficientPair(xi=xi[i], eta=eta[i]),
-                delta=None,
                 loss=0.0,
                 log_det_j=None,
                 accepted=True,
@@ -381,7 +379,7 @@ class TestSamplersAgainstOracle:
         config = HmcConfig(
             n_samples=6667, n_chains=3, burn_in=800, leapfrog_steps=32, step_size=0.05
         )
-        chains = run_hmc(model, params, config, seed=62, n_workers=3)
+        chains = run_hmc(model, params, config, seed=62)
         states = np.vstack([c.states for c in chains])
         # Batch-means SE per coordinate absorbs the chain autocorrelation.
         batch_means = np.array(
@@ -407,7 +405,7 @@ class TestLppGridShape:
         model, _, case = cases.make_conditioning_case()
         y_basis = cases.conditioning_y_basis()
         grid = [1e-5, 1e-4, 1e-2, 1e-1, 1.0]
-        config = EnsembleConfig(base_seed=21, metropolize=True, n_workers=4)
+        config = EnsembleConfig(base_seed=21, metropolize=True)
         scores = []
         for gamma in grid:
             ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, config)

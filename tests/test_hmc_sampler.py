@@ -228,15 +228,6 @@ class TestRunHmc:
             assert np.array_equal(ca.accept_flags, cb.accept_flags)
             assert ca.adapted_step_size == cb.adapted_step_size
 
-    def test_parallel_chains_match_sequential(self):
-        model = _ZeroResidual(n_xi=2)
-        params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(n_samples=40, n_chains=3, burn_in=10, leapfrog_steps=8)
-        seq = run_hmc(model, params, config, seed=54, n_workers=1)
-        par = run_hmc(model, params, config, seed=54, n_workers=3)
-        for ca, cb in zip(seq, par):
-            assert np.array_equal(ca.states, cb.states)
-
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         import rpickle.hmc_sampler as hmc
 

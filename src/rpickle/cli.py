@@ -83,7 +83,7 @@ from .rpickle_sampler import (
     run_ensemble,
     write_manifest,
 )
-from .seeding import STREAM_REFERENCE, float_token, spawn_rng
+from .seeding import STREAM_REFERENCE, float_token, spawn_rng, write_json
 
 __all__ = [
     "RunConfig",
@@ -400,12 +400,6 @@ def _record_timing(output_dir: str, stage: str, elapsed: float) -> None:
         fh.write("\n")
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _random_linear(n_res: int, n_xi: int, n_eta: int, seed: int) -> LinearModel:
     rng = spawn_rng(seed, STREAM_REFERENCE)
     a = rng.standard_normal((n_res, n_xi))
@@ -422,10 +416,15 @@ def linear_model_from_config(config: RunConfig) -> LinearModel:
     return _random_linear(dims["n_res"], dims["n_xi"], dims["n_eta"], config.base_seed)
 
 
+def _mesh_and_bc(config: RunConfig):
+    """The configured mesh and its boundary conditions."""
+    mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
+    return mesh, boundary_values(mesh, config.bc)
+
+
 def _flow_model(config: RunConfig):
     """Rebuild the PDE residual model from persisted case and prior files."""
-    mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
-    bc = boundary_values(mesh, config.bc)
+    mesh, bc = _mesh_and_bc(config)
     case_dir = _require(os.path.join(config.output_dir, "case"), "generate")
     _require(os.path.join(case_dir, "case.json"), "generate")
     case = load_case(case_dir)
@@ -456,8 +455,7 @@ def cmd_generate(config: RunConfig) -> None:
             "generate needs explicit kernel.sigma and kernel.length_scale; "
             "kernel.fit only affects build-prior"
         )
-    mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
-    bc = boundary_values(mesh, config.bc)
+    mesh, bc = _mesh_and_bc(config)
     kernel = KernelParams(sigma=config.kernel_sigma, length_scale=config.kernel_length_scale)
     case = build_synthetic_case(
         mesh,
@@ -474,15 +472,14 @@ def cmd_generate(config: RunConfig) -> None:
     save_case(case, mesh, case_dir, meta=_csv_stamp(config))
     manifest = {"stage": "generate", "n_cells": mesh.n_cells, "provenance": case.provenance}
     manifest.update(_json_stamp(config))
-    _write_json(os.path.join(case_dir, "manifest.json"), manifest)
+    write_json(os.path.join(case_dir, "manifest.json"), manifest)
     print(f"generate: {mesh.n_cells} cells, {len(case.y_obs)}+{len(case.u_obs)} wells -> {case_dir}")
 
 
 def cmd_build_prior(config: RunConfig) -> None:
     """Condition both expansions on the case's wells; persist under ``prior/``."""
     _reject_linear(config, "build-prior")
-    mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
-    bc = boundary_values(mesh, config.bc)
+    mesh, bc = _mesh_and_bc(config)
     case_dir = _require(os.path.join(config.output_dir, "case"), "generate")
     _require(os.path.join(case_dir, "case.json"), "generate")
     case = load_case(case_dir)
@@ -522,7 +519,7 @@ def cmd_build_prior(config: RunConfig) -> None:
         "mc_draws": config.mc_draws,
     }
     manifest.update(_json_stamp(config))
-    _write_json(os.path.join(prior_dir, "manifest.json"), manifest)
+    write_json(os.path.join(prior_dir, "manifest.json"), manifest)
     print(
         f"build-prior: n_xi={y_basis.n_terms} n_eta={u_basis.n_terms} "
         f"kernel=(sigma={kernel.sigma:.4g}, l={kernel.length_scale:.4g}) -> {prior_dir}"
@@ -620,7 +617,7 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
         _require(os.path.join(gamma_dir, "map.json"), "map"), model.n_xi
     )
     params = LossParams(sigma_r_sq=gamma)
-    mean_field, std_field = posterior_moments(ensemble, y_basis, block="xi")
+    mean_field, std_field = posterior_moments(ensemble, y_basis)
     lpp_value = lpp(mean_field, std_field, case.y_ref)
     coverage_value = coverage(mean_field, std_field, case.y_ref)
     rel_l2, l_inf = error_norms(mean_field, case.y_ref)

@@ -154,22 +154,18 @@ def linear_oracle(model: LinearModel, params: LossParams) -> tuple[np.ndarray, n
     return mean, cov
 
 
-def posterior_moments(ensemble, basis: CkleBasis, block: str = "xi") -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell mean and unbiased std of the reconstructed field ensemble.
+def posterior_moments(ensemble, basis: CkleBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell mean and unbiased std of the reconstructed parameter field.
 
-    Each usable sample's coefficient block is pushed through ``basis`` and
-    the moments are taken cell by cell.  ``block`` selects which half of the
-    coefficient pair the basis expands ("xi" for the parameter field, "eta"
-    for the state field).
+    Each usable sample's ``xi`` block is pushed through ``basis`` and the
+    moments are taken cell by cell.
 
     Parameters
     ----------
     ensemble : PosteriorEnsemble
         Sampler output; only samples from converged solves are used.
     basis : CkleBasis
-        Expansion whose term count matches the selected block.
-    block : {"xi", "eta"}
-        Coefficient block to reconstruct.
+        Log-transmissivity expansion whose term count matches the xi block.
 
     Returns
     -------
@@ -177,16 +173,12 @@ def posterior_moments(ensemble, basis: CkleBasis, block: str = "xi") -> tuple[np
         Length ``basis.n_cells`` each; the std uses the ``N - 1``
         normalization.
     """
-    if block not in ("xi", "eta"):
-        raise ConfigError(f"block must be 'xi' or 'eta', got {block!r}")
     if not ensemble.moments_defined:
         raise ConfigError("moments need at least two usable samples")
-    coeffs = np.asarray(
-        [getattr(s.z_star, block) for s in ensemble.samples if s.optimizer_converged]
-    )
+    coeffs = np.asarray([s.z_star.xi for s in ensemble.samples if s.optimizer_converged])
     if coeffs.shape[1] != basis.n_terms:
         raise ConfigError(
-            f"basis has {basis.n_terms} terms but the {block} block has {coeffs.shape[1]}"
+            f"basis has {basis.n_terms} terms but the xi block has {coeffs.shape[1]}"
         )
     fields = basis.mean + coeffs @ basis.modes.T
     # Shifting by one sample before the spread computation keeps identical
@@ -196,13 +188,12 @@ def posterior_moments(ensemble, basis: CkleBasis, block: str = "xi") -> tuple[np
     return fields.mean(axis=0), shifted.std(axis=0, ddof=1)
 
 
-def lpp(mean_field, std_field, reference, cells=None) -> float:
+def lpp(mean_field, std_field, reference) -> float:
     """Sum of pointwise Gaussian log densities of the reference field.
 
     Scores the summary ``N(mean_field, std_field^2)`` against the reference
     values, cell by cell:  ``-sum[(mu - y)^2 / (2 sigma^2) + log(2 pi
-    sigma^2) / 2]``.  Higher is better.  ``cells`` restricts the evaluation
-    set (default: all cells); any evaluated cell with zero spread makes the
+    sigma^2) / 2]``.  Higher is better.  Any cell with zero spread makes the
     score undefined and is reported by index.
     """
     mu = np.asarray(mean_field, dtype=np.float64)
@@ -210,9 +201,6 @@ def lpp(mean_field, std_field, reference, cells=None) -> float:
     ref = np.asarray(reference, dtype=np.float64)
     if mu.shape != sigma.shape or mu.shape != ref.shape:
         raise ConfigError("mean, std, and reference must have equal shapes")
-    if cells is not None:
-        cells = np.asarray(cells, dtype=np.intp)
-        mu, sigma, ref = mu[cells], sigma[cells], ref[cells]
     degenerate = np.flatnonzero(sigma <= 0.0)
     if degenerate.size:
         raise ConfigError(
@@ -223,40 +211,17 @@ def lpp(mean_field, std_field, reference, cells=None) -> float:
     return float(-np.sum((mu - ref) ** 2 / (2.0 * var) + 0.5 * np.log(2.0 * np.pi * var)))
 
 
-def coverage(
-    mean_field,
-    std_field,
-    reference,
-    level: float = 0.95,
-    method: str = "gaussian",
-    field_samples=None,
-) -> float:
-    """Fraction of cells whose reference value falls in the credible interval.
+def coverage(mean_field, std_field, reference) -> float:
+    """Fraction of cells whose reference value falls in the 95% credible interval.
 
-    The default interval is the Gaussian one, ``mean +- z(level) * std`` with
-    ``z(0.95) = 1.959964``, matching the Gaussian summary used by
-    :func:`lpp`.  ``method="empirical"`` uses per-cell sample quantiles
-    instead and requires the reconstructed field ensemble in
-    ``field_samples`` (rows are samples).
+    The interval is the Gaussian one, ``mean +- z * std`` with ``z =
+    1.959964`` the standard normal's 97.5% quantile, matching the Gaussian
+    summary used by :func:`lpp`.
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must lie strictly between 0 and 1")
     mu = np.asarray(mean_field, dtype=np.float64)
+    sigma = np.asarray(std_field, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
-    if method == "gaussian":
-        sigma = np.asarray(std_field, dtype=np.float64)
-        z = ndtri(0.5 * (1.0 + level))
-        inside = np.abs(ref - mu) <= z * sigma
-    elif method == "empirical":
-        if field_samples is None:
-            raise ConfigError("empirical coverage needs field_samples")
-        fields = np.asarray(field_samples, dtype=np.float64)
-        lo = np.quantile(fields, 0.5 * (1.0 - level), axis=0)
-        hi = np.quantile(fields, 0.5 * (1.0 + level), axis=0)
-        inside = (ref >= lo) & (ref <= hi)
-    else:
-        raise ConfigError(f"method must be 'gaussian' or 'empirical', got {method!r}")
-    return float(np.mean(inside))
+    return float(np.mean(np.abs(ref - mu) <= ndtri(0.975) * sigma))
 
 
 def error_norms(mean_field, reference) -> tuple[float, float]:
@@ -276,26 +241,20 @@ def error_norms(mean_field, reference) -> tuple[float, float]:
     return float(np.linalg.norm(diff) / ref_norm), float(np.max(np.abs(diff)))
 
 
-def convergence_ratios(
-    chain, coordinate: int, reference_size: int | None = None
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def convergence_ratios(chain, coordinate: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Running-moment ratios for one coefficient coordinate.
 
-    For ``m = 1 .. reference_size`` the mean ratio is ``|mean over first m /
-    mean over all reference_size|`` and the std ratio is the analogous
-    running-over-full unbiased std ratio (undefined at ``m = 1``, reported
-    as NaN).  Both series end at exactly 1.  A zero full-ensemble mean makes
-    the mean ratio undefined and that series is returned as None.  A zero
-    full-ensemble std only happens for a constant series, where every
+    For ``m = 1 .. n`` over the ``n`` rows of ``chain`` the mean ratio is
+    ``|mean over first m / mean over all n|`` and the std ratio is the
+    analogous running-over-full unbiased std ratio (undefined at ``m = 1``,
+    reported as NaN).  Both series end at exactly 1.  A zero full-ensemble
+    mean makes the mean ratio undefined and that series is returned as None.
+    A zero full-ensemble std only happens for a constant series, where every
     running std equals it; that ratio is 1 by continuity.
     """
     chain = np.atleast_2d(np.asarray(chain, dtype=np.float64))
-    series = chain[:, coordinate]
-    n = reference_size if reference_size is not None else series.shape[0]
-    if not 1 <= n <= series.shape[0]:
-        raise ConfigError("reference_size must lie in [1, len(chain)]")
-    x = series[:n]
-    counts = np.arange(1, n + 1, dtype=np.float64)
+    x = chain[:, coordinate]
+    counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)
     running_mean = np.cumsum(x) / counts
     # Unbiased running variance from the cumulative first two moments; the
     # m = 1 entry is 0/0 and stays NaN by construction.

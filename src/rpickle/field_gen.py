@@ -27,8 +27,8 @@ from .gp_prior import (
     matern52,
     observations_at_cells,
 )
-from .mesh_fv import BoundaryConditions, Mesh, save_field_csv, load_field_csv, solve_forward
-from .seeding import STREAM_REFERENCE, STREAM_WELLS, seed_token, spawn_rng
+from .mesh_fv import BoundaryConditions, FlowOperator, Mesh, save_field_csv, load_field_csv
+from .seeding import STREAM_REFERENCE, STREAM_WELLS, seed_token, spawn_rng, write_json
 
 __all__ = [
     "SyntheticCase",
@@ -117,24 +117,22 @@ def build_synthetic_case(
     n_u_obs: int,
     seed: int,
     smoothing_iterations: int = 0,
-    reference_n_terms: int | None = None,
 ) -> SyntheticCase:
     """Sample a reference experiment from the prior kernel.
 
-    Draws the reference log-transmissivity from the (optionally truncated)
-    kernel expansion over the mesh, smooths it, solves the forward problem,
-    and picks observation wells for both fields (independent draws; the two
-    sets may overlap).
+    Draws the reference log-transmissivity from the untruncated kernel
+    expansion over the mesh (one term per cell), smooths it, solves the
+    forward problem, and picks observation wells for both fields
+    (independent draws; the two sets may overlap).
     """
     prior = ConditionedGP(
         mean=np.zeros(mesh.n_cells),
         covariance=matern52(mesh.cell_centers, mesh.cell_centers, kernel),
     )
-    n_ref = reference_n_terms if reference_n_terms is not None else mesh.n_cells
-    ref_basis = build_basis(prior, energy=None, n_terms=n_ref)
+    ref_basis = build_basis(prior, energy=None, n_terms=mesh.n_cells)
     _, y_raw = sample_reference_field(ref_basis, seed)
     y_ref = local_average(mesh, y_raw, smoothing_iterations)
-    u_ref = solve_forward(mesh, y_ref, bc)
+    u_ref = FlowOperator(mesh, bc).solve(y_ref)
     all_cells = np.arange(mesh.n_cells)
     y_cells = select_wells(mesh, all_cells, n_y_obs, seed, stream_index=0)
     u_cells = select_wells(mesh, all_cells, n_u_obs, seed, stream_index=1)
@@ -143,7 +141,7 @@ def build_synthetic_case(
         "seed_token": seed_token(seed, STREAM_REFERENCE),
         "smoothing_iterations": int(smoothing_iterations),
         "kernel": {"sigma": kernel.sigma, "length_scale": kernel.length_scale},
-        "reference_n_terms": int(n_ref),
+        "reference_n_terms": int(mesh.n_cells),
         "n_y_obs": int(n_y_obs),
         "n_u_obs": int(n_u_obs),
     }
@@ -180,9 +178,7 @@ def save_case(case: SyntheticCase, mesh: Mesh, directory, meta: dict | None = No
         "provenance": case.provenance,
         "meta": dict(sorted((meta or {}).items())),
     }
-    with open(f"{directory}/case.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(f"{directory}/case.json", doc)
 
 
 def load_case(directory) -> SyntheticCase:

@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, EnsembleFailureError, IllConditionedError, NumericalError
 from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
-from .seeding import STREAM_MC_PRIOR, spawn_rng
+from .seeding import STREAM_MC_PRIOR, spawn_rng, write_json
 
 __all__ = [
     "KernelParams",
@@ -35,7 +35,6 @@ __all__ = [
     "fit_hyperparameters",
     "gpr_condition",
     "condition_on_cells",
-    "truncated_eig",
     "build_basis",
     "ckle_eval",
     "mc_state_prior",
@@ -148,16 +147,16 @@ def _nlml(k_corr, values, sigma_sq):
     ), quad
 
 
-def fit_hyperparameters(obs: Observations, bounds: dict | None = None, grid_size: int = 25) -> KernelParams:
+def fit_hyperparameters(obs: Observations) -> KernelParams:
     """Fit (sigma, length_scale) by minimizing the marginal likelihood.
 
     The variance is profiled out analytically (``sigma^2 = y K^-1 y / n`` for
-    the correlation matrix K at unit variance), so the search is a log-spaced
-    grid over the length scale followed by bounded scalar refinement.  Default
-    bounds: length scale within [min pairwise distance, bounding-box
-    diagonal], variance within [1e-3, 1e3] times the sample variance.
-    Constant observations have no variance to fit; they return sigma at its
-    lower bound with a warning.
+    the correlation matrix K at unit variance), so the search is a 25-point
+    log-spaced grid over the length scale followed by bounded scalar
+    refinement.  The length scale stays within [min pairwise distance,
+    bounding-box diagonal] and the variance within [1e-3, 1e3] times the
+    sample variance.  Constant observations have no variance to fit; they
+    return sigma at its floor of 1e-8 with a warning.
     """
     if len(obs) < 2:
         raise ConfigError("hyperparameter fit needs at least two observations")
@@ -166,23 +165,18 @@ def fit_hyperparameters(obs: Observations, bounds: dict | None = None, grid_size
     positive = dists[dists > 0]
     if positive.size == 0:
         raise ConfigError("observations must not all share one location")
-    bounds = dict(bounds or {})
-    l_lo, l_hi = bounds.get("length_scale", (float(positive.min()), float(dists.max())))
+    l_lo, l_hi = float(positive.min()), float(dists.max())
     sample_var = float(y.var(ddof=1))
     # treat variance at roundoff level as exactly zero (constant data)
     if sample_var <= 1e-14 * float(np.mean(y * y)):
-        floor = bounds.get("sigma", (1e-8, 1e-8))[0]
         warnings.warn("constant observations: returning sigma at its lower bound")
-        return KernelParams(sigma=max(floor, 1e-8), length_scale=float(np.sqrt(l_lo * l_hi)))
-    s_lo, s_hi = bounds.get("sigma", (np.sqrt(1e-3 * sample_var), np.sqrt(1e3 * sample_var)))
-    if not (0 < l_lo <= l_hi) or not (0 < s_lo <= s_hi):
-        raise ConfigError("hyperparameter bounds must be positive and ordered")
+        return KernelParams(sigma=1e-8, length_scale=float(np.sqrt(l_lo * l_hi)))
+    s_lo, s_hi = np.sqrt(1e-3 * sample_var), np.sqrt(1e3 * sample_var)
 
     n = len(obs)
-    unit = KernelParams(sigma=1.0, length_scale=1.0)
 
     def objective(log_l):
-        params = KernelParams(sigma=1.0, length_scale=float(np.exp(log_l)), nugget=RELATIVE_NUGGET)
+        params = KernelParams(sigma=1.0, length_scale=float(np.exp(log_l)))
         k_corr = matern52(obs.locations, obs.locations, params)
         k_corr[np.diag_indices(n)] += RELATIVE_NUGGET
         _, quad = _nlml(k_corr, y, 1.0)
@@ -190,11 +184,11 @@ def fit_hyperparameters(obs: Observations, bounds: dict | None = None, grid_size
         value, _ = _nlml(k_corr, y, sigma_sq)
         return value, sigma_sq
 
-    grid = np.log(np.geomspace(l_lo, l_hi, grid_size))
+    grid = np.log(np.geomspace(l_lo, l_hi, 25))
     scores = [objective(g)[0] for g in grid]
     best = int(np.argmin(scores))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_size - 1)]
+    hi = grid[min(best + 1, grid.size - 1)]
     if lo < hi:
         res = minimize_scalar(lambda g: objective(g)[0], bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
@@ -267,23 +261,16 @@ def condition_on_cells(
     return ConditionedGP(mean=mean, covariance=(cov + cov.T) / 2.0)
 
 
-def truncated_eig(cov: np.ndarray, energy: float | None = DEFAULT_ENERGY, n_terms: int | None = None):
-    """Leading eigenpairs of a covariance matrix.
-
-    Returns ``(eigenvalues, eigenvectors, n)`` sorted by decreasing
-    eigenvalue, keeping either an explicit ``n_terms`` or the smallest count
-    whose eigenvalue sum reaches ``energy`` times the total.  Asymmetry beyond
-    1e-10 (relative) and negative eigenvalues beyond ``-1e-10 * lambda_max``
-    draw warnings; the matrix is symmetrized and negatives are clipped to zero
-    either way.  Eigenvector signs are fixed so the largest-magnitude entry is
-    positive.
-    """
-    vals, vecs, n = _eig_truncation(cov, energy, n_terms)
-    return vals[:n].copy(), vecs[:, :n].copy(), n
-
-
 def _eig_truncation(cov, energy, n_terms):
-    """Full clipped spectrum and eigenvectors of :func:`truncated_eig`, with its count."""
+    """Full clipped spectrum and eigenvectors of a covariance, with the count to keep.
+
+    The spectrum is sorted by decreasing eigenvalue; the count is either an
+    explicit ``n_terms`` or the smallest count whose eigenvalue sum reaches
+    ``energy`` times the total.  Asymmetry beyond 1e-10 (relative) and
+    negative eigenvalues beyond ``-1e-10 * lambda_max`` draw warnings; the
+    matrix is symmetrized and negatives are clipped to zero either way.
+    Eigenvector signs are fixed so the largest-magnitude entry is positive.
+    """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ConfigError("covariance must be square")
@@ -438,9 +425,7 @@ def basis_to_json(basis: CkleBasis, path, meta: dict | None = None) -> None:
         "retained_energy": basis.retained_energy,
         "meta": dict(sorted((meta or {}).items())),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def basis_from_json(path) -> CkleBasis:

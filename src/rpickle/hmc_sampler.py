@@ -12,22 +12,20 @@ order; no chain's result depends on that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import json
+from dataclasses import asdict, dataclass
 import warnings
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .pickle_map import LossParams, PickleLoss
-from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng
+from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json
 
 __all__ = [
     "HmcConfig",
     "Chain",
     "log_posterior_and_grad",
     "leapfrog",
-    "dual_averaging_adapt",
     "run_hmc",
     "split_chain_psrf",
     "chains_to_csv",
@@ -133,29 +131,13 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
     return z, p
 
 
-def dual_averaging_adapt(
-    history,
-    initial_step_size: float,
-    target_accept: float = 0.70,
-) -> float:
-    """Step size after replaying a burn-in acceptance history.
-
-    Replays the history through :class:`_DualAveraging`: the running
-    statistic pulls the log-step toward more (less) aggressive values while
-    observed acceptance stays above (below) the target.  Returns the step
-    size the next iteration would use; an empty history returns the initial
-    step.
-    """
-    if not initial_step_size > 0:
-        raise ConfigError("initial_step_size must be positive")
-    adapter = _DualAveraging(initial_step_size, target_accept)
-    for accept_prob in history:
-        adapter.update(accept_prob)
-    return float(np.exp(adapter.log_step))
-
-
 class _DualAveraging:
-    """Standard dual-averaging step-size recursion, plus the frozen average."""
+    """Standard dual-averaging step-size recursion, plus the frozen average.
+
+    Each :meth:`update` with an iteration's acceptance probability pulls the
+    log-step toward more (less) aggressive values while acceptance stays
+    above (below) the target, and returns the step the next iteration uses.
+    """
 
     def __init__(self, initial_step_size, target_accept):
         self.mu = np.log(10.0 * initial_step_size)
@@ -341,15 +323,7 @@ def write_hmc_manifest(chains, config: HmcConfig, params: LossParams, path, extr
     doc = {
         "sampler": "hmc-fixed-leapfrog",
         "sampler_note": "plain HMC with a fixed leapfrog count in place of a tree-based sampler",
-        "config": {
-            "n_samples": config.n_samples,
-            "n_chains": config.n_chains,
-            "burn_in": config.burn_in,
-            "target_accept": config.target_accept,
-            "leapfrog_steps": config.leapfrog_steps,
-            "step_size": config.step_size,
-            "adapt": config.adapt,
-        },
+        "config": asdict(config),
         "gamma": params.sigma_r_sq,
         "acceptance_rates": [chain.acceptance_rate for chain in chains],
         "adapted_step_sizes": [chain.adapted_step_size for chain in chains],
@@ -358,6 +332,4 @@ def write_hmc_manifest(chains, config: HmcConfig, params: LossParams, path, extr
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc)

@@ -28,22 +28,18 @@ incidence and transmissibilities, Dirichlet and Neumann terms, and the
 sparsity pattern of the Jacobians with the index that scatters face terms
 into it, plus a bandwidth-reducing ordering of the cells for the forward
 solve), so a caller that evaluates many fields, such as the optimizer or the
-Monte Carlo head prior, holds one operator.  The module functions
-(:func:`assemble_residual`, :func:`solve_forward`, ...) build a fresh
-operator per call and give identical results.
+Monte Carlo head prior, holds one operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import csv
-import json
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularSystemError, SolveConvergenceError
 from .seeding import float_token
@@ -55,13 +51,6 @@ __all__ = [
     "boundary_values",
     "face_transmissivity",
     "FlowOperator",
-    "assemble_residual",
-    "solve_forward",
-    "residual_jacobians",
-    "residual_vjp",
-    "residual_hessian_contract",
-    "mesh_to_json",
-    "mesh_from_json",
     "save_field_csv",
     "load_field_csv",
 ]
@@ -69,11 +58,8 @@ __all__ = [
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-# Largest system solved directly, by a LAPACK band LU in the reverse
-# Cuthill-McKee order; bigger meshes fall back to preconditioned conjugate
-# gradients.  On a structured grid of up to 10^4 cells the half-bandwidth is
-# at most about 100, so the band storage stays under about 25 MB.
-DIRECT_SOLVE_LIMIT = 10_000
+# Relative residual tolerance of the forward solve.
+SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -239,37 +225,22 @@ class BoundaryConditions:
             )
 
 
-_DEFAULT_SIDES = {"west": DIRICHLET, "east": DIRICHLET, "south": NEUMANN, "north": NEUMANN}
+_SIDE_TAGS = {"west": DIRICHLET, "east": DIRICHLET, "south": NEUMANN, "north": NEUMANN}
 
 
-def build_structured_mesh(
-    nx: int,
-    ny: int,
-    lx: float = 1.0,
-    ly: float = 1.0,
-    side_tags: dict[str, str] | None = None,
-) -> Mesh:
+def build_structured_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> Mesh:
     """Build an nx-by-ny uniform rectangle mesh on [0, lx] x [0, ly].
 
     Cells are ordered row-major with x fastest: cell ``iy*nx + ix`` has center
     ``((ix + 0.5) dx, (iy + 0.5) dy)``.  Interior faces are listed vertical
     (constant-x) first, then horizontal, each in row-major order.  Boundary
-    faces come in side order west, east, south, north and are tagged per
-    ``side_tags`` (default: Dirichlet on west/east, Neumann on south/north).
+    faces come in side order west, east, south, north, Dirichlet on west and
+    east and Neumann on south and north.
     """
     if nx < 1 or ny < 1:
         raise ConfigError("nx and ny must be at least 1")
     if lx <= 0 or ly <= 0:
         raise ConfigError("lx and ly must be positive")
-    tags = dict(_DEFAULT_SIDES)
-    if side_tags:
-        unknown = set(side_tags) - set(tags)
-        if unknown:
-            raise ConfigError(f"unknown mesh sides: {sorted(unknown)}")
-        tags.update(side_tags)
-    for side, tag in tags.items():
-        if tag not in (DIRICHLET, NEUMANN):
-            raise ConfigError(f"side {side!r} has unknown tag {tag!r}")
 
     dx, dy = lx / nx, ly / ny
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
@@ -298,7 +269,7 @@ def build_structured_mesh(
             b_cells.append(c)
             b_areas.append(area)
             b_dist.append(dist)
-            b_tags.append(tags[label])
+            b_tags.append(_SIDE_TAGS[label])
             b_labels.append(label)
 
     add_side([row * nx for row in range(ny)], dy, dx / 2, "west")
@@ -505,14 +476,12 @@ class FlowOperator:
         h_yu = self._matrix(self._slots, [ci, -ci, cj, -cj, wkd])
         return h_yy, h_yu
 
-    def solve(self, y, tol: float = 1e-10, method: str = "auto") -> np.ndarray:
+    def solve(self, y) -> np.ndarray:
         """Solve R(y, u) = 0 for the head field u.
 
-        Up to 10^4 cells the solve is direct: a LAPACK band LU (``dgbtrf``)
-        in the reverse Cuthill-McKee order computed at construction.  Above
-        10^4 cells it runs Jacobi-preconditioned conjugate gradients;
-        ``method`` forces direct or CG.  The returned solution satisfies
-        ``max|R(y, u)| <= tol * max(1, max|b|)`` or
+        The solve is a LAPACK band LU (``dgbtrf``) in the reverse
+        Cuthill-McKee order computed at construction.  The returned solution
+        satisfies ``max|R(y, u)| <= SOLVE_TOL * max(1, max|b|)`` or
         :class:`SolveConvergenceError` is raised with the achieved residual,
         as it is for a singular band factor.
         """
@@ -522,26 +491,17 @@ class FlowOperator:
                 "forward solve needs at least one dirichlet face; "
                 "an all-neumann problem fixes u only up to a constant"
             )
-        if method not in ("auto", "direct", "cg"):
-            raise ConfigError(f"unknown solve method {method!r}")
         # R is affine in u, so R(y, u) = A u - b with A = dR/du and b = -R(y, 0).
         # The face fluxes vanish at u = 0, which leaves the boundary terms in b.
         tk = self._tau * face_transmissivity(y[self._i], y[self._j])
         kd = self._tau_b * np.exp(y[self._d])
-        terms = [tk, -tk, -tk, tk, kd]
         b = -self._sum(self._boundary_cells, [kd * (0.0 - self._u_d), self._neumann_load])
         scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-        if method == "cg" or (method == "auto" and self.n_cells > DIRECT_SOLVE_LIMIT):
-            a = self._matrix(self._slots, terms)
-            inv_diag = 1.0 / a.diagonal()
-            precond = spla.LinearOperator(a.shape, matvec=lambda v: inv_diag * v)
-            u, _ = spla.cg(a, b, rtol=1e-14, atol=tol * scale / 10, maxiter=20 * self.n_cells, M=precond)
-        else:
-            u = self._band_solve(terms, b)
+        u = self._band_solve([tk, -tk, -tk, tk, kd], b)
         achieved = float(np.max(np.abs(self.residual(y, u))))
-        if not np.isfinite(achieved) or achieved > tol * scale:
+        if not np.isfinite(achieved) or achieved > SOLVE_TOL * scale:
             raise SolveConvergenceError(
-                f"forward solve residual {achieved:.3e} exceeds tolerance {tol * scale:.3e}"
+                f"forward solve residual {achieved:.3e} exceeds tolerance {SOLVE_TOL * scale:.3e}"
             )
         return u
 
@@ -558,98 +518,8 @@ class FlowOperator:
         return u
 
 
-def assemble_residual(
-    mesh: Mesh, y: np.ndarray, u: np.ndarray, bc: BoundaryConditions
-) -> np.ndarray:
-    """Evaluate the cell-balance residual R(y, u)."""
-    return FlowOperator(mesh, bc).residual(y, u)
-
-
-def solve_forward(
-    mesh: Mesh,
-    y: np.ndarray,
-    bc: BoundaryConditions,
-    tol: float = 1e-10,
-    method: str = "auto",
-) -> np.ndarray:
-    """Solve R(y, u) = 0 for the head field u; see :meth:`FlowOperator.solve`."""
-    return FlowOperator(mesh, bc).solve(y, tol=tol, method=method)
-
-
-def residual_jacobians(
-    mesh: Mesh, y: np.ndarray, u: np.ndarray, bc: BoundaryConditions
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Exact sparse Jacobians (dR/dy, dR/du) at (y, u)."""
-    return FlowOperator(mesh, bc).jacobians(y, u)
-
-
-def residual_vjp(
-    mesh: Mesh,
-    y: np.ndarray,
-    u: np.ndarray,
-    bc: BoundaryConditions,
-    w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices."""
-    return FlowOperator(mesh, bc).vjp(y, u, w)
-
-
-def residual_hessian_contract(
-    mesh: Mesh,
-    y: np.ndarray,
-    u: np.ndarray,
-    bc: BoundaryConditions,
-    w: np.ndarray,
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Weighted second derivatives; see :meth:`FlowOperator.hessian_contract`."""
-    return FlowOperator(mesh, bc).hessian_contract(y, u, w)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def mesh_to_json(mesh: Mesh, path) -> None:
-    """Write the mesh to a JSON file (face lists as typed rows)."""
-    doc = {
-        "cell_centers": mesh.cell_centers.tolist(),
-        "cell_areas": mesh.cell_areas.tolist(),
-        "interior_faces": [
-            [int(i), int(j), float(t)]
-            for (i, j), t in zip(mesh.face_cells, mesh.face_trans)
-        ],
-        "boundary_faces": [
-            [int(c), float(a), float(d), str(t), str(l)]
-            for c, a, d, t, l in zip(
-                mesh.boundary_cells,
-                mesh.boundary_areas,
-                mesh.boundary_distances,
-                mesh.boundary_tags,
-                mesh.boundary_labels,
-            )
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def mesh_from_json(path) -> Mesh:
-    with open(path) as fh:
-        doc = json.load(fh)
-    interior = doc["interior_faces"]
-    boundary = doc["boundary_faces"]
-    return Mesh(
-        cell_centers=np.asarray(doc["cell_centers"], dtype=np.float64).reshape(-1, 2),
-        cell_areas=doc["cell_areas"],
-        face_cells=np.asarray([[r[0], r[1]] for r in interior], dtype=np.int64).reshape(-1, 2),
-        face_trans=[r[2] for r in interior],
-        boundary_cells=[r[0] for r in boundary],
-        boundary_areas=[r[1] for r in boundary],
-        boundary_distances=[r[2] for r in boundary],
-        boundary_tags=[r[3] for r in boundary],
-        boundary_labels=[r[4] for r in boundary],
-    )
 
 
 def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", meta: dict | None = None) -> None:

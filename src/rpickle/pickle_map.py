@@ -20,7 +20,6 @@ when quasi-Newton stalls above tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,6 +27,7 @@ from scipy.optimize import minimize
 from .errors import ConfigError
 from .gp_prior import CkleBasis
 from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
+from .seeding import write_json
 
 __all__ = [
     "LossParams",
@@ -37,8 +37,6 @@ __all__ = [
     "OptimConfig",
     "OptimResult",
     "MapResult",
-    "pickle_loss",
-    "pickle_grad",
     "map_optimize",
     "sweep_gammas",
     "minimize_randomized",
@@ -81,10 +79,6 @@ class CoefficientPair:
     def from_stacked(cls, z: np.ndarray, n_xi: int) -> "CoefficientPair":
         z = np.asarray(z, dtype=np.float64)
         return cls(xi=z[:n_xi], eta=z[n_xi:])
-
-    @classmethod
-    def zeros(cls, n_xi: int, n_eta: int) -> "CoefficientPair":
-        return cls(xi=np.zeros(n_xi), eta=np.zeros(n_eta))
 
 
 class ResidualModel:
@@ -253,18 +247,6 @@ def _target(value, n: int):
     if value.shape != (n,):
         raise ConfigError("noise vector shapes must match the model")
     return value
-
-
-def pickle_loss(model, params: LossParams, z) -> float:
-    """Deterministic loss ``1/2 ||R||^2 + gamma/2 (||xi||^2/s_xi + ||eta||^2/s_eta)``."""
-    loss = PickleLoss(model, params)
-    return loss._unscaled(loss.stacked(z))[0]
-
-
-def pickle_grad(model, params: LossParams, z) -> np.ndarray:
-    """Exact gradient of :func:`pickle_loss` over stacked (xi, eta)."""
-    loss = PickleLoss(model, params)
-    return loss._unscaled(loss.stacked(z))[1]
 
 
 @dataclass(frozen=True)
@@ -467,6 +449,4 @@ def map_result_to_json(result: MapResult, path, meta: dict | None = None) -> Non
         "converged": result.converged,
         "meta": dict(sorted((meta or {}).items())),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc)

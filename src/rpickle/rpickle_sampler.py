@@ -14,8 +14,7 @@ proposal depends on when the others were solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-import json
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .pickle_map import (
     map_optimize,
     minimize_randomized,
 )
-from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng
+from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng, write_json
 
 __all__ = [
     "NoiseDraw",
@@ -36,7 +35,6 @@ __all__ = [
     "PosteriorEnsemble",
     "EnsembleConfig",
     "draw_noise",
-    "randomized_loss",
     "sample_once",
     "jacobian_logdet",
     "metropolis_filter",
@@ -121,12 +119,9 @@ class PosteriorEnsemble:
         """At least two usable samples; a single draw has no spread."""
         return self.n_usable >= 2
 
-    def coefficient_matrix(self, converged_only: bool = True) -> np.ndarray:
-        rows = [
-            s.z_star.stacked
-            for s in self.samples
-            if s.optimizer_converged or not converged_only
-        ]
+    def coefficient_matrix(self) -> np.ndarray:
+        """Stacked coefficients of the samples from converged solves, one row each."""
+        rows = [s.z_star.stacked for s in self.samples if s.optimizer_converged]
         if not rows:
             raise ConfigError("no usable samples")
         return np.asarray(rows)
@@ -141,12 +136,6 @@ def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDr
         beta=np.sqrt(params.sigma_eta_sq) * rng.standard_normal(model.n_eta),
         seed=seed_token(base_seed, STREAM_NOISE, index),
     )
-
-
-def randomized_loss(model, params: LossParams, z, noise: NoiseDraw) -> float:
-    """Noise-shifted loss ``1/2||R - omega||^2/s_r + 1/2||xi - alpha||^2/s_xi + ...``."""
-    loss = PickleLoss(model, params, noise.omega, noise.alpha, noise.beta)
-    return loss.value_grad(loss.stacked(z))[0]
 
 
 def sample_once(
@@ -262,14 +251,7 @@ def _config_snapshot(params: LossParams, n_ens: int, config: EnsembleConfig, met
         "metropolize": bool(metropolize),
         "warm_start": bool(config.warm_start),
         "max_failure_fraction": config.max_failure_fraction,
-        "optim": {
-            "gtol": config.optim.gtol,
-            "gtol_rel": config.optim.gtol_rel,
-            "maxiter": config.optim.maxiter,
-            "history": config.optim.history,
-            "polish": config.optim.polish,
-            "polish_maxiter": config.optim.polish_maxiter,
-        },
+        "optim": asdict(config.optim),
     }
 
 
@@ -422,6 +404,4 @@ def write_manifest(ensemble: PosteriorEnsemble, path, extra: dict | None = None)
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc)

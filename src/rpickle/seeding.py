@@ -8,10 +8,13 @@ thing computed or the last, and no draw consumes another's stream.  Stream
 ids are fixed constants; per-item counters (sample index, chain id, Monte
 Carlo draw) form the rest of the path.
 :func:`float_token` is the one text form of a float in every artifact, so
-reruns stay byte-identical and every value reads back exactly.
+reruns stay byte-identical and every value reads back exactly, and
+:func:`write_json` is the one compact layout of every JSON artifact.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -38,3 +41,10 @@ def seed_token(base_seed: int, *path: int) -> str:
 def float_token(x) -> str:
     """Shortest text that reads back as the same float (``repr``)."""
     return repr(float(x))
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as one line of compact JSON with sorted keys, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")

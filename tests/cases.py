@@ -22,7 +22,7 @@ from rpickle.gp_prior import (
     matern52,
     mc_state_prior,
 )
-from rpickle.mesh_fv import boundary_values, build_structured_mesh, solve_forward
+from rpickle.mesh_fv import FlowOperator, boundary_values, build_structured_mesh
 from rpickle.pickle_map import LossParams, ResidualModel
 
 HEAD_BC = {"west": 1.0, "east": 0.0, "south": 0.0, "north": 0.0}
@@ -47,7 +47,7 @@ def make_darcy_model(nx=5, ny=5, n_xi=4, n_eta=4, seed=7):
     y_basis = build_basis(
         ConditionedGP(mean=np.zeros(mesh.n_cells), covariance=cov_y), energy=None, n_terms=n_xi
     )
-    u_mean = solve_forward(mesh, y_basis.mean, bc)
+    u_mean = FlowOperator(mesh, bc).solve(y_basis.mean)
     cov_u = matern52(centers, centers, KernelParams(sigma=0.2, length_scale=0.3))
     u_basis = build_basis(
         ConditionedGP(mean=u_mean, covariance=cov_u), energy=None, n_terms=n_eta

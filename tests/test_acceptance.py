@@ -21,7 +21,7 @@ from rpickle import gp_prior as gp
 from rpickle import mesh_fv as mf
 from rpickle.diagnostics import laplace_posterior, linear_oracle, lpp, posterior_moments
 from rpickle.hmc_sampler import HmcConfig, log_posterior_and_grad, run_hmc
-from rpickle.pickle_map import LossParams, map_optimize, pickle_grad, pickle_loss
+from rpickle.pickle_map import LossParams, PickleLoss, map_optimize
 from rpickle.rpickle_sampler import EnsembleConfig, run_ensemble
 
 import cases
@@ -99,8 +99,9 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(77)
     for _ in range(20):
         z = 0.5 * rng.standard_normal(model.n_xi + model.n_eta)
-        g = pickle_grad(model, params, z)
-        g_fd = oracles.fd_gradient(lambda v: pickle_loss(model, params, v), z)
+        loss = PickleLoss(model, params)
+        g = loss.value_grad(z)[1]
+        g_fd = oracles.fd_gradient(lambda v: loss.value_grad(v)[0], z)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
         _, lg = log_posterior_and_grad(model, params, z)
         lg_fd = oracles.fd_gradient(lambda v: log_posterior_and_grad(model, params, v)[0], z)
@@ -114,14 +115,15 @@ def test_forward_solver_exact_on_strip_and_dense_oracle():
     # Uniform transmissivity on a 1-D strip gives an exactly linear head.
     mesh = mf.build_structured_mesh(8, 1, 8.0, 1.0)
     bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.0, "north": 0.0})
-    u = mf.solve_forward(mesh, np.full(8, -0.3), bc)
+    u = mf.FlowOperator(mesh, bc).solve(np.full(8, -0.3))
     np.testing.assert_allclose(u, 1.0 - mesh.cell_centers[:, 0] / 8.0, atol=1e-12)
 
     mesh = mf.build_structured_mesh(8, 8)
     bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.05, "north": -0.05})
+    op = mf.FlowOperator(mesh, bc)
     for seed in (42, 43, 44):
         y = np.random.default_rng(seed).normal(scale=0.8, size=mesh.n_cells)
-        u = mf.solve_forward(mesh, y, bc)
+        u = op.solve(y)
         dirichlet, neumann = oracles.bc_by_face(mesh, bc)
         a, b = oracles.dense_forward_system(mesh, y, dirichlet, neumann)
         np.testing.assert_allclose(u, np.linalg.solve(a, b), atol=1e-10)
@@ -184,8 +186,8 @@ def test_gp_regression_and_expansion_properties():
 
     # energy rule keeps the smallest leading block holding >= the target:
     # two of [3, 2, 1] hold 5/6 < 0.95, so all three modes must be retained.
-    _, _, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), energy=0.95)
-    assert n == 3
+    diag = gp.ConditionedGP(mean=np.zeros(3), covariance=np.diag([3.0, 2.0, 1.0]))
+    assert gp.build_basis(diag, energy=0.95).n_terms == 3
     trunc = gp.build_basis(post, energy=0.95)
     kept = float(np.sum(trunc.eigenvalues))
     total = float(np.sum(np.clip(np.linalg.eigvalsh(post.covariance), 0.0, None)))

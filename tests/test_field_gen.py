@@ -145,7 +145,7 @@ class TestBuildCase:
         mesh, bc, case = self.make()
         np.testing.assert_array_equal(case.y_obs.values, case.y_ref[case.y_obs.cells])
         np.testing.assert_array_equal(case.u_obs.values, case.u_ref[case.u_obs.cells])
-        r = mf.assemble_residual(mesh, case.y_ref, case.u_ref, bc)
+        r = mf.FlowOperator(mesh, bc).residual(case.y_ref, case.u_ref)
         assert np.max(np.abs(r)) <= 1e-9
 
     def test_smoothing_reduces_truncation_dimension(self):

@@ -100,8 +100,8 @@ class TestFitHyperparameters:
         pts = unit_square_points(20, 5)
         obs = gp.Observations(locations=pts, values=np.full(20, 3.3), cells=np.arange(20))
         with pytest.warns(UserWarning, match="constant"):
-            fit = gp.fit_hyperparameters(obs, bounds={"sigma": (1e-4, 10.0)})
-        assert fit.sigma == pytest.approx(1e-4)
+            fit = gp.fit_hyperparameters(obs)
+        assert fit.sigma == pytest.approx(1e-8)
 
     def test_needs_two_observations(self):
         obs = gp.Observations(locations=[[0.0, 0.0]], values=[1.0], cells=[0])
@@ -189,22 +189,30 @@ class TestGprCondition:
         np.testing.assert_allclose(discrete.covariance, kernel_out.covariance, atol=1e-10)
 
 
+def truncate(cov, energy=None, n_terms=None):
+    """Eigenvalues, eigenvectors and term count that ``build_basis`` keeps for ``cov``."""
+    cov = np.asarray(cov, dtype=np.float64)
+    prior = gp.ConditionedGP(mean=np.zeros(cov.shape[0]), covariance=cov)
+    basis = gp.build_basis(prior, energy=energy, n_terms=n_terms)
+    return basis.eigenvalues, basis.eigenvectors, basis.n_terms
+
+
 class TestTruncatedEig:
     def test_diagonal_energy_rule(self):
-        vals, vecs, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), energy=0.95)
+        vals, vecs, n = truncate(np.diag([3.0, 2.0, 1.0]), energy=0.95)
         assert n == 3
         np.testing.assert_allclose(vals, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(np.abs(vecs), np.eye(3), atol=1e-14)
 
     def test_diagonal_lower_energy(self):
-        _, _, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), energy=0.5)
+        _, _, n = truncate(np.diag([3.0, 2.0, 1.0]), energy=0.5)
         assert n == 1
-        _, _, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), energy=0.83)
+        _, _, n = truncate(np.diag([3.0, 2.0, 1.0]), energy=0.83)
         assert n == 2
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, -2.0])
-        vals, vecs, n = gp.truncated_eig(np.outer(v, v), energy=0.999)
+        vals, vecs, n = truncate(np.outer(v, v), energy=0.999)
         assert n == 1
         assert vals[0] == pytest.approx(9.0)
         np.testing.assert_allclose(np.abs(vecs[:, 0]), np.abs(v) / 3.0, atol=1e-12)
@@ -218,17 +226,17 @@ class TestTruncatedEig:
         assert 0.95 <= basis.retained_energy < 1.0
 
     def test_explicit_n_terms(self):
-        vals, vecs, n = gp.truncated_eig(np.diag([3.0, 2.0, 1.0]), n_terms=2)
+        vals, vecs, n = truncate(np.diag([3.0, 2.0, 1.0]), n_terms=2)
         assert n == 2 and vals.shape == (2,) and vecs.shape == (3, 2)
 
     def test_asymmetric_warns(self):
         cov = np.array([[1.0, 0.3], [0.1, 1.0]])
         with pytest.warns(UserWarning, match="symmetrized"):
-            gp.truncated_eig(cov, energy=1.0)
+            truncate(cov, energy=1.0)
 
     def test_negative_eigenvalues_clipped_with_warning(self):
         with pytest.warns(UserWarning, match="clipped"):
-            vals, _, _ = gp.truncated_eig(np.diag([1.0, -0.01]), energy=1.0)
+            vals, _, _ = truncate(np.diag([1.0, -0.01]), energy=1.0)
         assert np.all(vals >= 0.0)
 
     def test_empirical_covariance_leading_eigenvalue(self):
@@ -236,8 +244,8 @@ class TestTruncatedEig:
         pts = unit_square_points(36, 11)
         samples = exact_cov_samples(params, pts, 5000, 12)
         emp = np.cov(samples, rowvar=False, ddof=1)
-        exact_vals, _, _ = gp.truncated_eig(gp.matern52(pts, pts, params), n_terms=1)
-        emp_vals, _, _ = gp.truncated_eig(emp, n_terms=1)
+        exact_vals, _, _ = truncate(gp.matern52(pts, pts, params), n_terms=1)
+        emp_vals, _, _ = truncate(emp, n_terms=1)
         assert emp_vals[0] == pytest.approx(exact_vals[0], rel=0.05)
 
 
@@ -343,7 +351,9 @@ class TestMcStatePrior:
         mesh, basis, bc = self.make_inputs()
         mean_u, cov_u = gp.mc_state_prior(mesh, basis, bc, n_mc=2, seed=21)
         u = [
-            mf.solve_forward(mesh, gp.ckle_eval(basis, gp.spawn_rng(21, gp.STREAM_MC_PRIOR, i).standard_normal(basis.n_terms)), bc)
+            mf.FlowOperator(mesh, bc).solve(
+                gp.ckle_eval(basis, gp.spawn_rng(21, gp.STREAM_MC_PRIOR, i).standard_normal(basis.n_terms))
+            )
             for i in range(2)
         ]
         np.testing.assert_allclose(mean_u, (u[0] + u[1]) / 2.0, atol=1e-14)
@@ -353,7 +363,9 @@ class TestMcStatePrior:
     def test_shared_operator_matches_solve_forward(self):
         mesh, basis, bc = self.make_inputs()
         shared = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7)
-        per_draw = gp.mc_state_prior(mesh, basis, bc, n_mc=64, seed=7, solver=mf.solve_forward)
+        per_draw = gp.mc_state_prior(
+            mesh, basis, bc, n_mc=64, seed=7, solver=lambda m, y, b: mf.FlowOperator(m, b).solve(y)
+        )
         assert np.array_equal(shared[0], per_draw[0])
         assert np.array_equal(shared[1], per_draw[1])
 
@@ -378,7 +390,7 @@ class TestMcStatePrior:
             calls["n"] += 1
             if calls["n"] == 5:
                 raise NumericalError("synthetic failure")
-            return mf.solve_forward(m, y, b)
+            return mf.FlowOperator(m, b).solve(y)
 
         mean_u, _ = gp.mc_state_prior(mesh, basis, bc, n_mc=200, seed=13, solver=once_flaky)
         assert np.all(np.isfinite(mean_u))

@@ -8,15 +8,15 @@ from rpickle.errors import ConfigError, NumericalError
 from rpickle.hmc_sampler import (
     Chain,
     HmcConfig,
+    _DualAveraging,
     chains_to_csv,
-    dual_averaging_adapt,
     leapfrog,
     log_posterior_and_grad,
     run_hmc,
     split_chain_psrf,
     write_hmc_manifest,
 )
-from rpickle.pickle_map import LossParams, map_optimize, pickle_grad, pickle_loss
+from rpickle.pickle_map import LossParams, PickleLoss, map_optimize
 
 import cases
 import oracles
@@ -67,7 +67,11 @@ class TestLogPosterior:
         rng = np.random.default_rng(30)
         z = 0.5 * rng.standard_normal(model.n_xi + model.n_eta)
         lp, _ = log_posterior_and_grad(model, params, z)
-        assert lp == pytest.approx(-pickle_loss(model, params, z) / params.sigma_r_sq, rel=1e-12)
+        loss = oracles.reference_loss(
+            model.mesh, model.bc, model.y_basis, model.u_basis,
+            params.sigma_r_sq, z[: model.n_xi], z[model.n_xi :],
+        )
+        assert lp == pytest.approx(-loss / params.sigma_r_sq, rel=1e-12)
 
     def test_gradient_is_scaled_loss_gradient(self):
         model, params, _ = cases.make_flow_case()
@@ -75,7 +79,7 @@ class TestLogPosterior:
         z = 0.5 * rng.standard_normal(model.n_xi + model.n_eta)
         _, grad = log_posterior_and_grad(model, params, z)
         np.testing.assert_allclose(
-            grad, -pickle_grad(model, params, z) / params.sigma_r_sq, rtol=1e-12, atol=0
+            grad, -PickleLoss(model, params).value_grad(z)[1], rtol=1e-12, atol=0
         )
 
     def test_gradient_matches_finite_differences(self):
@@ -154,19 +158,21 @@ class TestLeapfrog:
 
 class TestDualAveraging:
     def test_acceptance_above_target_raises_step(self):
-        sizes = [
-            dual_averaging_adapt([0.95] * t, initial_step_size=0.1) for t in range(1, 40)
-        ]
+        adapter = _DualAveraging(0.1, 0.70)
+        sizes = [adapter.update(0.95) for _ in range(39)]
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_acceptance_below_target_lowers_step(self):
-        sizes = [
-            dual_averaging_adapt([0.2] * t, initial_step_size=0.1) for t in range(1, 40)
-        ]
+        adapter = _DualAveraging(0.1, 0.70)
+        sizes = [adapter.update(0.2) for _ in range(39)]
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_empty_history_returns_initial(self):
-        assert dual_averaging_adapt([], initial_step_size=0.3) == 0.3
+        # No burn-in: the step is never adapted and stays the configured one.
+        config = HmcConfig(n_samples=2, n_chains=1, burn_in=0, step_size=0.3)
+        (chain,) = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), config, seed=52)
+        assert chain.adapted_step_size == 0.3
+        np.testing.assert_array_equal(chain.adaptation_trace, [0.3])
 
     def test_adapted_chain_hits_target_window(self):
         model = _ZeroResidual(n_xi=2)

@@ -1,4 +1,4 @@
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +12,17 @@ from rpickle import mesh_fv as mf
 import oracles
 
 
+def retagged(mesh, tag):
+    """The same mesh with every boundary face tagged ``tag``."""
+    return replace(mesh, boundary_tags=np.full(mesh.n_boundary_faces, tag))
+
+
 def all_neumann(nx, ny, lx=1.0, ly=1.0):
-    tags = {s: "neumann" for s in ("west", "east", "south", "north")}
-    return mf.build_structured_mesh(nx, ny, lx, ly, side_tags=tags)
+    return retagged(mf.build_structured_mesh(nx, ny, lx, ly), "neumann")
 
 
 def all_dirichlet(nx, ny, lx=1.0, ly=1.0):
-    tags = {s: "dirichlet" for s in ("west", "east", "south", "north")}
-    return mf.build_structured_mesh(nx, ny, lx, ly, side_tags=tags)
+    return retagged(mf.build_structured_mesh(nx, ny, lx, ly), "dirichlet")
 
 
 class TestStructuredMesh:
@@ -62,8 +65,10 @@ class TestStructuredMesh:
             mf.build_structured_mesh(0, 3)
         with pytest.raises(ConfigError):
             mf.build_structured_mesh(2, 2, lx=-1.0)
-        with pytest.raises(ConfigError):
-            mf.build_structured_mesh(2, 2, side_tags={"west": "robin"})
+
+    def test_rejects_unknown_boundary_tag(self):
+        with pytest.raises(ConfigError, match="robin"):
+            retagged(mf.build_structured_mesh(2, 2), "robin")
 
 
 class TestResidual:
@@ -71,14 +76,14 @@ class TestResidual:
         mesh = all_neumann(4, 3)
         bc = mf.BoundaryConditions(neumann_fluxes=np.zeros(mesh.neumann_index.size))
         rng = np.random.default_rng(0)
-        r = mf.assemble_residual(mesh, rng.normal(size=12), np.full(12, 2.7), bc)
+        r = mf.FlowOperator(mesh, bc).residual(rng.normal(size=12), np.full(12, 2.7))
         np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
     def test_linear_profile_strip_is_exact(self):
         mesh = mf.build_structured_mesh(3, 1, 3.0, 1.0)
         bc = mf.boundary_values(mesh, {"west": 0.0, "east": 1.0, "south": 0.0, "north": 0.0})
         u = mesh.cell_centers[:, 0] / 3.0
-        r = mf.assemble_residual(mesh, np.full(3, 0.4), u, bc)
+        r = mf.FlowOperator(mesh, bc).residual(np.full(3, 0.4), u)
         np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
     def test_matches_dense_oracle(self):
@@ -87,7 +92,7 @@ class TestResidual:
         y = x + ycoord
         u = np.sin(np.pi * x) * np.sin(np.pi * ycoord)
         bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.7, "north": -0.3})
-        r = mf.assemble_residual(mesh, y, u, bc)
+        r = mf.FlowOperator(mesh, bc).residual(y, u)
         dirichlet, neumann = oracles.bc_by_face(mesh, bc)
         expected = oracles.dense_residual(mesh, y, u, dirichlet, neumann)
         np.testing.assert_allclose(r, expected, atol=1e-12)
@@ -98,17 +103,18 @@ class TestResidual:
         y = rng.normal(size=mesh.n_cells)
         u1, u2 = rng.normal(size=(2, mesh.n_cells))
         bc = mf.boundary_values(mesh, {"west": 0.5, "east": -0.5, "south": 0.1, "north": 0.0})
-        r0 = mf.assemble_residual(mesh, y, np.zeros(mesh.n_cells), bc)
-        r1 = mf.assemble_residual(mesh, y, u1, bc)
-        r2 = mf.assemble_residual(mesh, y, u2, bc)
-        r12 = mf.assemble_residual(mesh, y, 2.0 * u1 - 3.0 * u2, bc)
+        op = mf.FlowOperator(mesh, bc)
+        r0 = op.residual(y, np.zeros(mesh.n_cells))
+        r1 = op.residual(y, u1)
+        r2 = op.residual(y, u2)
+        r12 = op.residual(y, 2.0 * u1 - 3.0 * u2)
         np.testing.assert_allclose(r12 - r0, 2.0 * (r1 - r0) - 3.0 * (r2 - r0), atol=1e-11)
 
     def test_shape_validation(self):
         mesh = mf.build_structured_mesh(2, 2)
         bc = mf.boundary_values(mesh, {"west": 0, "east": 0, "south": 0, "north": 0})
         with pytest.raises(ConfigError):
-            mf.assemble_residual(mesh, np.zeros(3), np.zeros(4), bc)
+            mf.FlowOperator(mesh, bc).residual(np.zeros(3), np.zeros(4))
 
     def test_bc_count_validation(self):
         mesh = mf.build_structured_mesh(2, 2)
@@ -137,13 +143,13 @@ class TestSolveForward:
     def test_constant_dirichlet_gives_constant_head(self):
         mesh = all_dirichlet(5, 3)
         bc = mf.boundary_values(mesh, {s: 2.5 for s in ("west", "east", "south", "north")})
-        u = mf.solve_forward(mesh, np.random.default_rng(1).normal(size=15), bc)
+        u = mf.FlowOperator(mesh, bc).solve(np.random.default_rng(1).normal(size=15))
         np.testing.assert_allclose(u, 2.5, atol=1e-10)
 
     def test_strip_linear_profile(self):
         mesh = mf.build_structured_mesh(8, 1, 8.0, 1.0)
         bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.0, "north": 0.0})
-        u = mf.solve_forward(mesh, np.full(8, -0.3), bc)
+        u = mf.FlowOperator(mesh, bc).solve(np.full(8, -0.3))
         np.testing.assert_allclose(u, 1.0 - mesh.cell_centers[:, 0] / 8.0, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -151,7 +157,7 @@ class TestSolveForward:
         rng = np.random.default_rng(42)
         y = rng.normal(scale=0.8, size=mesh.n_cells)
         bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.05, "north": -0.05})
-        u = mf.solve_forward(mesh, y, bc)
+        u = mf.FlowOperator(mesh, bc).solve(y)
         dirichlet, neumann = oracles.bc_by_face(mesh, bc)
         a, b = oracles.dense_forward_system(mesh, y, dirichlet, neumann)
         np.testing.assert_allclose(u, np.linalg.solve(a, b), atol=1e-10)
@@ -161,24 +167,15 @@ class TestSolveForward:
         rng = np.random.default_rng(7)
         y = rng.normal(size=mesh.n_cells)
         bc = mf.boundary_values(mesh, {"west": 0.2, "east": 1.2, "south": 0.0, "north": 0.3})
-        u = mf.solve_forward(mesh, y, bc)
-        r = mf.assemble_residual(mesh, y, u, bc)
+        op = mf.FlowOperator(mesh, bc)
+        r = op.residual(y, op.solve(y))
         assert np.max(np.abs(r)) <= 1e-10
-
-    def test_cg_matches_direct(self):
-        mesh = mf.build_structured_mesh(12, 12)
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=mesh.n_cells)
-        bc = mf.boundary_values(mesh, {"west": 1.0, "east": 0.0, "south": 0.0, "north": 0.0})
-        u_direct = mf.solve_forward(mesh, y, bc, method="direct")
-        u_cg = mf.solve_forward(mesh, y, bc, method="cg")
-        np.testing.assert_allclose(u_cg, u_direct, atol=1e-8)
 
     def test_all_neumann_is_singular(self):
         mesh = all_neumann(3, 3)
         bc = mf.BoundaryConditions(neumann_fluxes=np.zeros(12))
         with pytest.raises(SingularSystemError):
-            mf.solve_forward(mesh, np.zeros(9), bc)
+            mf.FlowOperator(mesh, bc).solve(np.zeros(9))
 
 
 class TestDerivatives:
@@ -190,14 +187,15 @@ class TestDerivatives:
         self.bc = mf.boundary_values(
             self.mesh, {"west": 1.0, "east": 0.0, "south": 0.2, "north": -0.1}
         )
+        self.op = mf.FlowOperator(self.mesh, self.bc)
 
     def test_jacobians_match_finite_differences(self):
-        dr_dy, dr_du = mf.residual_jacobians(self.mesh, self.y, self.u, self.bc)
+        dr_dy, dr_du = self.op.jacobians(self.y, self.u)
         fd_y = oracles.fd_jacobian(
-            lambda v: mf.assemble_residual(self.mesh, v, self.u, self.bc), self.y
+            lambda v: self.op.residual(v, self.u), self.y
         )
         fd_u = oracles.fd_jacobian(
-            lambda v: mf.assemble_residual(self.mesh, self.y, v, self.bc), self.u
+            lambda v: self.op.residual(self.y, v), self.u
         )
         scale = np.linalg.norm(fd_y)
         assert np.linalg.norm(dr_dy.toarray() - fd_y) <= 1e-6 * scale
@@ -207,30 +205,30 @@ class TestDerivatives:
         mesh = all_neumann(4, 4)
         bc = mf.BoundaryConditions(neumann_fluxes=np.zeros(16))
         rng = np.random.default_rng(2)
-        _, dr_du = mf.residual_jacobians(mesh, rng.normal(size=16), rng.normal(size=16), bc)
+        _, dr_du = mf.FlowOperator(mesh, bc).jacobians(rng.normal(size=16), rng.normal(size=16))
         np.testing.assert_allclose(np.asarray(dr_du.sum(axis=1)).ravel(), 0.0, atol=1e-13)
 
     def test_constant_shift_scales_du_jacobian(self):
         shift = 0.8
-        _, dr_du = mf.residual_jacobians(self.mesh, self.y, self.u, self.bc)
-        _, dr_du_shift = mf.residual_jacobians(self.mesh, self.y + shift, self.u, self.bc)
+        _, dr_du = self.op.jacobians(self.y, self.u)
+        _, dr_du_shift = self.op.jacobians(self.y + shift, self.u)
         np.testing.assert_allclose(
             dr_du_shift.toarray(), np.exp(shift) * dr_du.toarray(), rtol=1e-12, atol=1e-14
         )
 
     def test_vjp_matches_jacobians(self):
         w = np.random.default_rng(4).normal(size=self.mesh.n_cells)
-        dr_dy, dr_du = mf.residual_jacobians(self.mesh, self.y, self.u, self.bc)
-        gy, gu = mf.residual_vjp(self.mesh, self.y, self.u, self.bc, w)
+        dr_dy, dr_du = self.op.jacobians(self.y, self.u)
+        gy, gu = self.op.vjp(self.y, self.u, w)
         np.testing.assert_allclose(gy, dr_dy.T @ w, atol=1e-12)
         np.testing.assert_allclose(gu, dr_du.T @ w, atol=1e-12)
 
     def test_hessian_contractions_match_finite_differences(self):
         w = np.random.default_rng(9).normal(size=self.mesh.n_cells)
-        h_yy, h_yu = mf.residual_hessian_contract(self.mesh, self.y, self.u, self.bc, w)
+        h_yy, h_yu = self.op.hessian_contract(self.y, self.u, w)
 
         def weighted_grad_y(y, u):
-            return mf.residual_vjp(self.mesh, y, u, self.bc, w)[0]
+            return self.op.vjp(y, u, w)[0]
 
         fd_yy = oracles.fd_jacobian(lambda v: weighted_grad_y(v, self.u), self.y)
         fd_yu = oracles.fd_jacobian(lambda v: weighted_grad_y(self.y, v), self.u)
@@ -298,8 +296,6 @@ class TestFlowOperator:
             op.vjp(np.zeros(n), np.zeros(n), np.zeros(n - 1))
         with pytest.raises(ConfigError, match="y must have shape"):
             op.solve(np.zeros(n + 1))
-        with pytest.raises(ConfigError, match="unknown solve method"):
-            op.solve(np.zeros(n), method="lu")
         with pytest.raises(ConfigError, match="dirichlet"):
             mf.FlowOperator(self.mesh, mf.BoundaryConditions(neumann_fluxes=self.bc.neumann_fluxes))
 
@@ -365,7 +361,7 @@ class TestBandSolve:
         def refuse(a, b):
             raise AssertionError("spsolve called")
 
-        monkeypatch.setattr(mf.spla, "spsolve", refuse)
+        monkeypatch.setattr(spla, "spsolve", refuse)
         y = np.random.default_rng(4).normal(size=mesh.n_cells)
         u = op.solve(y)
         assert np.max(np.abs(op.residual(y, u))) <= 1e-10
@@ -386,24 +382,6 @@ class TestBandSolve:
 
 
 class TestSerialization:
-    def test_mesh_json_roundtrip(self, tmp_path):
-        mesh = mf.build_structured_mesh(4, 3, 2.0, 1.5)
-        path = tmp_path / "mesh.json"
-        mf.mesh_to_json(mesh, path)
-        back = mf.mesh_from_json(path)
-        np.testing.assert_array_equal(back.cell_centers, mesh.cell_centers)
-        np.testing.assert_array_equal(back.face_cells, mesh.face_cells)
-        np.testing.assert_array_equal(back.face_trans, mesh.face_trans)
-        np.testing.assert_array_equal(back.boundary_tags, mesh.boundary_tags)
-        np.testing.assert_array_equal(back.boundary_labels, mesh.boundary_labels)
-
-    def test_mesh_json_is_valid_json(self, tmp_path):
-        mesh = mf.build_structured_mesh(2, 2)
-        path = tmp_path / "mesh.json"
-        mf.mesh_to_json(mesh, path)
-        doc = json.loads(path.read_text())
-        assert len(doc["interior_faces"]) == 4
-
     def test_field_csv_roundtrip(self, tmp_path):
         mesh = mf.build_structured_mesh(3, 3)
         values = np.random.default_rng(0).normal(size=9)

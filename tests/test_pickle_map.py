@@ -13,15 +13,14 @@ from rpickle.pickle_map import (
     CoefficientPair,
     LossParams,
     OptimConfig,
+    PickleLoss,
     ResidualModel,
     map_optimize,
     map_result_to_json,
     minimize_randomized,
-    pickle_grad,
-    pickle_loss,
     sweep_gammas,
 )
-from rpickle.rpickle_sampler import draw_noise, jacobian_logdet, randomized_loss
+from rpickle.rpickle_sampler import draw_noise, jacobian_logdet
 
 import cases
 import oracles
@@ -71,28 +70,30 @@ class TestPickleLoss:
         rng = np.random.default_rng(0)
         for _ in range(3):
             z = random_point(model, rng)
-            got = pickle_loss(model, params, z)
+            got, _ = PickleLoss(model, params).value_grad(z)
             want = oracles.reference_loss(
                 model.mesh, model.bc, model.y_basis, model.u_basis,
                 params.sigma_r_sq, z[: model.n_xi], z[model.n_xi :],
             )
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want / params.sigma_r_sq, rel=1e-12)
 
     def test_zero_coefficients_is_half_residual_norm(self):
         model, params, _ = cases.make_flow_case()
         z = np.zeros(model.n_xi + model.n_eta)
         r0 = model.residual(z[: model.n_xi], z[model.n_xi :])
-        assert pickle_loss(model, params, z) == 0.5 * float(r0 @ r0)
+        value, _ = PickleLoss(model, params).value_grad(z)
+        assert value == 0.5 * float(r0 @ r0) / params.sigma_r_sq
 
     def test_zero_when_residual_and_coefficients_vanish(self):
         # Identically zero residual at zero coefficients gives exactly zero.
+        params = LossParams(sigma_r_sq=1e-2)
         model = _FrozenResidual(np.zeros(6), n_xi=3, n_eta=2)
-        assert pickle_loss(model, LossParams(sigma_r_sq=1e-2), np.zeros(5)) == 0.0
+        assert PickleLoss(model, params).value_grad(np.zeros(5))[0] == 0.0
         # The small flow model's head mean solves the forward problem at the y
         # mean, so its loss at zero is residual roundoff squared.
         flow = cases.make_darcy_model()
         z = np.zeros(flow.n_xi + flow.n_eta)
-        assert pickle_loss(flow, LossParams(sigma_r_sq=1e-2), z) <= 1e-20
+        assert PickleLoss(flow, params).value_grad(z)[0] <= 1e-20 / params.sigma_r_sq
 
     def test_frozen_residual_keeps_only_prior_terms(self):
         rng = np.random.default_rng(1)
@@ -101,7 +102,8 @@ class TestPickleLoss:
         params = LossParams(sigma_r_sq=0.25)
         z = rng.standard_normal(5)
         expected = 0.5 * float(r0 @ r0) + 0.125 * float(z @ z)
-        assert pickle_loss(model, params, z) == pytest.approx(expected, rel=1e-14)
+        value, _ = PickleLoss(model, params).value_grad(z)
+        assert value == pytest.approx(expected / params.sigma_r_sq, rel=1e-14)
 
     def test_accepts_coefficient_pair(self):
         model = cases.make_darcy_model()
@@ -109,12 +111,13 @@ class TestPickleLoss:
         rng = np.random.default_rng(2)
         z = random_point(model, rng)
         pair = CoefficientPair.from_stacked(z, model.n_xi)
-        assert pickle_loss(model, params, pair) == pickle_loss(model, params, z)
+        loss = PickleLoss(model, params)
+        assert loss.value_grad(loss.stacked(pair))[0] == loss.value_grad(loss.stacked(z))[0]
 
     def test_rejects_wrong_length(self):
         model = cases.make_darcy_model()
         with pytest.raises(ConfigError):
-            pickle_loss(model, LossParams(sigma_r_sq=1.0), np.zeros(3))
+            PickleLoss(model, LossParams(sigma_r_sq=1.0)).stacked(np.zeros(3))
 
     def test_permuting_terms_and_coefficients_together(self):
         # With equal eigenvalues the basis stays valid under any column
@@ -136,11 +139,9 @@ class TestPickleLoss:
         eta = rng.standard_normal(base.n_eta)
         z = np.concatenate([xi, eta])
         z_p = np.concatenate([xi[perm], eta])
-        assert pickle_loss(model_p, params, z_p) == pytest.approx(
-            pickle_loss(model, params, z), rel=1e-12
-        )
-        g = pickle_grad(model, params, z)
-        g_p = pickle_grad(model_p, params, z_p)
+        value, g = PickleLoss(model, params).value_grad(z)
+        value_p, g_p = PickleLoss(model_p, params).value_grad(z_p)
+        assert value_p == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(g_p[:4], g[:4][perm], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g_p[4:], g[4:], rtol=1e-10, atol=1e-12)
 
@@ -151,8 +152,9 @@ class TestPickleGrad:
         rng = np.random.default_rng(4)
         for _ in range(3):
             z = random_point(model, rng)
-            g = pickle_grad(model, params, z)
-            g_fd = oracles.fd_gradient(lambda v: pickle_loss(model, params, v), z)
+            loss = PickleLoss(model, params)
+            g = loss.value_grad(z)[1]
+            g_fd = oracles.fd_gradient(lambda v: loss.value_grad(v)[0], z)
             assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
 
     def test_matches_finite_differences_small_model(self):
@@ -160,8 +162,9 @@ class TestPickleGrad:
         params = LossParams(sigma_r_sq=0.5, sigma_xi_sq=2.0, sigma_eta_sq=0.3)
         rng = np.random.default_rng(5)
         z = random_point(model, rng)
-        g = pickle_grad(model, params, z)
-        g_fd = oracles.fd_gradient(lambda v: pickle_loss(model, params, v), z)
+        loss = PickleLoss(model, params)
+        g = loss.value_grad(z)[1]
+        g_fd = oracles.fd_gradient(lambda v: loss.value_grad(v)[0], z)
         np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-9)
 
     def test_frozen_zero_residual_gradient_is_gamma_z(self):
@@ -169,8 +172,12 @@ class TestPickleGrad:
         params = LossParams(sigma_r_sq=0.04)
         rng = np.random.default_rng(6)
         z = rng.standard_normal(5)
+        # The prior term's gradient gamma z, scaled by 1/gamma as value_grad returns it.
         np.testing.assert_allclose(
-            pickle_grad(model, params, z), params.sigma_r_sq * z, rtol=0, atol=0
+            PickleLoss(model, params).value_grad(z)[1],
+            params.sigma_r_sq * z / params.sigma_r_sq,
+            rtol=0,
+            atol=0,
         )
 
     def test_jacobians_match_finite_differences(self):
@@ -275,10 +282,16 @@ class TestMapOptimize:
         model = cases.make_random_linear(rng, n_res=20, n_xi=4, n_eta=3)
         params = LossParams(sigma_r_sq=0.5)
         result = map_optimize(model, params)
+        g = np.hstack([model.a_matrix, model.b_matrix])
+
+        def unscaled(z):
+            r = g @ z - model.c_vector
+            return 0.5 * r @ r + 0.5 * params.sigma_r_sq * z @ z, g.T @ r + params.sigma_r_sq * z
+
         res = scipy_minimize(
-            lambda z: pickle_loss(model, params, z),
+            unscaled,
             np.zeros(model.n_xi + model.n_eta),
-            jac=lambda z: pickle_grad(model, params, z),
+            jac=True,
             method="BFGS",
             options={"gtol": 1e-12, "maxiter": 500},
         )
@@ -291,7 +304,7 @@ class TestMapOptimize:
         scaled_loss = result.loss / params.sigma_r_sq
         assert result.grad_norm <= max(1e-8, 1e-8 * (1.0 + scaled_loss))
         zeros = np.zeros(model.n_xi + model.n_eta)
-        assert result.loss < pickle_loss(model, params, zeros)
+        assert scaled_loss < PickleLoss(model, params).value_grad(zeros)[0]
 
     def test_sweep_gammas_shrinks_with_regularization(self):
         rng = np.random.default_rng(14)
@@ -422,10 +435,12 @@ class TestValidation:
     def test_wrong_length_coefficients_rejected(self, entry, shape):
         model = cases.make_random_linear(np.random.default_rng(27))
         params = LossParams(sigma_r_sq=0.5)
+        noise = draw_noise(model, params, 0, 0)
+        # The two loss entries start a minimization of that loss at ``z``.
         calls = {
-            "pickle_loss": lambda z: pickle_loss(model, params, z),
-            "randomized_loss": lambda z: randomized_loss(
-                model, params, z, draw_noise(model, params, 0, 0)
+            "pickle_loss": lambda z: map_optimize(model, params, init=z),
+            "randomized_loss": lambda z: minimize_randomized(
+                model, params, noise.omega, noise.alpha, noise.beta, init=z
             ),
             "log_posterior_and_grad": lambda z: log_posterior_and_grad(model, params, z),
             "jacobian_logdet": lambda z: jacobian_logdet(

@@ -44,8 +44,9 @@ class LinearModel:
     """Affine residual ``R(xi, eta) = A xi + B eta - c``.
 
     Implements the same surface as the PDE residual model (``n_xi``,
-    ``jacobians``, ``vjp``, ``hessian_contract``) so it can be passed to any
-    routine expecting one.  ``b_matrix=None`` means no eta block.
+    ``jacobians``, ``vjp``, ``misfit_vjp``, ``hessian_contract``) so it can
+    be passed to any routine expecting one.  ``b_matrix=None`` means no eta
+    block.
     """
 
     a_matrix: np.ndarray
@@ -89,6 +90,13 @@ class LinearModel:
     def vjp(self, xi, eta, w) -> tuple[np.ndarray, np.ndarray]:
         w = np.asarray(w, dtype=np.float64)
         return self.a_matrix.T @ w, self.b_matrix.T @ w
+
+    def misfit_vjp(self, xi, eta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``m = R - omega`` and ``(A^T m, B^T m)``, for one row or ``(rows, n)`` batches."""
+        xi = np.asarray(xi, dtype=np.float64)
+        eta = np.asarray(eta, dtype=np.float64)
+        m = xi @ self.a_matrix.T + eta @ self.b_matrix.T - self.c_vector - omega
+        return m, m @ self.a_matrix, m @ self.b_matrix
 
     def hessian_contract(self, xi, eta, w) -> np.ndarray:
         n = self.n_xi + self.n_eta

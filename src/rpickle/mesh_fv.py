@@ -400,7 +400,18 @@ class FlowOperator:
         return k, s_i, 1.0 - s_i
 
     def _sum(self, cells, terms):
-        return np.bincount(cells, weights=np.concatenate(terms), minlength=self.n_cells)
+        """Per-cell sums of per-face terms, row by row over an optional leading batch axis.
+
+        A batch adds each row's terms in the same order as a single field, by
+        one ``bincount`` over row-offset cells, so every row rounds as it
+        would alone.
+        """
+        weights = np.concatenate(terms, axis=-1)
+        if weights.ndim == 1:
+            return np.bincount(cells, weights=weights, minlength=self.n_cells)
+        n, rows = self.n_cells, weights.shape[0]
+        index = cells + n * np.arange(rows)[:, None]
+        return np.bincount(index.ravel(), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
     def _matrix(self, slots, terms) -> sp.csr_matrix:
         data = np.bincount(slots, weights=np.concatenate(terms), minlength=self._indices.size)
@@ -444,6 +455,39 @@ class FlowOperator:
         gy = self._sum(self._face_cells, [tau * k * s_i * du * dw, tau * k * s_j * du * dw, wkd * (u[d] - self._u_d)])
         gu = self._sum(self._face_cells, [tau * k * dw, -tau * k * dw, wkd])
         return gy, gu
+
+    def misfit_vjp(self, y, u, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Misfit ``m = R(y, u) - omega`` and its adjoint products ``((dR/dy)^T m, (dR/du)^T m)``.
+
+        ``y`` and ``u`` are one field each, shape ``(n_cells,)``, or a batch
+        of them, shape ``(rows, n_cells)``; ``omega`` broadcasts against the
+        residual.  The face terms are computed once for both results, in the
+        order :meth:`residual` and :meth:`vjp` use, so a single field gives
+        exactly ``m = residual(y, u) - omega`` and ``vjp(y, u, m)``.
+        """
+        n = self.n_cells
+        y, u = np.asarray(y, dtype=np.float64), np.asarray(u, dtype=np.float64)
+        if y.shape[-1:] != (n,) or y.ndim > 2 or u.shape != y.shape:
+            raise ConfigError(f"y and u must have shape ({n},) or (rows, {n}), got {y.shape} and {u.shape}")
+        i, j, d = self._i, self._j, self._d
+        yi, yj = y.take(i, axis=-1), y.take(j, axis=-1)
+        tk = self._tau * face_transmissivity(yi, yj)
+        s_i = 1.0 / (1.0 + np.exp(yi - yj))
+        s_j = 1.0 - s_i
+        du = u.take(i, axis=-1) - u.take(j, axis=-1)
+        flux = tk * du
+        ed = np.exp(y.take(d, axis=-1))
+        ud = u.take(d, axis=-1) - self._u_d
+        load = self._neumann_load
+        if y.ndim == 2:
+            load = np.broadcast_to(load, (y.shape[0], load.size))
+        m = self._sum(self._cells, [flux, -flux, self._tau_b * ed * ud, load]) - omega
+        dw = m.take(i, axis=-1) - m.take(j, axis=-1)
+        wkd = m.take(d, axis=-1) * self._tau_b * ed
+        gy = self._sum(self._face_cells, [tk * s_i * du * dw, tk * s_j * du * dw, wkd * ud])
+        tkdw = tk * dw
+        gu = self._sum(self._face_cells, [tkdw, -tkdw, wkd])
+        return m, gy, gu
 
     def hessian_contract(self, y, u, w) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """Weighted second derivatives ``(sum_i w_i d2R_i/dydy, sum_i w_i d2R_i/dydu)``.

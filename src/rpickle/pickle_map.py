@@ -11,18 +11,21 @@ of coefficients.  The deterministic loss
 under a Gaussian residual likelihood and standard-normal priors, so its
 minimizer is the MAP point.  :class:`PickleLoss` is the one place that loss,
 its noise-shifted form used for posterior sampling, and their derivatives are
-written.  The optimizer is limited-memory quasi-Newton on the
-``1/gamma``-scaled loss (same argmin, better conditioned), with an optional
-damped Gauss-Newton polish that exploits the exact least-squares structure
-when quasi-Newton stalls above tolerance.
+written.  The optimizer, :func:`minimize_batch`, is limited-memory BFGS on
+the ``1/gamma``-scaled loss (same argmin, better conditioned), run on many
+randomized draws at once in lockstep: each of its evaluations is one call of
+the model's fused misfit-and-adjoint method over every draw still running.
+A solve that ends above tolerance gets a damped Newton polish on the exact
+Hessian.  The MAP solve (:func:`map_optimize` through
+:func:`minimize_randomized`) is the one-row call of the same solver.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError
 from .gp_prior import CkleBasis
@@ -40,6 +43,7 @@ __all__ = [
     "map_optimize",
     "sweep_gammas",
     "minimize_randomized",
+    "minimize_batch",
     "map_result_to_json",
 ]
 
@@ -87,9 +91,9 @@ class ResidualModel:
     Wraps a mesh, boundary values, and the (y, u) bases into the coefficient-
     space residual ``R(xi, eta) = R(y(xi), u(eta))`` with exact first
     derivatives and weighted second-derivative contractions.  Any object with
-    the same ``n_xi/n_eta/n_residual/residual/jacobians/vjp/hessian_contract``
-    surface (e.g. the linear test model in the diagnostics module) can stand
-    in for it downstream.
+    the same ``n_xi/n_eta/n_residual/residual/jacobians/vjp/misfit_vjp/
+    hessian_contract`` surface (e.g. the linear test model in the diagnostics
+    module) can stand in for it downstream.
     """
 
     def __init__(self, mesh: Mesh, y_basis: CkleBasis, u_basis: CkleBasis, bc: BoundaryConditions):
@@ -116,9 +120,9 @@ class ResidualModel:
         return self.mesh.n_cells
 
     def fields(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct (y, u) from coefficients."""
-        y = self.y_basis.mean + self._phi_y @ np.asarray(xi, dtype=np.float64)
-        u = self.u_basis.mean + self._phi_u @ np.asarray(eta, dtype=np.float64)
+        """Reconstruct (y, u) from coefficients, row by row for ``(rows, n)`` batches."""
+        y = self.y_basis.mean + np.asarray(xi, dtype=np.float64) @ self._phi_y.T
+        u = self.u_basis.mean + np.asarray(eta, dtype=np.float64) @ self._phi_u.T
         return y, u
 
     def residual(self, xi, eta) -> np.ndarray:
@@ -136,6 +140,18 @@ class ResidualModel:
         y, u = self.fields(xi, eta)
         gy, gu = self.operator.vjp(y, u, w)
         return self._phi_y.T @ gy, self._phi_u.T @ gu
+
+    def misfit_vjp(self, xi, eta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Misfit ``m = R(xi, eta) - omega`` and ``((dR/dxi)^T m, (dR/deta)^T m)`` in one pass.
+
+        Coefficients are one vector each or ``(rows, n)`` batches.  A single
+        row gives exactly :meth:`residual` minus ``omega`` followed by
+        :meth:`vjp`; in a batch, the basis products are matrix products and
+        may round differently in the last bits.
+        """
+        y, u = self.fields(xi, eta)
+        m, gy, gu = self.operator.misfit_vjp(y, u, omega)
+        return m, gy @ self._phi_y, gu @ self._phi_u
 
     def hessian_contract(self, xi, eta, w) -> np.ndarray:
         """Dense symmetric ``sum_n w_n Hess_z R_n`` over stacked coefficients."""
@@ -163,10 +179,11 @@ class PickleLoss:
 
     with ``gamma = sigma_r_sq``.  Zero targets give the deterministic loss,
     whose minimizer is the MAP point; Gaussian targets give one randomized
-    draw.  ``L / gamma`` is the negative log posterior up to a constant, and
-    the methods return it and its derivatives: value and gradient for the
-    optimizer and HMC, the Gauss-Newton matrix for the polish, and the full
-    Hessian for the Metropolis log-det and the Laplace approximation.  The
+    draw, and targets with a leading row axis give one draw per row.
+    ``L / gamma`` is the negative log posterior up to a constant, and the
+    methods return it and its derivatives: value and gradient for the
+    optimizer and HMC (per row for a batch of points), and the full Hessian
+    for the polish, the Metropolis log-det and the Laplace approximation.  The
     methods take a stacked vector as it is; :meth:`stacked` checks one.
     """
 
@@ -196,34 +213,42 @@ class PickleLoss:
         n_eta = self.size - self.n_xi
         return np.concatenate([np.full(self.n_xi, self.s_xi), np.full(n_eta, self.s_eta)])
 
-    def _unscaled(self, z) -> tuple[float, np.ndarray]:
-        """``L(z)`` and its gradient; a non-finite ``z`` gives non-finite values."""
-        xi, eta = z[: self.n_xi], z[self.n_xi :]
-        dr = self.model.residual(xi, eta) - self.omega
+    def take(self, index) -> "PickleLoss":
+        """The loss of target rows ``index``; targets without a row axis are shared."""
+        out = copy.copy(self)
+        out.omega, out.alpha, out.beta = (
+            t[index] if np.ndim(t) == 2 else t for t in (self.omega, self.alpha, self.beta)
+        )
+        return out
+
+    def _unscaled(self, z) -> tuple:
+        """``L(z)`` and its gradient; a non-finite ``z`` gives non-finite values.
+
+        ``z`` is one stacked vector, or ``(rows, size)`` with one value and
+        gradient row per target row.
+        """
+        xi, eta = z[..., : self.n_xi], z[..., self.n_xi :]
+        dr, g_xi, g_eta = self.model.misfit_vjp(xi, eta, self.omega)
         dxi, deta = xi - self.alpha, eta - self.beta
         gamma = self.gamma
         value = (
-            0.5 * (dr @ dr)
-            + 0.5 * gamma * (dxi @ dxi) / self.s_xi
-            + 0.5 * gamma * (deta @ deta) / self.s_eta
+            0.5 * _sq(dr)
+            + 0.5 * gamma * _sq(dxi) / self.s_xi
+            + 0.5 * gamma * _sq(deta) / self.s_eta
         )
-        g_xi, g_eta = self.model.vjp(xi, eta, dr)
-        grad = np.concatenate([g_xi + gamma * dxi / self.s_xi, g_eta + gamma * deta / self.s_eta])
-        return float(value), grad
+        grad = np.concatenate(
+            [g_xi + gamma * dxi / self.s_xi, g_eta + gamma * deta / self.s_eta], axis=-1
+        )
+        return value, grad
 
-    def value_grad(self, z) -> tuple[float, np.ndarray]:
-        """``L(z) / gamma`` and its gradient."""
+    def value_grad(self, z) -> tuple:
+        """``L(z) / gamma`` and its gradient, per row for a ``(rows, size)`` batch."""
         value, grad = self._unscaled(z)
         return value / self.gamma, grad / self.gamma
 
     def _jacobian(self, z) -> np.ndarray:
         j_xi, j_eta = self.model.jacobians(z[: self.n_xi], z[self.n_xi :])
         return np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
-
-    def gn_matrix(self, z) -> np.ndarray:
-        """Gauss-Newton matrix ``J^T J / gamma + diag(1/s)`` of ``L / gamma``."""
-        j = self._jacobian(z)
-        return j.T @ j / self.gamma + np.diag(1.0 / self.prior_variances())
 
     def hessian(self, z, misfit) -> np.ndarray:
         """Symmetrized ``(J^T J + sum_n misfit_n Hess R_n) / gamma + diag(1/s)``.
@@ -239,23 +264,43 @@ class PickleLoss:
         return 0.5 * (h + h.T)
 
 
+def _sq(v):
+    """Squared 2-norm of a vector, or of each row of a batch."""
+    return float(v @ v) if v.ndim == 1 else np.einsum("ij,ij->i", v, v)
+
+
 def _target(value, n: int):
-    """A noise target as a length-``n`` vector; ``None`` is zero."""
+    """A noise target as a length-``n`` vector or ``(rows, n)`` rows; ``None`` is zero."""
     if value is None:
         return 0.0
     value = np.asarray(value, dtype=np.float64)
-    if value.shape != (n,):
+    if value.shape[-1:] != (n,) or value.ndim > 2:
         raise ConfigError("noise vector shapes must match the model")
     return value
 
 
+# Armijo sufficient-decrease constant of the line search.
+ARMIJO = 1e-4
+
+# Step halvings one line search tries before its row stops.
+MAX_HALVINGS = 20
+
+# An accepted step that lowers the loss by at most this many ulps of its
+# value has reached the rounding floor and ends the row's iteration.
+STALL_ULPS = 4
+
+
 @dataclass(frozen=True)
 class OptimConfig:
-    """Quasi-Newton settings shared by the MAP and sampling solves.
+    """Solver settings shared by the MAP and sampling solves.
 
     Convergence is declared when the 2-norm of the scaled-loss gradient drops
-    below ``max(gtol, gtol_rel * (1 + |loss|))``.  ``polish`` enables a damped
-    Gauss-Newton cleanup when quasi-Newton terminates above that tolerance.
+    below ``max(gtol, gtol_rel * (1 + |loss|))``.  The quasi-Newton iteration
+    itself runs on past that point while its steps still lower the loss, so
+    a solve ends near the rounding floor.  ``maxiter`` bounds the accepted
+    L-BFGS steps of each row and ``history`` the curvature pairs each row
+    keeps.  ``polish`` enables a damped Newton cleanup of rows that end
+    above tolerance, with at most ``polish_maxiter`` steps each.
     """
 
     gtol: float = 1e-8
@@ -265,13 +310,18 @@ class OptimConfig:
     polish: bool = True
     polish_maxiter: int = 60
 
-    def tolerance(self, loss_value: float) -> float:
-        return max(self.gtol, self.gtol_rel * (1.0 + abs(loss_value)))
+    def tolerance(self, loss_value):
+        """The gradient-norm tolerance at a loss value, elementwise over an array."""
+        return np.maximum(self.gtol, self.gtol_rel * (1.0 + np.abs(loss_value)))
 
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Minimizer of one scaled-loss solve, with convergence bookkeeping."""
+    """Minimizer of one scaled-loss solve, with convergence bookkeeping.
+
+    :func:`minimize_batch` returns the same fields as arrays, one entry (or
+    row of ``z``) per solve.
+    """
 
     z: np.ndarray
     loss: float
@@ -295,89 +345,186 @@ def minimize_randomized(
     ``omega``, ``alpha``, ``beta`` (``None`` is zero); with zero targets it is
     the deterministic loss divided by ``gamma``, so one code path serves both
     the MAP solve and every randomized sample.  ``init``, a vector or a
-    :class:`CoefficientPair`, defaults to zero.
+    :class:`CoefficientPair`, defaults to zero.  This is the one-row call of
+    :func:`minimize_batch`.
+    """
+    loss = PickleLoss(model, params, omega, alpha, beta)
+    x0 = np.zeros(loss.size) if init is None else loss.stacked(init)
+    res = minimize_batch(loss, x0[None, :], config)
+    return OptimResult(
+        z=res.z[0],
+        loss=float(res.loss[0]),
+        grad_norm=float(res.grad_norm[0]),
+        n_iter=int(res.n_iter[0]),
+        converged=bool(res.converged[0]),
+    )
+
+
+def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) -> OptimResult:
+    """Minimize ``loss``'s ``L / gamma`` from every row of ``init`` at once.
+
+    ``init`` has shape ``(rows, size)``; row ``r`` is solved for target row
+    ``r`` of ``loss`` (targets without a row axis are shared by all rows).
+    One limited-memory BFGS iteration (Liu & Nocedal 1989) advances all rows
+    in lockstep, and each of its evaluations is one batched
+    :meth:`PickleLoss.value_grad` over the rows still running:
+
+    - the direction comes from the two-loop recursion over the row's last
+      ``history`` curvature pairs; a pair with ``s'y <= eps y'y`` is skipped;
+    - the step comes from Armijo backtracking (halving) from a step of 1, or
+      of at most unit length while the row holds no pair; a direction that
+      does not descend restarts the row from steepest descent;
+    - a row stops when an accepted step lowers its loss by at most
+      ``STALL_ULPS`` ulps, when its line search fails ``MAX_HALVINGS``
+      times (twice if the row is already within tolerance), or after
+      ``maxiter`` steps.
+
+    Rows that stop above tolerance get :func:`_newton_polish` when
+    ``config.polish`` is set.  The result holds per-row arrays.  Rows do not
+    interact, except that the batched matrix products may round a row
+    differently in the last bits from a solve of that row alone.
     """
     config = config or OptimConfig()
-    loss = PickleLoss(model, params, omega, alpha, beta)
-    n = loss.size
-    x0 = np.zeros(n) if init is None else loss.stacked(init).copy()
+    x = np.array(init, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != loss.size:
+        raise ConfigError(f"initial points must have shape (rows, {loss.size}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("coefficients must be finite")
+    rows, n = x.shape
+    for target in (loss.omega, loss.alpha, loss.beta):
+        if np.ndim(target) == 2 and target.shape[0] != rows:
+            raise ConfigError(f"noise targets must have {rows} rows, got {target.shape[0]}")
 
-    value0, grad0 = loss.value_grad(x0)
-    gnorm0 = float(np.linalg.norm(grad0))
-    if gnorm0 <= config.tolerance(value0):
-        return OptimResult(z=x0, loss=float(value0), grad_norm=gnorm0, n_iter=0, converged=True)
+    f, g = loss.value_grad(x)
+    n_iter = np.zeros(rows, dtype=np.int64)
+    act = np.flatnonzero(np.linalg.norm(g, axis=1) > config.tolerance(f))
+    m = config.history
+    s_hist = np.zeros((act.size, m, n))
+    y_hist = np.zeros((act.size, m, n))
+    rho = np.zeros((act.size, m))
+    h0 = np.ones(act.size)
+    has_pair = np.zeros(act.size, dtype=bool)
+    eps = np.finfo(np.float64).eps
+    it = 0
+    while act.size:
+        xa, fa, ga = x[act], f[act], g[act]
+        within = np.linalg.norm(ga, axis=1) <= config.tolerance(fa)
 
-    # L-BFGS usually returns the point it evaluated last, so keep that
-    # evaluation; its result can also be an earlier point, hence the check.
-    last = {}
+        # Two-loop recursion, newest pair first; an empty slot has rho = 0.
+        q = ga.copy()
+        slots = [(it - 1 - k) % m for k in range(min(it, m))]
+        coef = []
+        for k in slots:
+            a = rho[:, k] * np.einsum("ij,ij->i", s_hist[:, k], q)
+            q -= a[:, None] * y_hist[:, k]
+            coef.append(a)
+        q *= h0[:, None]
+        for k, a in zip(reversed(slots), reversed(coef)):
+            b = rho[:, k] * np.einsum("ij,ij->i", y_hist[:, k], q)
+            q += (a - b)[:, None] * s_hist[:, k]
+        d = -q
+        gd = np.einsum("ij,ij->i", ga, d)
+        # A row whose direction does not descend restarts from steepest descent.
+        reset = ~(gd < 0.0)
+        if reset.any():
+            rho[reset] = 0.0
+            h0[reset] = 1.0
+            has_pair[reset] = False
+            d[reset] = -ga[reset]
+            gd[reset] = -np.einsum("ij,ij->i", ga[reset], ga[reset])
+        step = np.where(has_pair, 1.0, np.minimum(1.0, 1.0 / np.linalg.norm(d, axis=1)))
 
-    def value_grad(x):
-        value, grad = loss.value_grad(x)
-        last.update(x=x.copy(), value=value, grad=grad.copy())
-        return value, grad
+        x_new, f_new, g_new = xa.copy(), fa.copy(), ga.copy()
+        accepted = np.zeros(act.size, dtype=bool)
+        halvings = np.zeros(act.size, dtype=np.int64)
+        pend = np.arange(act.size)
+        while pend.size:
+            trial = xa[pend] + step[pend, None] * d[pend]
+            f_try, g_try = loss.take(act[pend]).value_grad(trial)
+            ok = f_try <= fa[pend] + ARMIJO * step[pend] * gd[pend]
+            done = pend[ok]
+            x_new[done], f_new[done], g_new[done] = trial[ok], f_try[ok], g_try[ok]
+            accepted[done] = True
+            fail = pend[~ok]
+            halvings[fail] += 1
+            step[fail] *= 0.5
+            give_up = (halvings[fail] >= MAX_HALVINGS) | ((halvings[fail] >= 2) & within[fail])
+            pend = fail[~give_up]
 
-    res = minimize(
-        value_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxcor": config.history,
-            "ftol": 1e-18,
-            "gtol": config.gtol / (10.0 * np.sqrt(n)),
-            "maxiter": config.maxiter,
-            "maxfun": 20 * config.maxiter,
-        },
-    )
-    z = np.asarray(res.x, dtype=np.float64)
-    if np.array_equal(z, last.get("x")):
-        value, grad = last["value"], last["grad"]
-    else:
-        value, grad = loss.value_grad(z)
-    n_iter = int(res.nit)
-    gnorm = float(np.linalg.norm(grad))
+        s_new, y_new = x_new - xa, g_new - ga
+        sy = np.einsum("ij,ij->i", s_new, y_new)
+        yy = np.einsum("ij,ij->i", y_new, y_new)
+        keep_pair = accepted & (sy > eps * yy)
+        slot = it % m
+        s_hist[:, slot], y_hist[:, slot] = s_new, y_new
+        rho[:, slot] = np.divide(1.0, sy, out=np.zeros_like(sy), where=keep_pair)
+        h0 = np.where(keep_pair, np.divide(sy, yy, out=np.ones_like(sy), where=keep_pair), h0)
+        has_pair |= keep_pair
+        it += 1
 
-    if config.polish and gnorm > config.tolerance(value):
-        z, value, grad, extra = _gauss_newton_polish(loss, z, value, grad, config)
-        gnorm = float(np.linalg.norm(grad))
-        n_iter += extra
+        x[act], f[act], g[act] = x_new, f_new, g_new
+        n_iter[act] += accepted
+        stalled = fa - f_new <= STALL_ULPS * eps * np.abs(fa)
+        running = accepted & ~stalled & (n_iter[act] < config.maxiter)
+        if not running.all():
+            act = act[running]
+            s_hist, y_hist, rho = s_hist[running], y_hist[running], rho[running]
+            h0, has_pair = h0[running], has_pair[running]
 
+    gnorm = np.linalg.norm(g, axis=1)
+    if config.polish:
+        for r in np.flatnonzero(gnorm > config.tolerance(f)):
+            x[r], f[r], g[r], extra = _newton_polish(loss.take(r), x[r], config)
+            gnorm[r] = np.linalg.norm(g[r])
+            n_iter[r] += extra
     return OptimResult(
-        z=z,
-        loss=float(value),
+        z=x,
+        loss=f,
         grad_norm=gnorm,
         n_iter=n_iter,
-        converged=bool(gnorm <= config.tolerance(value)),
+        converged=gnorm <= config.tolerance(f),
     )
 
 
-def _gauss_newton_polish(loss: PickleLoss, z, value, grad, config):
-    """Damped Gauss-Newton steps on the exact least-squares structure."""
+def _newton_polish(loss: PickleLoss, z, config):
+    """Damped Newton steps on the exact Hessian of ``L / gamma``, from ``z``.
+
+    The Hessian (:meth:`PickleLoss.hessian`) takes the misfit at ``z``, so
+    near a minimizer the steps converge quadratically; damping ``mu I`` is
+    raised until the damped Hessian has a Cholesky factor and the step is
+    accepted, and lowered after each accepted step.  A step is accepted when
+    the value drops or, since at the rounding floor the value no longer
+    resolves the improvement, when the value stays within rounding and the
+    gradient norm drops.  Starts with a fresh single-row evaluation and
+    returns the final point, value, gradient and number of accepted steps.
+    """
+    value, grad = loss.value_grad(z)
+    eye = np.eye(z.size)
     mu = 0.0
     steps = 0
     for _ in range(config.polish_maxiter):
         gnorm = np.linalg.norm(grad)
         if gnorm <= config.tolerance(value):
             break
-        normal = loss.gn_matrix(z)
+        misfit = loss.model.residual(z[: loss.n_xi], z[loss.n_xi :]) - loss.omega
+        hess = loss.hessian(z, misfit)
+        floor = 1e-12 * float(np.trace(np.abs(hess))) / z.size
         accepted = False
         for _ in range(60):
+            damped = hess + mu * eye
             try:
-                step = np.linalg.solve(normal + mu * np.eye(normal.shape[0]), -grad)
+                np.linalg.cholesky(damped)  # raises unless positive definite
             except np.linalg.LinAlgError:
-                mu = max(10.0 * mu, 1e-12 * float(np.trace(normal)) / normal.shape[0])
+                mu = max(10.0 * mu, floor)
                 continue
+            step = np.linalg.solve(damped, -grad)
             z_new = z + step
             value_new, grad_new = loss.value_grad(z_new)
-            # Near the minimum the value improvement drops below float
-            # resolution while the gradient still shrinks by orders of
-            # magnitude, so a step also counts when it clearly reduces the
-            # gradient norm without a measurable value increase.
             better = np.isfinite(value_new) and (
                 value_new <= value
                 or (
                     value_new <= value + 1e-12 * (1.0 + abs(value))
-                    and np.linalg.norm(grad_new) <= 0.5 * gnorm
+                    and np.linalg.norm(grad_new) < gnorm
                 )
             )
             if better:
@@ -386,7 +533,7 @@ def _gauss_newton_polish(loss: PickleLoss, z, value, grad, config):
                 accepted = True
                 steps += 1
                 break
-            mu = max(10.0 * mu, 1e-12 * float(np.trace(normal)) / normal.shape[0])
+            mu = max(10.0 * mu, floor)
         if not accepted:
             break
     return z, value, grad, steps

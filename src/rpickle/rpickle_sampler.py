@@ -7,9 +7,12 @@ approximation of the coefficient posterior, exact when the residual is
 linear.  An optional Metropolis pass corrects the nonlinear bias using the
 log-determinant of that map's Jacobian at each minimizer: a proposal is
 accepted with probability ``min(1, exp((logdet_new - logdet_prev)/2))`` and a
-rejection repeats the previous state.  Proposals are solved one after
-another in index order; each draws its noise from its own RNG stream, so no
-proposal depends on when the others were solved.
+rejection repeats the previous state.  Proposals are solved together, in
+blocks of consecutive indices, by the lockstep batched solver
+(:func:`~rpickle.pickle_map.minimize_batch`); each draws its noise from its
+own RNG stream, and the other rows of its block change a proposal only
+through the rounding of the batched products, well within the solver
+tolerance.  The block layout is fixed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .pickle_map import (
     OptimConfig,
     PickleLoss,
     map_optimize,
-    minimize_randomized,
+    minimize_batch,
 )
 from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng, write_json
 
@@ -35,7 +38,6 @@ __all__ = [
     "PosteriorEnsemble",
     "EnsembleConfig",
     "draw_noise",
-    "sample_once",
     "jacobian_logdet",
     "metropolis_filter",
     "run_ensemble",
@@ -50,6 +52,12 @@ DET_FLOOR = 1e-300
 # Metropolization defaults on below this many total coefficients and off
 # above, where the log-det assembly would dominate the run.
 METROPOLIS_DIM_LIMIT = 100
+
+# Proposals are solved together in blocks of about this many residual
+# entries (rows x n_residual): 64 rows on an 8x8 mesh, 4 on a 32x32 one.
+# Fewer rows pay the solver's per-iteration overhead more often; more rows
+# spill the evaluation's arrays out of cache.
+BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -135,31 +143,6 @@ def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDr
         alpha=np.sqrt(params.sigma_xi_sq) * rng.standard_normal(model.n_xi),
         beta=np.sqrt(params.sigma_eta_sq) * rng.standard_normal(model.n_eta),
         seed=seed_token(base_seed, STREAM_NOISE, index),
-    )
-
-
-def sample_once(
-    model,
-    params: LossParams,
-    noise: NoiseDraw,
-    init=None,
-    config: OptimConfig | None = None,
-) -> PosteriorSample:
-    """Minimize the randomized loss for one noise draw.
-
-    Runs the same optimizer as the MAP solve.  A non-converged solve is
-    flagged, not raised, so ensemble-level policy can decide what to do.
-    """
-    res = minimize_randomized(
-        model, params, noise.omega, noise.alpha, noise.beta, init=init, config=config
-    )
-    return PosteriorSample(
-        z_star=CoefficientPair.from_stacked(res.z, model.n_xi),
-        loss=res.loss,
-        log_det_j=None,
-        accepted=True,
-        optimizer_converged=res.converged,
-        seed=noise.seed,
     )
 
 
@@ -258,13 +241,14 @@ def _config_snapshot(params: LossParams, n_ens: int, config: EnsembleConfig, met
 def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig | None = None) -> PosteriorEnsemble:
     """Generate a posterior ensemble of ``n_ens`` randomized solves.
 
-    Noise comes from counter-derived seeds (stream per sample index), the
-    solves run in index order and each warm-starts at the MAP by default, and
-    log-dets plus the Metropolis pass are applied when enabled.  The log-det
-    of a converged proposal takes its misfit ``R(z_star) - omega``.  More
-    than ``max_failure_fraction`` non-converged solves aborts with
-    diagnostics; below that, failures stay flagged in the ensemble
-    (unfiltered runs) or are rejected by the filter.
+    Noise comes from counter-derived seeds (stream per sample index).  The
+    solves run in blocks of consecutive indices, about ``BLOCK_ENTRIES``
+    residual entries each, through :func:`minimize_batch`, every row
+    warm-started at the MAP by default; log-dets plus the Metropolis pass
+    are applied when enabled.  The log-det of a converged proposal takes its
+    misfit ``R(z_star) - omega``.  More than ``max_failure_fraction``
+    non-converged solves aborts with diagnostics; below that, failures stay
+    flagged in the ensemble (unfiltered runs) or are rejected by the filter.
     """
     config = config or EnsembleConfig()
     if n_ens < 1:
@@ -273,21 +257,42 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
     if metropolize is None:
         metropolize = (model.n_xi + model.n_eta) < METROPOLIS_DIM_LIMIT
 
-    init = None
+    init = np.zeros(model.n_xi + model.n_eta)
     if config.warm_start:
         init = map_optimize(model, params, config=config.optim).coefficients.stacked
 
-    def propose(noise):
-        sample = sample_once(model, params, noise, init=init, config=config.optim)
-        if metropolize and sample.optimizer_converged:
-            z = sample.z_star
-            delta = model.residual(z.xi, z.eta) - noise.omega
-            sample = replace(sample, log_det_j=jacobian_logdet(model, params, z, delta))
-        elif metropolize:
-            sample = replace(sample, log_det_j=float("-inf"))
-        return sample
-
-    proposals = [propose(draw_noise(model, params, config.base_seed, i)) for i in range(n_ens)]
+    rows = max(1, BLOCK_ENTRIES // model.n_residual)
+    proposals = []
+    for first in range(0, n_ens, rows):
+        indices = range(first, min(first + rows, n_ens))
+        block = [draw_noise(model, params, config.base_seed, i) for i in indices]
+        loss = PickleLoss(
+            model,
+            params,
+            np.array([noise.omega for noise in block]),
+            np.array([noise.alpha for noise in block]),
+            np.array([noise.beta for noise in block]),
+        )
+        res = minimize_batch(loss, np.tile(init, (len(block), 1)), config.optim)
+        for k, noise in enumerate(block):
+            z = CoefficientPair.from_stacked(res.z[k], model.n_xi)
+            converged = bool(res.converged[k])
+            log_det = None
+            if metropolize and converged:
+                delta = model.residual(z.xi, z.eta) - noise.omega
+                log_det = jacobian_logdet(model, params, z, delta)
+            elif metropolize:
+                log_det = float("-inf")
+            proposals.append(
+                PosteriorSample(
+                    z_star=z,
+                    loss=float(res.loss[k]),
+                    log_det_j=log_det,
+                    accepted=True,
+                    optimizer_converged=converged,
+                    seed=noise.seed,
+                )
+            )
 
     failed = [i for i, p in enumerate(proposals) if not p.optimizer_converged]
     if len(failed) > config.max_failure_fraction * n_ens:

@@ -39,6 +39,10 @@ class _ZeroResidual:
     def vjp(self, xi, eta, w):
         return np.zeros(self.n_xi), np.zeros(self.n_eta)
 
+    def misfit_vjp(self, xi, eta, omega):
+        m = self.residual(xi, eta) - omega
+        return (m, *self.vjp(xi, eta, m))
+
     def hessian_contract(self, xi, eta, w):
         n = self.n_xi + self.n_eta
         return np.zeros((n, n))
@@ -81,6 +85,30 @@ class TestLogPosterior:
         np.testing.assert_allclose(
             grad, -PickleLoss(model, params).value_grad(z)[1], rtol=1e-12, atol=0
         )
+
+    def test_equals_residual_then_vjp_bit_for_bit(self):
+        # The fused misfit-and-adjoint evaluation must round exactly as the
+        # separate residual and vjp calls do, so chains stay byte-identical.
+        # The reference rebuilds the fields as matrix-vector products and
+        # calls the operator's residual and vjp separately.
+        model, params, _ = cases.make_flow_case()
+        rng = np.random.default_rng(34)
+        gamma, n_xi = params.sigma_r_sq, model.n_xi
+        phi_y, phi_u = model.y_basis.modes, model.u_basis.modes
+        for _ in range(20):
+            z = 0.5 * rng.standard_normal(n_xi + model.n_eta)
+            xi, eta = z[:n_xi], z[n_xi:]
+            y = model.y_basis.mean + phi_y @ xi
+            u = model.u_basis.mean + phi_u @ eta
+            dr = model.operator.residual(y, u)
+            gy, gu = model.operator.vjp(y, u, dr)
+            g_xi, g_eta = phi_y.T @ gy, phi_u.T @ gu
+            # unit prior variances: the loss divides by 1.0, which is exact
+            value = 0.5 * (dr @ dr) + 0.5 * gamma * (xi @ xi) + 0.5 * gamma * (eta @ eta)
+            grad = np.concatenate([g_xi + gamma * xi, g_eta + gamma * eta])
+            lp, lg = log_posterior_and_grad(model, params, z)
+            assert lp == -(float(value) / gamma)
+            assert np.array_equal(lg, -(grad / gamma))
 
     def test_gradient_matches_finite_differences(self):
         model, params, _ = cases.make_flow_case()

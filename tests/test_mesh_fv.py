@@ -381,6 +381,41 @@ class TestBandSolve:
             op.solve(y)
 
 
+class TestMisfitVjp:
+    """The fused misfit-and-adjoint evaluation against residual followed by vjp."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            mf.build_structured_mesh(8, 8),
+            mf.build_structured_mesh(32, 32),
+            shuffled(mf.build_structured_mesh(12, 7), seed=3),
+        ],
+        ids=["8x8", "32x32", "12x7-shuffled"],
+    )
+    def test_matches_residual_then_vjp(self, mesh):
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+        rng = np.random.default_rng(mesh.n_cells + 1)
+        rows = 6
+        y, u, omega = (rng.normal(scale=0.8, size=(rows, mesh.n_cells)) for _ in range(3))
+        batch = op.misfit_vjp(y, u, omega)
+        for r in range(rows):
+            m = op.residual(y[r], u[r]) - omega[r]
+            want = (m, *op.vjp(y[r], u[r], m))
+            assert_identical(op.misfit_vjp(y[r], u[r], omega[r]), want)
+            for got, ref in zip(batch, want):
+                assert np.max(np.abs(got[r] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rejects_mismatched_fields(self):
+        mesh = mf.build_structured_mesh(4, 3)
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+        n = mesh.n_cells
+        with pytest.raises(ConfigError, match="y and u must have shape"):
+            op.misfit_vjp(np.zeros((2, n)), np.zeros(n), 0.0)
+        with pytest.raises(ConfigError, match="y and u must have shape"):
+            op.misfit_vjp(np.zeros(n + 1), np.zeros(n + 1), 0.0)
+
+
 class TestSerialization:
     def test_field_csv_roundtrip(self, tmp_path):
         mesh = mf.build_structured_mesh(3, 3)

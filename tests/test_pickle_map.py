@@ -20,7 +20,7 @@ from rpickle.pickle_map import (
     minimize_randomized,
     sweep_gammas,
 )
-from rpickle.rpickle_sampler import draw_noise, jacobian_logdet
+from rpickle.rpickle_sampler import EnsembleConfig, draw_noise, jacobian_logdet, run_ensemble
 
 import cases
 import oracles
@@ -55,9 +55,57 @@ class _FrozenResidual:
     def vjp(self, xi, eta, w):
         return np.zeros(self._n_xi), np.zeros(self._n_eta)
 
+    def misfit_vjp(self, xi, eta, omega):
+        m = self.residual(xi, eta) - omega
+        return (m, *self.vjp(xi, eta, m))
+
     def hessian_contract(self, xi, eta, w):
         n = self._n_xi + self._n_eta
         return np.zeros((n, n))
+
+
+class _CurvedToy:
+    """1+1 coefficients, 3 residuals ``R_k = A_k.z + c (B_k.z)^2 - d_k``.
+
+    ``A``, ``B`` and ``d`` are standard normal draws from seed 3.  Its loss
+    curvature makes Gauss-Newton converge slowly, and its loss values of
+    3-9 put the rounding floor of the value near the gradient tolerance.
+    """
+
+    n_xi = n_eta = 1
+    n_residual = 3
+
+    def __init__(self, c):
+        rng = np.random.default_rng(3)
+        self.a = rng.standard_normal((3, 2))
+        self.b = rng.standard_normal((3, 2))
+        self.d = rng.standard_normal(3)
+        self.c = c
+
+    def _jacobian(self, z):
+        return self.a + 2.0 * self.c * (self.b @ z)[:, None] * self.b
+
+    def residual(self, xi, eta):
+        z = np.concatenate([xi, eta])
+        return self.a @ z + self.c * (self.b @ z) ** 2 - self.d
+
+    def jacobians(self, xi, eta):
+        j = self._jacobian(np.concatenate([xi, eta]))
+        return j[:, :1], j[:, 1:]
+
+    def vjp(self, xi, eta, w):
+        g = self._jacobian(np.concatenate([xi, eta])).T @ w
+        return g[:1], g[1:]
+
+    def misfit_vjp(self, xi, eta, omega):
+        z = np.concatenate([xi, eta], axis=-1)
+        bz = z @ self.b.T
+        m = z @ self.a.T + self.c * bz**2 - self.d - omega
+        g = m @ self.a + (2.0 * self.c * bz * m) @ self.b
+        return m, g[..., :1], g[..., 1:]
+
+    def hessian_contract(self, xi, eta, w):
+        return 2.0 * self.c * self.b.T @ (np.asarray(w)[:, None] * self.b)
 
 
 def random_point(model, rng, scale=0.5):
@@ -203,6 +251,25 @@ class TestPickleGrad:
         g_xi, g_eta = model.vjp(xi, eta, w)
         np.testing.assert_allclose(g_xi, j_xi.T @ w, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(g_eta, j_eta.T @ w, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["flow", "linear"])
+    def test_misfit_vjp_matches_residual_then_vjp(self, kind):
+        # One row reproduces residual-then-vjp bit for bit; in a block the
+        # basis products are matrix products and may round differently.
+        rng = np.random.default_rng(29)
+        model = cases.make_flow_case()[0] if kind == "flow" else cases.make_random_linear(rng)
+        rows = 8
+        xi = 0.5 * rng.standard_normal((rows, model.n_xi))
+        eta = 0.5 * rng.standard_normal((rows, model.n_eta))
+        omega = rng.standard_normal((rows, model.n_residual))
+        batch = model.misfit_vjp(xi, eta, omega)
+        for r in range(rows):
+            m = model.residual(xi[r], eta[r]) - omega[r]
+            want = (m, *model.vjp(xi[r], eta[r], m))
+            for got, ref in zip(model.misfit_vjp(xi[r], eta[r], omega[r]), want):
+                assert np.array_equal(got, ref)
+            for got, ref in zip(batch, want):
+                assert np.max(np.abs(got[r] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_hessian_contract_matches_finite_differences(self):
         model = cases.make_darcy_model()
@@ -403,6 +470,19 @@ class TestGaussNewtonPolish:
             model, params, *targets, config=replace(short, polish=False)
         )
         assert not unpolished.converged
+
+    @pytest.mark.parametrize("c, sigma_r_sq", [(0.1, 0.1), (1.0, 0.3)])
+    def test_finishes_solves_at_the_rounding_floor(self, c, sigma_r_sq):
+        # Some of these 4,000 solves stop where the loss no longer resolves
+        # a step's improvement, with the gradient still just above the
+        # tolerance.  The polish must finish every one of them: the earlier
+        # L-BFGS-B solver with a Gauss-Newton polish left 2 (c = 0.1) and 41
+        # (c = 1.0) of them unconverged.
+        model = _CurvedToy(c)
+        params = LossParams(sigma_r_sq=sigma_r_sq)
+        config = EnsembleConfig(base_seed=0, metropolize=False, max_failure_fraction=1.0)
+        ensemble = run_ensemble(model, params, 4000, config)
+        assert ensemble.n_failed == 0
 
 
 class TestValidation:

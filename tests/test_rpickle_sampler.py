@@ -8,6 +8,7 @@ from rpickle.pickle_map import (
     OptimConfig,
     PickleLoss,
     map_optimize,
+    minimize_batch,
 )
 from rpickle.rpickle_sampler import (
     EnsembleConfig,
@@ -20,7 +21,6 @@ from rpickle.rpickle_sampler import (
     jacobian_logdet,
     metropolis_filter,
     run_ensemble,
-    sample_once,
     write_manifest,
 )
 from rpickle.seeding import STREAM_NOISE, spawn_rng
@@ -129,38 +129,67 @@ class TestRandomizedLoss:
         assert np.std(draws[:, n + n_xi :]) == pytest.approx(0.5, rel=0.05)
 
 
-class TestSampleOnce:
+class TestEnsembleSolves:
+    """Randomized solves as the ensemble runs them: blocks of rows through the batched solver."""
+
     def test_linear_closed_form(self):
         rng = np.random.default_rng(23)
         model = cases.make_random_linear(rng)
         params = LossParams(sigma_r_sq=0.5)
-        noise = draw_noise(model, params, base_seed=7, index=0)
-        sample = sample_once(model, params, noise)
+        ensemble = run_ensemble(model, params, 3, EnsembleConfig(base_seed=7, metropolize=False))
         g = np.hstack([model.a_matrix, model.b_matrix])
         lhs = g.T @ g / params.sigma_r_sq + np.eye(9)
-        rhs = g.T @ (model.c_vector + noise.omega) / params.sigma_r_sq + np.concatenate(
-            [noise.alpha, noise.beta]
-        )
-        np.testing.assert_allclose(
-            sample.z_star.stacked, np.linalg.solve(lhs, rhs), rtol=0, atol=1e-8
-        )
-        assert sample.optimizer_converged
+        for index, sample in enumerate(ensemble.samples):
+            noise = draw_noise(model, params, base_seed=7, index=index)
+            rhs = g.T @ (model.c_vector + noise.omega) / params.sigma_r_sq + np.concatenate(
+                [noise.alpha, noise.beta]
+            )
+            np.testing.assert_allclose(
+                sample.z_star.stacked, np.linalg.solve(lhs, rhs), rtol=0, atol=1e-8
+            )
+            assert sample.optimizer_converged
 
     def test_zero_noise_recovers_map(self):
         model, params, _ = cases.make_flow_case()
-        sample = sample_once(model, params, zero_noise(model))
-        result = map_optimize(model, params)
-        np.testing.assert_allclose(
-            sample.z_star.stacked, result.coefficients.stacked, rtol=0, atol=1e-8
+        rows = 3
+        loss = PickleLoss(
+            model,
+            params,
+            np.zeros((rows, model.n_residual)),
+            np.zeros((rows, model.n_xi)),
+            np.zeros((rows, model.n_eta)),
         )
+        res = minimize_batch(loss, np.zeros((rows, model.n_xi + model.n_eta)))
+        result = map_optimize(model, params)
+        assert res.converged.all()
+        for z in res.z:
+            np.testing.assert_allclose(z, result.coefficients.stacked, rtol=0, atol=1e-8)
 
     def test_reruns_bit_identical(self):
         model, params, _ = cases.make_flow_case()
-        noise = draw_noise(model, params, base_seed=9, index=5)
-        a = sample_once(model, params, noise)
-        b = sample_once(model, params, noise)
-        assert np.array_equal(a.z_star.stacked, b.z_star.stacked)
-        assert a.loss == b.loss
+        config = EnsembleConfig(base_seed=9)
+        a = run_ensemble(model, params, 6, config)
+        b = run_ensemble(model, params, 6, config)
+        for sa, sb in zip(a.samples, b.samples):
+            assert np.array_equal(sa.z_star.stacked, sb.z_star.stacked)
+            assert sa.loss == sb.loss
+            assert sa.log_det_j == sb.log_det_j
+
+    def test_block_size_changes_rows_only_within_tolerance(self):
+        # Solving the same draws as 40 one-row blocks or as one 40-row block
+        # changes the batched products' rounding only, so every row converges
+        # either way and the two minimizers lie within twice the tolerance.
+        model, params, _ = cases.make_flow_case()
+        init = map_optimize(model, params).coefficients.stacked
+        noises = [draw_noise(model, params, base_seed=11, index=i) for i in range(40)]
+        targets = [np.array([getattr(nz, name) for nz in noises]) for name in ("omega", "alpha", "beta")]
+        loss = PickleLoss(model, params, *targets)
+        block = minimize_batch(loss, np.tile(init, (40, 1)))
+        config = OptimConfig()
+        for r in range(40):
+            alone = minimize_batch(loss.take([r]), init[None, :])
+            assert alone.converged[0] == block.converged[r]
+            assert np.linalg.norm(alone.z[0] - block.z[r]) <= 2.0 * config.tolerance(block.loss[r])
 
 
 class TestJacobianLogdet:

@@ -165,13 +165,13 @@ def linear_oracle(model: LinearModel, params: LossParams) -> tuple[np.ndarray, n
 def posterior_moments(ensemble, basis: CkleBasis) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell mean and unbiased std of the reconstructed parameter field.
 
-    Each usable sample's ``xi`` block is pushed through ``basis`` and the
+    Each usable row's ``xi`` block is pushed through ``basis`` and the
     moments are taken cell by cell.
 
     Parameters
     ----------
     ensemble : PosteriorEnsemble
-        Sampler output; only samples from converged solves are used.
+        Sampler output; only rows from converged solves are used.
     basis : CkleBasis
         Log-transmissivity expansion whose term count matches the xi block.
 
@@ -183,7 +183,7 @@ def posterior_moments(ensemble, basis: CkleBasis) -> tuple[np.ndarray, np.ndarra
     """
     if not ensemble.moments_defined:
         raise ConfigError("moments need at least two usable samples")
-    coeffs = np.asarray([s.z_star.xi for s in ensemble.samples if s.optimizer_converged])
+    coeffs = ensemble.coefficient_matrix()[:, : ensemble.n_xi]
     if coeffs.shape[1] != basis.n_terms:
         raise ConfigError(
             f"basis has {basis.n_terms} terms but the xi block has {coeffs.shape[1]}"

@@ -92,6 +92,8 @@ class Observations:
             raise ConfigError("locations, values, and cells must have equal length")
         if np.unique(self.cells).size != n:
             raise ConfigError("at most one observation per cell")
+        if np.any(self.cells < 0):
+            raise ConfigError("observation cells must be nonnegative")
 
     def __len__(self) -> int:
         return self.values.shape[0]

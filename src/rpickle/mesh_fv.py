@@ -583,7 +583,10 @@ def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", me
 
 
 def load_field_csv(path) -> np.ndarray:
-    """Read a field written by :func:`save_field_csv`, ordered by cell index."""
+    """Read a field written by :func:`save_field_csv`, ordered by cell index.
+
+    The cell column must hold ``0 .. rows-1``, each once, in any order.
+    """
     cells, vals = [], []
     with open(path, newline="") as fh:
         rows = [line for line in fh if not line.startswith("#")]
@@ -592,8 +595,13 @@ def load_field_csv(path) -> np.ndarray:
     if len(header) < 4:
         raise ConfigError(f"field csv needs at least 4 columns, got {header}")
     for row in reader:
+        if len(row) < 4:
+            raise ConfigError(f"{path}: field row {row} has fewer than 4 columns")
         cells.append(int(row[0]))
         vals.append(float(row[3]))
-    out = np.empty(len(vals))
-    out[np.asarray(cells, dtype=int)] = np.asarray(vals)
+    cells = np.asarray(cells, dtype=int)
+    if not np.array_equal(np.sort(cells), np.arange(cells.size)):
+        raise ConfigError(f"{path}: cells must be 0..{cells.size - 1}, each once")
+    out = np.empty(cells.size)
+    out[cells] = vals
     return out

@@ -13,28 +13,25 @@ blocks of consecutive indices, by the lockstep batched solver
 own RNG stream, and the other rows of its block change a proposal only
 through the rounding of the batched products, well within the solver
 tolerance.  The block layout is fixed, so reruns are byte-identical.
+
+The ensemble stays in the solver's layout from end to end: one
+:class:`PosteriorEnsemble` of row-aligned arrays, one row per chain
+position.  The Metropolis pass only picks, for each position, the proposal
+it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EnsembleFailureError
-from .pickle_map import (
-    CoefficientPair,
-    LossParams,
-    OptimConfig,
-    PickleLoss,
-    map_optimize,
-    minimize_batch,
-)
+from .pickle_map import LossParams, OptimConfig, PickleLoss, map_optimize, minimize_batch
 from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng, write_json
 
 __all__ = [
     "NoiseDraw",
-    "PosteriorSample",
     "PosteriorEnsemble",
     "EnsembleConfig",
     "draw_noise",
@@ -78,49 +75,56 @@ class NoiseDraw:
 
 
 @dataclass(frozen=True)
-class PosteriorSample:
-    """One posterior draw: minimizer, loss, and bookkeeping.
-
-    ``seed`` identifies the noise draw.  ``log_det_j`` is set only when
-    Metropolization is enabled.  ``accepted`` is False at chain positions
-    holding a carried-forward copy of the previous state;
-    ``optimizer_converged`` is False when the stored coefficients come from a
-    solve that ended above tolerance.
-    """
-
-    z_star: CoefficientPair
-    loss: float
-    log_det_j: float | None
-    accepted: bool
-    optimizer_converged: bool
-    seed: str
-
-
-@dataclass(frozen=True)
 class PosteriorEnsemble:
-    """Ordered samples plus the configuration snapshot that produced them.
+    """Posterior draws as row-aligned arrays, plus the configuration that produced them.
 
-    ``acceptance_rate`` is None for unfiltered (non-Metropolized) runs.
+    Row ``k`` is chain position ``k``.  ``z[k]`` stacks its ``xi`` (the
+    first ``n_xi`` columns) and ``eta`` coefficients, ``loss[k]`` is its
+    randomized loss and ``seeds[k]`` names its noise draw.  ``log_det_j`` is
+    None for unfiltered runs.  ``accepted[k]`` is False where the position
+    holds a carried-forward copy of an earlier state; ``converged[k]`` is
+    False where the coefficients come from a solve that ended above
+    tolerance.  ``acceptance_rate`` is None for unfiltered runs.
     ``n_failed`` counts proposals whose optimization did not converge,
-    whether or not their content remains in ``samples``.
+    whether or not a row still holds one.
     """
 
-    samples: tuple
+    z: np.ndarray
+    n_xi: int
+    loss: np.ndarray
+    log_det_j: np.ndarray | None
+    accepted: np.ndarray
+    converged: np.ndarray
+    seeds: tuple
     config: dict
     acceptance_rate: float | None
     n_failed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
+        z = np.asarray(self.z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[0] < 1:
             raise ConfigError("ensemble must contain at least one sample")
+        if not 0 <= self.n_xi <= z.shape[1]:
+            raise ConfigError(f"n_xi={self.n_xi} does not fit {z.shape[1]} coefficient columns")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        columns = {"loss": np.float64, "log_det_j": np.float64, "accepted": bool, "converged": bool}
+        for name, dtype in columns.items():
+            if name == "log_det_j" and self.log_det_j is None:
+                continue
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (len(self),):
+                raise ConfigError(f"{name} has shape {column.shape}; expected one entry per row ({len(self)})")
+            object.__setattr__(self, name, column)
+        if len(self.seeds) != len(self):
+            raise ConfigError(f"{len(self.seeds)} seeds for {len(self)} rows")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.z.shape[0]
 
     @property
     def n_usable(self) -> int:
-        return sum(1 for s in self.samples if s.optimizer_converged)
+        return int(np.count_nonzero(self.converged))
 
     @property
     def moments_defined(self) -> bool:
@@ -129,10 +133,9 @@ class PosteriorEnsemble:
 
     def coefficient_matrix(self) -> np.ndarray:
         """Stacked coefficients of the samples from converged solves, one row each."""
-        rows = [s.z_star.stacked for s in self.samples if s.optimizer_converged]
-        if not rows:
+        if not self.n_usable:
             raise ConfigError("no usable samples")
-        return np.asarray(rows)
+        return self.z[self.converged]
 
 
 def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDraw:
@@ -164,50 +167,38 @@ def jacobian_logdet(model, params: LossParams, z_star, delta) -> float:
     return float(logdet)
 
 
-def metropolis_filter(proposals, rng) -> PosteriorEnsemble:
+def metropolis_filter(log_det, converged, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sequential accept/reject pass over an ordered proposal stream.
 
-    The first converged proposal is auto-accepted; afterwards a proposal is
-    accepted with probability ``min(1, exp((ld_new - ld_prev)/2))`` and a
-    rejection copies the previous state forward (flagged ``accepted=False``).
-    Proposals whose optimization failed are rejected outright.  Every
-    proposal must carry a log-det.
+    Returns, for each chain position, the index of the proposal it holds,
+    and the accept flags.  The first converged proposal is auto-accepted and
+    also fills the positions before it (not accepted); afterwards a
+    converged proposal is accepted with probability ``min(1, exp((ld_new -
+    ld_prev)/2))``, one ``rng.uniform()`` each, and a rejection holds the
+    previous state.  Proposals whose optimization failed are rejected
+    outright, without a draw.
     """
-    proposals = list(proposals)
-    if not proposals:
-        raise ConfigError("empty proposal stream")
-    for p in proposals:
-        if p.log_det_j is None:
-            raise ConfigError("cannot filter a proposal without log_det_j")
-    start = next((i for i, p in enumerate(proposals) if p.optimizer_converged), None)
-    if start is None:
+    log_det = np.asarray(log_det, dtype=np.float64)
+    converged = np.asarray(converged, dtype=bool)
+    if log_det.ndim != 1 or log_det.size == 0 or converged.shape != log_det.shape:
+        raise ConfigError("log-dets and converged flags must be nonempty vectors of equal length")
+    usable = np.flatnonzero(converged)
+    if usable.size == 0:
         raise EnsembleFailureError("no converged proposals to filter")
 
-    current = replace(proposals[start], accepted=True)
-    out = []
-    n_accept = 0
-    for i, prop in enumerate(proposals):
-        if i < start:
-            out.append(replace(current, accepted=False))
-        elif i == start:
-            out.append(current)
-            n_accept += 1
-        elif not prop.optimizer_converged:
-            out.append(replace(current, accepted=False))
-        else:
-            log_ratio = 0.5 * (prop.log_det_j - current.log_det_j)
-            threshold = np.exp(min(0.0, log_ratio)) if np.isfinite(log_ratio) else 0.0
-            if rng.uniform() < threshold:
-                current = replace(prop, accepted=True)
-                out.append(current)
-                n_accept += 1
-            else:
-                out.append(replace(current, accepted=False))
-    return PosteriorEnsemble(
-        samples=tuple(out),
-        config={},
-        acceptance_rate=n_accept / len(proposals),
-    )
+    current = usable[0]
+    accepted = np.zeros(log_det.size, dtype=bool)
+    accepted[current] = True
+    values = log_det.tolist()  # Python floats: -inf - -inf is a quiet nan, rejected below
+    for i in usable[1:]:
+        log_ratio = 0.5 * (values[i] - values[current])
+        threshold = np.exp(min(0.0, log_ratio)) if np.isfinite(log_ratio) else 0.0
+        if rng.uniform() < threshold:
+            current = i
+            accepted[i] = True
+    # Each position holds the latest accepted proposal at or before it.
+    index = np.maximum.accumulate(np.where(accepted, np.arange(log_det.size), usable[0]))
+    return index, accepted
 
 
 @dataclass(frozen=True)
@@ -246,9 +237,10 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
     residual entries each, through :func:`minimize_batch`, every row
     warm-started at the MAP by default; log-dets plus the Metropolis pass
     are applied when enabled.  The log-det of a converged proposal takes its
-    misfit ``R(z_star) - omega``.  More than ``max_failure_fraction``
-    non-converged solves aborts with diagnostics; below that, failures stay
-    flagged in the ensemble (unfiltered runs) or are rejected by the filter.
+    misfit ``R(z_star) - omega``; an unconverged one gets ``-inf``.  More
+    than ``max_failure_fraction`` non-converged solves aborts with
+    diagnostics; below that, failures stay flagged in the ensemble
+    (unfiltered runs) or are rejected by the filter.
     """
     config = config or EnsembleConfig()
     if n_ens < 1:
@@ -262,55 +254,46 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
         init = map_optimize(model, params, config=config.optim).coefficients.stacked
 
     rows = max(1, BLOCK_ENTRIES // model.n_residual)
-    proposals = []
+    z, loss, converged, log_det, seeds = [], [], [], [], []
     for first in range(0, n_ens, rows):
-        indices = range(first, min(first + rows, n_ens))
-        block = [draw_noise(model, params, config.base_seed, i) for i in indices]
-        loss = PickleLoss(
-            model,
-            params,
-            np.array([noise.omega for noise in block]),
-            np.array([noise.alpha for noise in block]),
-            np.array([noise.beta for noise in block]),
-        )
-        res = minimize_batch(loss, np.tile(init, (len(block), 1)), config.optim)
-        for k, noise in enumerate(block):
-            z = CoefficientPair.from_stacked(res.z[k], model.n_xi)
-            converged = bool(res.converged[k])
-            log_det = None
-            if metropolize and converged:
-                delta = model.residual(z.xi, z.eta) - noise.omega
-                log_det = jacobian_logdet(model, params, z, delta)
+        block = [draw_noise(model, params, config.base_seed, i) for i in range(first, min(first + rows, n_ens))]
+        targets = [np.array([getattr(noise, name) for noise in block]) for name in ("omega", "alpha", "beta")]
+        res = minimize_batch(PickleLoss(model, params, *targets), np.tile(init, (len(block), 1)), config.optim)
+        z.append(res.z)
+        loss.append(res.loss)
+        converged.append(res.converged)
+        seeds += [noise.seed for noise in block]
+        for zk, ok, noise in zip(res.z, res.converged, block):
+            if metropolize and not ok:
+                log_det.append(float("-inf"))
             elif metropolize:
-                log_det = float("-inf")
-            proposals.append(
-                PosteriorSample(
-                    z_star=z,
-                    loss=float(res.loss[k]),
-                    log_det_j=log_det,
-                    accepted=True,
-                    optimizer_converged=converged,
-                    seed=noise.seed,
-                )
-            )
+                delta = model.residual(zk[: model.n_xi], zk[model.n_xi :]) - noise.omega
+                log_det.append(jacobian_logdet(model, params, zk, delta))
+    z, loss, converged = np.concatenate(z), np.concatenate(loss), np.concatenate(converged)
 
-    failed = [i for i, p in enumerate(proposals) if not p.optimizer_converged]
-    if len(failed) > config.max_failure_fraction * n_ens:
+    failed = np.flatnonzero(~converged)
+    if failed.size > config.max_failure_fraction * n_ens:
         preview = ", ".join(str(i) for i in failed[:10])
         raise EnsembleFailureError(
-            f"{len(failed)} of {n_ens} randomized solves did not converge "
+            f"{failed.size} of {n_ens} randomized solves did not converge "
             f"(limit {config.max_failure_fraction:.0%}); failed indices: {preview}"
         )
 
-    snapshot = _config_snapshot(params, n_ens, config, metropolize)
+    index, accepted, rate = np.arange(n_ens), np.ones(n_ens, dtype=bool), None
     if metropolize:
-        ensemble = metropolis_filter(proposals, spawn_rng(config.base_seed, STREAM_METROPOLIS))
-        return replace(ensemble, config=snapshot, n_failed=len(failed))
+        index, accepted = metropolis_filter(log_det, converged, spawn_rng(config.base_seed, STREAM_METROPOLIS))
+        rate = np.count_nonzero(accepted) / n_ens
     return PosteriorEnsemble(
-        samples=tuple(proposals),
-        config=snapshot,
-        acceptance_rate=None,
-        n_failed=len(failed),
+        z=z[index],
+        n_xi=model.n_xi,
+        loss=loss[index],
+        log_det_j=np.asarray(log_det)[index] if metropolize else None,
+        accepted=accepted,
+        converged=converged[index],
+        seeds=[seeds[i] for i in index],
+        config=_config_snapshot(params, n_ens, config, metropolize),
+        acceptance_rate=rate,
+        n_failed=failed.size,
     )
 
 
@@ -324,9 +307,8 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
     ``meta`` adds extra ``# key=value`` comment lines (sorted by key), for
     provenance stamps like a config hash.
     """
-    first = ensemble.samples[0]
-    n_xi = first.z_star.xi.size
-    n_eta = first.z_star.eta.size
+    n_xi = ensemble.n_xi
+    n_eta = ensemble.z.shape[1] - n_xi
     cols = (
         ["seed"]
         + [f"xi_{i}" for i in range(n_xi)]
@@ -340,21 +322,21 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
     for key in sorted(meta or {}):
         lines.append(f"# {key}={meta[key]}")
     lines.append(",".join(cols))
-    for s in ensemble.samples:
-        row = [s.seed]
-        row += [float_token(v) for v in s.z_star.xi]
-        row += [float_token(v) for v in s.z_star.eta]
-        row.append(float_token(s.loss))
-        row.append("" if s.log_det_j is None else float_token(s.log_det_j))
-        row.append("1" if s.accepted else "0")
-        row.append("1" if s.optimizer_converged else "0")
+    log_det = [""] * len(ensemble) if ensemble.log_det_j is None else map(float_token, ensemble.log_det_j)
+    columns = zip(ensemble.seeds, ensemble.z, ensemble.loss, log_det, ensemble.accepted, ensemble.converged)
+    for seed, z, loss, ld, accepted, converged in columns:
+        row = [seed, *map(float_token, z), float_token(loss), ld, "1" if accepted else "0", "1" if converged else "0"]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def ensemble_from_csv(path) -> PosteriorEnsemble:
-    """Rebuild an ensemble from its CSV."""
+    """Rebuild an ensemble from its CSV.
+
+    A row with the wrong number of columns, or a log-det column blank on
+    some rows and filled on others, raises :class:`ConfigError`.
+    """
     meta = {}
     rows = []
     header = None
@@ -368,29 +350,25 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
                 header = line.split(",")
             elif line:
                 rows.append(line.split(","))
-    if header is None or "n_xi" not in meta:
+    if header is None or "n_xi" not in meta or "n_eta" not in meta:
         raise ConfigError(f"not an ensemble CSV: {path}")
     n_xi = int(meta["n_xi"])
-    n_eta = int(meta["n_eta"])
-    samples = []
-    for row in rows:
-        values = row[1 : 1 + n_xi + n_eta]
-        loss, log_det, accepted, converged = row[1 + n_xi + n_eta :]
-        samples.append(
-            PosteriorSample(
-                z_star=CoefficientPair.from_stacked(
-                    np.array([float(v) for v in values]), n_xi
-                ),
-                loss=float(loss),
-                log_det_j=None if log_det == "" else float(log_det),
-                accepted=accepted == "1",
-                optimizer_converged=converged == "1",
-                seed=row[0],
-            )
-        )
+    width = 1 + n_xi + int(meta["n_eta"]) + 4
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ConfigError(f"{path}: sample row {k} has {len(row)} columns, expected {width}")
+    log_det = [row[-3] for row in rows]
+    if "" in log_det and any(log_det):
+        raise ConfigError(f"{path}: log_det_j is blank on some rows and set on others")
     rate = meta.get("acceptance_rate")
     return PosteriorEnsemble(
-        samples=tuple(samples),
+        z=[[float(v) for v in row[1:-4]] for row in rows],
+        n_xi=n_xi,
+        loss=[float(row[-4]) for row in rows],
+        log_det_j=None if "" in log_det else [float(v) for v in log_det],
+        accepted=[row[-2] == "1" for row in rows],
+        converged=[row[-1] == "1" for row in rows],
+        seeds=[row[0] for row in rows],
         config={},
         acceptance_rate=None if rate is None else float(rate),
         n_failed=int(meta.get("n_failed", 0)),
@@ -402,7 +380,7 @@ def write_manifest(ensemble: PosteriorEnsemble, path, extra: dict | None = None)
     doc = {
         "config": ensemble.config,
         "gamma": ensemble.config.get("sigma_r_sq"),
-        "n_ens": len(ensemble.samples),
+        "n_ens": len(ensemble),
         "acceptance_rate": ensemble.acceptance_rate,
         "n_failed": ensemble.n_failed,
         "moments_defined": ensemble.moments_defined,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -237,17 +238,18 @@ class TestLinearCaseStages:
         assert cli.main(["sample-hmc", "--config", path, "--threads", "3"]) == 0
 
 
+PIPELINE = {
+    "sigma_r_sq": [0.05, 0.2],
+    "sampler": {"kind": "both", "n_ens": 8, "hmc_samples": 30, "hmc_chains": 2, "hmc_burn_in": 100},
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Full six-stage run over two sigma_r_sq values, shared by read-only tests."""
     root = tmp_path_factory.mktemp("pipeline")
     out_dir = root / "out"
-    path = write_config(
-        root / "config.json",
-        out_dir,
-        sigma_r_sq=[0.05, 0.2],
-        sampler={"kind": "both", "n_ens": 8, "hmc_samples": 30, "hmc_chains": 2, "hmc_burn_in": 100},
-    )
+    path = write_config(root / "config.json", out_dir, **PIPELINE)
     for stage in STAGES:
         assert cli.main([stage, "--config", path]) == 0
     return cli.load_run_config(path), str(out_dir)
@@ -318,6 +320,38 @@ class TestPipelineArtifacts:
             timing = json.load(fh)
         assert set(timing) == set(STAGES)
         assert all(value >= 0 for value in timing.values())
+
+
+class TestCorruptInputs:
+    """Bad files from earlier stages end ``diagnose`` with exit 1 and an ``error:`` line."""
+
+    @staticmethod
+    def corrupt_copy(pipeline, tmp_path, rel, edit):
+        _, out_dir = pipeline
+        shutil.copytree(out_dir, tmp_path / "out")
+        target = tmp_path / "out" / rel
+        lines = target.read_text().splitlines()
+        target.write_text("\n".join(edit(lines)) + "\n")
+        return write_config(tmp_path / "config.json", tmp_path / "out", **PIPELINE)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:-2] + [lines[-1], lines[-1]],  # a repeated cell, one left out
+            lambda lines: lines[:-2] + lines[-1:],  # a missing cell
+        ],
+    )
+    def test_bad_reference_field(self, pipeline, tmp_path, capsys, edit):
+        path = self.corrupt_copy(pipeline, tmp_path, "case/y_ref.csv", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "each once" in err
+
+    def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
+        edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731
+        path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/rpickle.csv", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        assert "columns" in capsys.readouterr().err
 
 
 class TestDegenerateEnsemble:

@@ -21,26 +21,30 @@ from rpickle.errors import ConfigError, NonPsdHessianError
 from rpickle.gp_prior import CkleBasis, ConditionedGP, KernelParams, build_basis, matern52
 from rpickle.mesh_fv import build_structured_mesh
 from rpickle.pickle_map import CoefficientPair, LossParams, map_optimize
-from rpickle.rpickle_sampler import PosteriorEnsemble, PosteriorSample
+from rpickle.rpickle_sampler import PosteriorEnsemble
 
 import cases
 import oracles
 
 
-def synthetic_ensemble(xi_rows, eta_width=0):
-    """Wrap raw coefficient rows as a converged, unfiltered ensemble."""
-    samples = [
-        PosteriorSample(
-            z_star=CoefficientPair(xi=row, eta=np.zeros(eta_width)),
-            loss=0.0,
-            log_det_j=None,
-            accepted=True,
-            optimizer_converged=True,
-            seed=f"0/3/{i}",
-        )
-        for i, row in enumerate(np.atleast_2d(xi_rows))
-    ]
-    return PosteriorEnsemble(samples=samples, config={}, acceptance_rate=None)
+def synthetic_ensemble(xi_rows):
+    """Wrap raw xi rows as a converged, unfiltered ensemble.
+
+    Two eta columns of noise ride along, which the field moments must ignore.
+    """
+    xi_rows = np.atleast_2d(xi_rows)
+    n = xi_rows.shape[0]
+    return PosteriorEnsemble(
+        z=np.hstack([xi_rows, np.random.default_rng(0).standard_normal((n, 2))]),
+        n_xi=xi_rows.shape[1],
+        loss=np.zeros(n),
+        log_det_j=None,
+        accepted=np.ones(n, dtype=bool),
+        converged=np.ones(n, dtype=bool),
+        seeds=[f"0/3/{i}" for i in range(n)],
+        config={},
+        acceptance_rate=None,
+    )
 
 
 def small_basis(n_cells=25, n_terms=4, seed=3):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,3 +173,12 @@ class TestBuildCase:
         np.testing.assert_array_equal(back.y_obs.cells, case.y_obs.cells)
         np.testing.assert_array_equal(back.u_obs.values, case.u_obs.values)
         assert back.provenance == case.provenance
+
+    def test_load_rejects_negative_observation_cell(self, tmp_path):
+        mesh, _, case = self.make()
+        fg.save_case(case, mesh, tmp_path)
+        doc = json.loads((tmp_path / "case.json").read_text())
+        doc["y_obs"]["cells"][0] = -1
+        (tmp_path / "case.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            fg.load_case(tmp_path)

@@ -401,6 +401,15 @@ class TestObservations:
         with pytest.raises(ConfigError, match="one observation per cell"):
             gp.Observations(locations=np.zeros((2, 2)), values=[1.0, 2.0], cells=[3, 3])
 
+    def test_rejects_negative_cells(self):
+        # A -1 would index the last cell of the field from the end.
+        with pytest.raises(ConfigError, match="nonnegative"):
+            gp.condition_on_cells(
+                np.zeros(4),
+                np.eye(4),
+                gp.Observations(locations=np.zeros((1, 2)), values=[1.0], cells=[-1]),
+            )
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigError):
             gp.Observations(locations=np.zeros((2, 2)), values=[1.0], cells=[0, 1])

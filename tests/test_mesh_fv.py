@@ -424,3 +424,22 @@ class TestSerialization:
         mf.save_field_csv(path, mesh, values, name="y", meta={"seed": 7})
         assert path.read_text().startswith("# seed=7\n")
         np.testing.assert_array_equal(mf.load_field_csv(path), values)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [((0, 0, 2), "each once"), ((0, 1, 3), "each once"), ((-1, 0, 1), "each once")],
+    )
+    def test_field_csv_rejects_repeated_or_missing_cells(self, tmp_path, cells, message):
+        # A repeated cell used to leave another cell uninitialized and a gap
+        # used to raise IndexError; both are bad input, reported as such.
+        path = tmp_path / "field.csv"
+        rows = [f"{c},0.5,0.5,{2.5 + c}" for c in cells]
+        path.write_text("\n".join(["cell,x,y,y", *rows]) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            mf.load_field_csv(path)
+
+    def test_field_csv_rejects_short_row(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("cell,x,y,y\n0,0.5,0.5,1.0\n1,0.5\n")
+        with pytest.raises(ConfigError, match="fewer than 4 columns"):
+            mf.load_field_csv(path)

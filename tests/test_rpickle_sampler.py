@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rpickle.errors import ConfigError, EnsembleFailureError
 from rpickle.pickle_map import (
-    CoefficientPair,
     LossParams,
     OptimConfig,
     PickleLoss,
@@ -14,7 +15,6 @@ from rpickle.rpickle_sampler import (
     EnsembleConfig,
     NoiseDraw,
     PosteriorEnsemble,
-    PosteriorSample,
     draw_noise,
     ensemble_from_csv,
     ensemble_to_csv,
@@ -63,15 +63,51 @@ class _QuadraticResidual:
         return np.array([[2.0 * float(w[0])]])
 
 
-def dummy_sample(log_det, converged=True, value=0.0, seed="s"):
-    return PosteriorSample(
-        z_star=CoefficientPair(xi=np.array([value]), eta=np.array([])),
-        loss=0.0,
+class _Uniforms:
+    """Stand-in RNG that hands out a fixed list of uniforms and counts the draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def uniform(self):
+        self.drawn += 1
+        return self.values[self.drawn - 1]
+
+
+def hand_ensemble(log_det=None):
+    """Four rows of hand-written columns, among them an unconverged row and ``-0.0``.
+
+    ``log_det`` None gives the unfiltered layout.  The rows need not form a
+    chain the filter could produce; they exercise the file layout only.
+    """
+    return PosteriorEnsemble(
+        z=[[0.5, -1.0, 2.0], [0.25, 0.0, -3.5], [1e-300, 7.0, 0.1], [-0.0, 1.5, 2.5]],
+        n_xi=2,
+        loss=[1.5, 2.25, 1e9, 0.0],
         log_det_j=log_det,
-        accepted=True,
-        optimizer_converged=converged,
-        seed=seed,
+        accepted=[True, False, True, True],
+        converged=[True, True, False, True],
+        seeds=["4/3/0", "4/3/0", "4/3/2", "4/3/3"],
+        config={},
+        acceptance_rate=None if log_det is None else 0.75,
+        n_failed=1,
     )
+
+
+def assert_same_ensemble(a, b):
+    assert a.n_xi == b.n_xi
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.loss, b.loss)
+    if a.log_det_j is None:
+        assert b.log_det_j is None
+    else:
+        assert np.array_equal(a.log_det_j, b.log_det_j)
+    assert np.array_equal(a.accepted, b.accepted)
+    assert np.array_equal(a.converged, b.converged)
+    assert a.seeds == b.seeds
+    assert a.acceptance_rate == b.acceptance_rate
+    assert a.n_failed == b.n_failed
 
 
 class TestRandomizedLoss:
@@ -139,15 +175,13 @@ class TestEnsembleSolves:
         ensemble = run_ensemble(model, params, 3, EnsembleConfig(base_seed=7, metropolize=False))
         g = np.hstack([model.a_matrix, model.b_matrix])
         lhs = g.T @ g / params.sigma_r_sq + np.eye(9)
-        for index, sample in enumerate(ensemble.samples):
+        assert ensemble.converged.all()
+        for index, z in enumerate(ensemble.z):
             noise = draw_noise(model, params, base_seed=7, index=index)
             rhs = g.T @ (model.c_vector + noise.omega) / params.sigma_r_sq + np.concatenate(
                 [noise.alpha, noise.beta]
             )
-            np.testing.assert_allclose(
-                sample.z_star.stacked, np.linalg.solve(lhs, rhs), rtol=0, atol=1e-8
-            )
-            assert sample.optimizer_converged
+            np.testing.assert_allclose(z, np.linalg.solve(lhs, rhs), rtol=0, atol=1e-8)
 
     def test_zero_noise_recovers_map(self):
         model, params, _ = cases.make_flow_case()
@@ -170,10 +204,7 @@ class TestEnsembleSolves:
         config = EnsembleConfig(base_seed=9)
         a = run_ensemble(model, params, 6, config)
         b = run_ensemble(model, params, 6, config)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.z_star.stacked, sb.z_star.stacked)
-            assert sa.loss == sb.loss
-            assert sa.log_det_j == sb.log_det_j
+        assert_same_ensemble(a, b)
 
     def test_block_size_changes_rows_only_within_tolerance(self):
         # Solving the same draws as 40 one-row blocks or as one 40-row block
@@ -248,20 +279,14 @@ class TestJacobianLogdet:
 
 class TestMetropolisFilter:
     def test_equal_logdets_accept_everything(self):
-        proposals = [dummy_sample(1.7, value=float(i)) for i in range(50)]
-        ens = metropolis_filter(proposals, spawn_rng(0, 4))
-        assert ens.acceptance_rate == 1.0
-        assert all(s.accepted for s in ens.samples)
-        got = [float(s.z_star.xi[0]) for s in ens.samples]
-        assert got == [float(i) for i in range(50)]
+        index, accepted = metropolis_filter(np.full(50, 1.7), np.ones(50, dtype=bool), spawn_rng(0, 4))
+        assert accepted.all()
+        assert index.tolist() == list(range(50))
 
     def test_alternating_logdets_accept_at_expected_rate(self):
         n = 100_000
-        proposals = [
-            dummy_sample(0.0 if i % 2 == 0 else -2.0, value=float(i)) for i in range(n)
-        ]
-        ens = metropolis_filter(proposals, spawn_rng(1, 4))
-        flags = np.array([s.accepted for s in ens.samples])
+        log_det = np.where(np.arange(n) % 2 == 0, 0.0, -2.0)
+        _, flags = metropolis_filter(log_det, np.ones(n, dtype=bool), spawn_rng(1, 4))
         # Every even proposal faces a ratio >= 1; every odd one faces e^{-1}.
         assert flags[0::2].all()
         p = np.exp(-1.0)
@@ -269,42 +294,95 @@ class TestMetropolisFilter:
         assert abs(flags[1::2].mean() - p) <= 3 * se
 
     def test_rejection_carries_previous_state(self):
-        proposals = [dummy_sample(0.0, value=0.0), dummy_sample(-200.0, value=1.0)]
-        ens = metropolis_filter(proposals, spawn_rng(2, 4))
-        assert ens.samples[1].accepted is False
-        assert float(ens.samples[1].z_star.xi[0]) == 0.0
-        assert ens.samples[1].log_det_j == 0.0
-        assert ens.acceptance_rate == 0.5
+        index, accepted = metropolis_filter([0.0, -200.0], [True, True], spawn_rng(2, 4))
+        assert index.tolist() == [0, 0]
+        assert accepted.tolist() == [True, False]
 
     def test_single_proposal_accepted(self):
-        ens = metropolis_filter([dummy_sample(-3.0)], spawn_rng(3, 4))
-        assert ens.acceptance_rate == 1.0
-        assert ens.samples[0].accepted
+        index, accepted = metropolis_filter([-3.0], [True], spawn_rng(3, 4))
+        assert index.tolist() == [0] and accepted.tolist() == [True]
 
     def test_missing_logdet_aborts(self):
         with pytest.raises(ConfigError):
-            metropolis_filter([dummy_sample(None)], spawn_rng(4, 4))
+            metropolis_filter(None, [True], spawn_rng(4, 4))
+
+    @pytest.mark.parametrize(
+        "log_det, converged", [([], []), ([0.0, 0.0], [True]), ([[0.0]], [[True]])]
+    )
+    def test_empty_or_mismatched_inputs_rejected(self, log_det, converged):
+        with pytest.raises(ConfigError):
+            metropolis_filter(log_det, converged, spawn_rng(4, 4))
+
+    def test_no_converged_proposal_aborts(self):
+        with pytest.raises(EnsembleFailureError):
+            metropolis_filter([0.0, 0.0], [False, False], spawn_rng(4, 4))
 
     def test_failed_proposals_rejected_and_backfilled(self):
-        proposals = [
-            dummy_sample(0.0, converged=False, value=9.0),
-            dummy_sample(0.0, value=1.0),
-            dummy_sample(0.0, converged=False, value=8.0),
-            dummy_sample(0.0, value=3.0),
-        ]
-        ens = metropolis_filter(proposals, spawn_rng(5, 4))
-        values = [float(s.z_star.xi[0]) for s in ens.samples]
-        assert values == [1.0, 1.0, 1.0, 3.0]
-        assert [s.accepted for s in ens.samples] == [False, True, False, True]
-        assert all(s.optimizer_converged for s in ens.samples)
+        # The leading failure holds a copy of the first converged proposal.
+        index, accepted = metropolis_filter(
+            np.zeros(4), [False, True, False, True], spawn_rng(5, 4)
+        )
+        assert index.tolist() == [1, 1, 1, 3]
+        assert accepted.tolist() == [False, True, False, True]
+
+    def test_one_uniform_per_converged_proposal_after_the_first(self):
+        # Hand-built stream: proposal 0 is a failure, 1 the auto-accepted
+        # start, 2 faces ratio e^{-1} and draws 0.5 (rejected), 3 is a failure
+        # (no draw), 4 faces ratio 1 from the held state and draws 0.99.
+        rng = _Uniforms([0.5, 0.99])
+        index, accepted = metropolis_filter(
+            [0.0, 0.0, -2.0, 5.0, 0.0], [False, True, True, False, True], rng
+        )
+        assert rng.drawn == 2
+        assert index.tolist() == [1, 1, 1, 1, 4]
+        assert accepted.tolist() == [False, True, False, False, True]
+
+    def test_minus_infinity_logdets_never_accepted(self):
+        # A -inf proposal after a finite state has ratio 0; a -inf start
+        # leaves every ratio undefined, so nothing after it is accepted.
+        # Each still draws its uniform.
+        rng = _Uniforms([0.0, 0.0])
+        index, accepted = metropolis_filter([0.0, -np.inf, 0.0], [True] * 3, rng)
+        assert index.tolist() == [0, 0, 2] and accepted.tolist() == [True, False, True]
+        rng = _Uniforms([0.0, 0.0])
+        index, accepted = metropolis_filter([-np.inf, 0.0, -np.inf], [True] * 3, rng)
+        assert index.tolist() == [0, 0, 0] and accepted.tolist() == [True, False, False]
+        assert rng.drawn == 2
 
     def test_deterministic_given_rng_seed(self):
-        proposals = [
-            dummy_sample(0.0 if i % 2 == 0 else -1.0, value=float(i)) for i in range(200)
-        ]
-        a = metropolis_filter(proposals, spawn_rng(6, 4))
-        b = metropolis_filter(proposals, spawn_rng(6, 4))
-        assert [s.accepted for s in a.samples] == [s.accepted for s in b.samples]
+        log_det = np.where(np.arange(200) % 2 == 0, 0.0, -1.0)
+        a = metropolis_filter(log_det, np.ones(200, dtype=bool), spawn_rng(6, 4))
+        b = metropolis_filter(log_det, np.ones(200, dtype=bool), spawn_rng(6, 4))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestPosteriorEnsemble:
+    def test_usable_rows_are_the_converged_ones(self):
+        ens = hand_ensemble()
+        assert len(ens) == 4 and ens.n_usable == 3 and ens.moments_defined
+        np.testing.assert_array_equal(ens.coefficient_matrix(), ens.z[[0, 1, 3]])
+
+    def test_no_usable_rows(self):
+        ens = replace(hand_ensemble(), converged=[False] * 4)
+        assert not ens.moments_defined
+        with pytest.raises(ConfigError, match="usable"):
+            ens.coefficient_matrix()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"z": np.zeros((0, 3))},
+            {"loss": [0.0] * 3},
+            {"log_det_j": [0.0] * 5},
+            {"accepted": [True]},
+            {"converged": [True] * 5},
+            {"seeds": ["a"]},
+            {"n_xi": 4},
+        ],
+    )
+    def test_misaligned_columns_rejected(self, change):
+        with pytest.raises(ConfigError):
+            replace(hand_ensemble(), **change)
 
 
 class TestRunEnsemble:
@@ -350,20 +428,21 @@ class TestRunEnsemble:
         model, params, _ = cases.make_flow_case()
         config = EnsembleConfig(base_seed=3)
         ensemble = run_ensemble(model, params, 40, config)
-        for sample in ensemble.samples:
-            if not sample.accepted:
+        rows = zip(ensemble.z, ensemble.loss, ensemble.seeds, ensemble.accepted)
+        for z, loss, seed, accepted in rows:
+            if not accepted:
                 continue
-            index = int(sample.seed.split("/")[-1])
-            noise = draw_noise(model, params, 3, index)
-            dr = model.residual(sample.z_star.xi, sample.z_star.eta) - noise.omega
-            g_xi, g_eta = model.vjp(sample.z_star.xi, sample.z_star.eta, dr / params.sigma_r_sq)
+            xi, eta = z[: model.n_xi], z[model.n_xi :]
+            noise = draw_noise(model, params, 3, int(seed.split("/")[-1]))
+            dr = model.residual(xi, eta) - noise.omega
+            g_xi, g_eta = model.vjp(xi, eta, dr / params.sigma_r_sq)
             grad = np.concatenate(
                 [
-                    g_xi + (sample.z_star.xi - noise.alpha) / params.sigma_xi_sq,
-                    g_eta + (sample.z_star.eta - noise.beta) / params.sigma_eta_sq,
+                    g_xi + (xi - noise.alpha) / params.sigma_xi_sq,
+                    g_eta + (eta - noise.beta) / params.sigma_eta_sq,
                 ]
             )
-            assert np.linalg.norm(grad) <= 1e-6 * (1.0 + sample.loss)
+            assert np.linalg.norm(grad) <= 1e-6 * (1.0 + loss)
 
     def test_darcy_acceptance_rate_high(self):
         model, params, _ = cases.make_flow_case()
@@ -372,14 +451,14 @@ class TestRunEnsemble:
         assert ensemble.acceptance_rate >= 0.9
 
     def test_delta_invariant_on_flow_samples(self):
-        # Each stored log-det is taken at its own sample's misfit R(z) - omega.
+        # Each stored log-det is taken at its own row's misfit R(z) - omega,
+        # so the filter's index keeps coefficients, seeds and log-dets aligned.
         model, params, _ = cases.make_flow_case()
         ensemble = run_ensemble(model, params, 20, EnsembleConfig(base_seed=5))
-        for sample in ensemble.samples:
-            index = int(sample.seed.split("/")[-1])
-            noise = draw_noise(model, params, 5, index)
-            delta = model.residual(sample.z_star.xi, sample.z_star.eta) - noise.omega
-            assert sample.log_det_j == jacobian_logdet(model, params, sample.z_star, delta)
+        for z, seed, log_det in zip(ensemble.z, ensemble.seeds, ensemble.log_det_j):
+            noise = draw_noise(model, params, 5, int(seed.split("/")[-1]))
+            delta = model.residual(z[: model.n_xi], z[model.n_xi :]) - noise.omega
+            assert log_det == jacobian_logdet(model, params, z, delta)
 
     def test_unfiltered_statistics_order_invariant(self):
         rng = np.random.default_rng(27)
@@ -409,28 +488,55 @@ class TestRunEnsemble:
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 8, EnsembleConfig(base_seed=8))
+        path = tmp_path / "ens.csv"
+        for metropolize in (True, False):
+            ensemble = run_ensemble(model, params, 8, EnsembleConfig(base_seed=8, metropolize=metropolize))
+            ensemble_to_csv(ensemble, path)
+            assert_same_ensemble(ensemble, ensemble_from_csv(path))
+
+    @pytest.mark.parametrize("log_det", [None, [0.0, 0.0, -np.inf, -1.25]])
+    def test_hand_built_roundtrip_keeps_infinities_and_failures(self, tmp_path, log_det):
+        ensemble = hand_ensemble(log_det)
         path = tmp_path / "ens.csv"
         ensemble_to_csv(ensemble, path)
-        again = ensemble_from_csv(path)
-        assert len(again) == len(ensemble)
-        assert again.acceptance_rate == ensemble.acceptance_rate
-        assert again.n_failed == ensemble.n_failed
-        for a, b in zip(ensemble.samples, again.samples):
-            assert np.array_equal(a.z_star.stacked, b.z_star.stacked)
-            assert a.loss == b.loss
-            assert a.log_det_j == b.log_det_j
-            assert a.accepted == b.accepted
-            assert a.seed == b.seed
+        assert_same_ensemble(ensemble, ensemble_from_csv(path))
 
     def test_csv_rewrite_is_byte_identical(self, tmp_path):
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 5, EnsembleConfig(base_seed=9))
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        ensemble_to_csv(ensemble, first)
-        ensemble_to_csv(ensemble_from_csv(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        ensembles = [
+            run_ensemble(model, params, 5, EnsembleConfig(base_seed=9, metropolize=metropolize))
+            for metropolize in (True, False)
+        ]
+        for ensemble in ensembles + [hand_ensemble(), hand_ensemble([0.0, 0.0, -np.inf, -1.25])]:
+            ensemble_to_csv(ensemble, first, meta={"config_hash": "abc"})
+            ensemble_to_csv(ensemble_from_csv(first), second, meta={"config_hash": "abc"})
+            assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row[:-1],  # a column short
+            lambda row: row + ["1"],  # a column too many
+            lambda row: row[:-3] + [""] + row[-2:],  # blank log-det on one row only
+        ],
+    )
+    def test_malformed_row_rejected(self, tmp_path, edit):
+        path = tmp_path / "ens.csv"
+        ensemble_to_csv(hand_ensemble([0.0, 0.0, -np.inf, -1.25]), path)
+        lines = path.read_text().splitlines()
+        lines[-2] = ",".join(edit(lines[-2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="row|log_det_j"):
+            ensemble_from_csv(path)
+
+    def test_header_without_block_sizes_rejected(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        ensemble_to_csv(hand_ensemble(), path)
+        path.write_text(path.read_text().replace("# n_eta=1\n", ""))
+        with pytest.raises(ConfigError, match="not an ensemble CSV"):
+            ensemble_from_csv(path)
 
     def test_manifest_contents(self, tmp_path):
         import json

@@ -69,7 +69,6 @@ from .gp_prior import (
 from .hmc_sampler import HmcConfig, chains_to_csv, run_hmc, write_hmc_manifest
 from .mesh_fv import boundary_values, build_structured_mesh
 from .pickle_map import (
-    CoefficientPair,
     LossParams,
     ResidualModel,
     map_optimize,
@@ -202,6 +201,10 @@ def _require_keys(section: dict, name: str, allowed) -> None:
 
 
 def _int_field(value, name: str, minimum: int) -> int:
+    """An integer field; an integral float such as ``8.0`` counts, a bool does not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}")
@@ -252,7 +255,9 @@ def parse_run_config(raw: dict) -> RunConfig:
 
     kernel = raw.get("kernel", {})
     _require_keys(kernel, "kernel", ("fit", "sigma", "length_scale"))
-    kernel_fit = bool(kernel.get("fit", False))
+    kernel_fit = kernel.get("fit", False)
+    if not isinstance(kernel_fit, bool):
+        raise ConfigError(f"kernel.fit must be true or false, got {kernel_fit!r}")
     sigma = kernel.get("sigma")
     length_scale = kernel.get("length_scale")
     if linear_case is None and not kernel_fit:
@@ -307,8 +312,8 @@ def parse_run_config(raw: dict) -> RunConfig:
     if kind not in SAMPLER_KINDS:
         raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {kind!r}")
     metropolize = sampler.get("metropolize")
-    if metropolize is not None:
-        metropolize = bool(metropolize)
+    if metropolize is not None and not isinstance(metropolize, bool):
+        raise ConfigError(f"sampler.metropolize must be true, false or null, got {metropolize!r}")
 
     return RunConfig(
         nx=_int_field(mesh.get("nx", 8), "mesh.nx", 1),
@@ -534,9 +539,9 @@ def cmd_map(config: RunConfig) -> None:
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         path = os.path.join(gamma_dir, "map.json")
-        map_result_to_json(result, path, meta=_json_stamp(config, gamma=gamma))
+        map_result_to_json(result, model.n_xi, gamma, path, meta=_json_stamp(config, gamma=gamma))
         print(
-            f"map: gamma={float_token(gamma)} loss={result.loss:.6e} "
+            f"map: gamma={float_token(gamma)} loss={result.loss * gamma:.6e} "
             f"converged={result.converged} -> {path}"
         )
 
@@ -589,14 +594,23 @@ def cmd_sample_hmc(config: RunConfig) -> None:
         print(f"sample-hmc: gamma={float_token(gamma)} acceptance=[{rates}] -> {gamma_dir}")
 
 
-def _map_point_from_json(path: str, n_xi: int) -> CoefficientPair:
-    with open(path) as fh:
-        doc = json.load(fh)
-    xi = np.asarray(doc["xi"], dtype=np.float64)
-    eta = np.asarray(doc["eta"], dtype=np.float64)
-    if xi.shape[0] != n_xi:
-        raise ConfigError(f"map file {path} has {xi.shape[0]} xi terms, model expects {n_xi}")
-    return CoefficientPair(xi=xi, eta=eta)
+def _map_point_from_json(path: str, n_xi: int, n_eta: int) -> np.ndarray:
+    """The stacked MAP vector of a ``map.json``, checked against the model's sizes."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        xi = np.asarray(doc["xi"], dtype=np.float64)
+        eta = np.asarray(doc["eta"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"map file {path} needs numeric xi and eta lists") from None
+    if xi.shape != (n_xi,) or eta.shape != (n_eta,):
+        raise ConfigError(
+            f"map file {path} has {xi.size}+{eta.size} xi+eta terms, model expects {n_xi}+{n_eta}"
+        )
+    z = np.concatenate([xi, eta])
+    if not np.all(np.isfinite(z)):
+        raise ConfigError(f"map file {path} has non-finite coefficients")
+    return z
 
 
 def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> dict:
@@ -614,7 +628,7 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
         return row
 
     map_point = _map_point_from_json(
-        _require(os.path.join(gamma_dir, "map.json"), "map"), model.n_xi
+        _require(os.path.join(gamma_dir, "map.json"), "map"), model.n_xi, model.n_eta
     )
     params = LossParams(sigma_r_sq=gamma)
     mean_field, std_field = posterior_moments(ensemble, y_basis)
@@ -687,7 +701,7 @@ def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) 
     print(f"oracle-check: n_ens={n_ens} seed={seed} cov_tol={cov_tol:g}")
 
     map_result = map_optimize(model, params)
-    map_err = float(np.max(np.abs(map_result.coefficients.stacked - mean)))
+    map_err = float(np.max(np.abs(map_result.z - mean)))
     checks = [("map vs oracle mean", map_err <= 1e-6, f"max coordinate error {map_err:.3e} (tol 1e-06)")]
 
     ensemble = run_ensemble(model, params, n_ens, EnsembleConfig(base_seed=seed, metropolize=False))

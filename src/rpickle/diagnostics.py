@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, NonPsdHessianError, SingularSystemError
 from .gp_prior import CkleBasis
-from .pickle_map import CoefficientPair, LossParams, PickleLoss
+from .pickle_map import LossParams, PickleLoss
 from .seeding import float_token
 
 __all__ = [
@@ -44,9 +44,9 @@ class LinearModel:
     """Affine residual ``R(xi, eta) = A xi + B eta - c``.
 
     Implements the same surface as the PDE residual model (``n_xi``,
-    ``jacobians``, ``vjp``, ``misfit_vjp``, ``hessian_contract``) so it can
-    be passed to any routine expecting one.  ``b_matrix=None`` means no eta
-    block.
+    ``n_eta``, ``n_residual``, ``residual``, ``jacobians``, ``vjp``,
+    ``misfit_vjp``, ``hessian_contract``) so it can be passed to any routine
+    expecting one.  ``b_matrix=None`` means no eta block.
     """
 
     a_matrix: np.ndarray
@@ -140,18 +140,12 @@ def linear_oracle(model: LinearModel, params: LossParams) -> tuple[np.ndarray, n
     """Exact Gaussian posterior (mean, covariance) for a linear model.
 
     With ``G = [A B]`` the precision is ``G^T G / sigma_r_sq`` plus the
-    block-diagonal prior precision, and the mean is ``cov @ G^T c /
-    sigma_r_sq``.  The returned covariance is symmetrized to remove roundoff
-    asymmetry.
+    identity (the coefficients' standard-normal prior), and the mean is
+    ``cov @ G^T c / sigma_r_sq``.  The returned covariance is symmetrized to
+    remove roundoff asymmetry.
     """
     g = np.hstack([model.a_matrix, model.b_matrix])
-    prior_diag = np.concatenate(
-        [
-            np.full(model.n_xi, 1.0 / params.sigma_xi_sq),
-            np.full(model.n_eta, 1.0 / params.sigma_eta_sq),
-        ]
-    )
-    precision = g.T @ g / params.sigma_r_sq + np.diag(prior_diag)
+    precision = g.T @ g / params.sigma_r_sq + np.eye(g.shape[1])
     try:
         factor = cho_factor(precision)
     except np.linalg.LinAlgError as exc:
@@ -282,26 +276,25 @@ def convergence_ratios(chain, coordinate: int) -> tuple[np.ndarray | None, np.nd
     return mean_ratios, std_ratios
 
 
-def laplace_posterior(
-    model, params: LossParams, map_point: CoefficientPair
-) -> tuple[np.ndarray, float, np.ndarray]:
+def laplace_posterior(model, params: LossParams, map_z) -> tuple[np.ndarray, float, np.ndarray]:
     """Gaussian (Laplace) posterior approximation around the MAP.
 
-    The negative log posterior is ``loss / gamma``; its Hessian at the MAP
-    (:meth:`PickleLoss.hessian` with the residual as misfit) is assembled
-    analytically from the residual Jacobian (Gauss-Newton term), the
-    second-derivative contraction against the residual, and the prior
-    precisions:
+    ``map_z`` is the stacked MAP vector ``(xi, eta)``.  The negative log
+    posterior is ``loss / gamma``; its Hessian at the MAP
+    (:meth:`PickleLoss.hessian` of the deterministic loss, whose misfit is
+    the residual) is assembled analytically from the residual Jacobian
+    (Gauss-Newton term), the second-derivative contraction against the
+    residual, and the unit prior precision:
 
-        H = (G^T G + sum_n R_n d2R_n) / sigma_r_sq + prior precision.
+        H = (G^T G + sum_n R_n d2R_n) / sigma_r_sq + I.
 
     Returns the covariance ``H^{-1}``, its condition number, and its
     eigenvalues sorted nonincreasing.  The caller is responsible for
     passing a stationary point; a Hessian with a nonpositive eigenvalue
     (saddle or worse) is rejected.
     """
-    r = model.residual(map_point.xi, map_point.eta)
-    hessian = PickleLoss(model, params).hessian(map_point.stacked, r)
+    loss = PickleLoss(model, params)
+    hessian = loss.hessian(loss.stacked(map_z))
     eigvals, eigvecs = np.linalg.eigh(hessian)
     if eigvals[0] <= 0.0:
         raise NonPsdHessianError(

@@ -163,13 +163,7 @@ class _DualAveraging:
 def _run_chain(model, params, config: HmcConfig, seed: int, chain_id: int) -> Chain:
     rng = spawn_rng(seed, STREAM_HMC, chain_id)
     dim = model.n_xi + model.n_eta
-    prior_scale = np.concatenate(
-        [
-            np.full(model.n_xi, np.sqrt(params.sigma_xi_sq)),
-            np.full(model.n_eta, np.sqrt(params.sigma_eta_sq)),
-        ]
-    )
-    z = prior_scale * rng.standard_normal(dim)
+    z = rng.standard_normal(dim)
 
     # Log posterior and gradient at the last point grad_fn saw.  Leapfrog's
     # last call is at the proposal, so its log posterior, and its gradient

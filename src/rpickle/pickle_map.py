@@ -2,22 +2,24 @@
 
 Writing the log-transmissivity and head fields through their truncated
 expansions turns the PDE into a residual ``R(xi, eta)`` over a modest number
-of coefficients.  The deterministic loss
+of coefficients, held as one stacked vector ``z = (xi, eta)``.  The
+expansion coefficients are standard normal a priori, so the deterministic
+loss
 
-    L(xi, eta) = 1/2 ||R||^2 + gamma/2 ||xi||^2 + gamma/2 ||eta||^2
+    L(z) = 1/2 ||R(z)||^2 + gamma/2 ||xi||^2 + gamma/2 ||eta||^2
 
-(with ``gamma = sigma_r_sq`` and unit prior variances) is, up to the factor
-``1/gamma`` and a constant, the negative log posterior of the coefficients
-under a Gaussian residual likelihood and standard-normal priors, so its
-minimizer is the MAP point.  :class:`PickleLoss` is the one place that loss,
-its noise-shifted form used for posterior sampling, and their derivatives are
-written.  The optimizer, :func:`minimize_batch`, is limited-memory BFGS on
-the ``1/gamma``-scaled loss (same argmin, better conditioned), run on many
-randomized draws at once in lockstep: each of its evaluations is one call of
-the model's fused misfit-and-adjoint method over every draw still running.
-A solve that ends above tolerance gets a damped Newton polish on the exact
-Hessian.  The MAP solve (:func:`map_optimize` through
-:func:`minimize_randomized`) is the one-row call of the same solver.
+(with ``gamma = sigma_r_sq``) is, up to the factor ``1/gamma`` and a
+constant, the negative log posterior of the coefficients under a Gaussian
+residual likelihood, so its minimizer is the MAP point.  :class:`PickleLoss`
+is the one place that loss, its noise-shifted form used for posterior
+sampling, and their derivatives are written.  The optimizer,
+:func:`minimize_batch`, is limited-memory BFGS on the ``1/gamma``-scaled
+loss (same argmin, better conditioned), run on many randomized draws at once
+in lockstep: each of its evaluations is one call of the model's fused
+misfit-and-adjoint method over every draw still running.  A solve that ends
+above tolerance gets a damped Newton polish on the exact Hessian.  The MAP
+solve (:func:`map_optimize` through :func:`minimize_randomized`) is the
+one-row call of the same solver.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from .seeding import write_json
 
 __all__ = [
     "LossParams",
-    "CoefficientPair",
     "ResidualModel",
     "PickleLoss",
     "OptimConfig",
     "OptimResult",
-    "MapResult",
     "map_optimize",
     "sweep_gammas",
     "minimize_randomized",
@@ -50,39 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossParams:
-    """Residual variance (the regularization weight) and prior variances."""
+    """Residual variance ``sigma_r_sq``, the loss's regularization weight ``gamma``."""
 
     sigma_r_sq: float
-    sigma_xi_sq: float = 1.0
-    sigma_eta_sq: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma_r_sq", "sigma_xi_sq", "sigma_eta_sq"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class CoefficientPair:
-    """Coefficients of the log-transmissivity (xi) and head (eta) expansions."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=np.float64)))
-        object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=np.float64)))
-        if not (np.all(np.isfinite(self.xi)) and np.all(np.isfinite(self.eta))):
-            raise ConfigError("coefficients must be finite")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.xi, self.eta])
-
-    @classmethod
-    def from_stacked(cls, z: np.ndarray, n_xi: int) -> "CoefficientPair":
-        z = np.asarray(z, dtype=np.float64)
-        return cls(xi=z[:n_xi], eta=z[n_xi:])
+        if not self.sigma_r_sq > 0:
+            raise ConfigError("sigma_r_sq must be positive")
 
 
 class ResidualModel:
@@ -92,8 +66,8 @@ class ResidualModel:
     space residual ``R(xi, eta) = R(y(xi), u(eta))`` with exact first
     derivatives and weighted second-derivative contractions.  Any object with
     the same ``n_xi/n_eta/n_residual/residual/jacobians/vjp/misfit_vjp/
-    hessian_contract`` surface (e.g. the linear test model in the diagnostics
-    module) can stand in for it downstream.
+    hessian_contract`` surface (e.g. :class:`~rpickle.diagnostics.LinearModel`)
+    can stand in for it downstream.
     """
 
     def __init__(self, mesh: Mesh, y_basis: CkleBasis, u_basis: CkleBasis, bc: BoundaryConditions):
@@ -174,14 +148,15 @@ class PickleLoss:
     With residual target ``omega`` and prior targets ``(alpha, beta)``, all
     zero when not given, the loss is
 
-        L(z) = 1/2 ||R(z) - omega||^2 + gamma/2 ||xi - alpha||^2 / s_xi
-               + gamma/2 ||eta - beta||^2 / s_eta
+        L(z) = 1/2 ||R(z) - omega||^2 + gamma/2 ||xi - alpha||^2
+               + gamma/2 ||eta - beta||^2
 
-    with ``gamma = sigma_r_sq``.  Zero targets give the deterministic loss,
-    whose minimizer is the MAP point; Gaussian targets give one randomized
-    draw, and targets with a leading row axis give one draw per row.
-    ``L / gamma`` is the negative log posterior up to a constant, and the
-    methods return it and its derivatives: value and gradient for the
+    with ``gamma = sigma_r_sq``; the unit prior weights are the expansion
+    coefficients' standard-normal prior.  Zero targets give the deterministic
+    loss, whose minimizer is the MAP point; Gaussian targets give one
+    randomized draw, and targets with a leading row axis give one draw per
+    row.  ``L / gamma`` is the negative log posterior up to a constant, and
+    the methods return it and its derivatives: value and gradient for the
     optimizer and HMC (per row for a batch of points), and the full Hessian
     for the polish, the Metropolis log-det and the Laplace approximation.  The
     methods take a stacked vector as it is; :meth:`stacked` checks one.
@@ -190,7 +165,6 @@ class PickleLoss:
     def __init__(self, model, params: LossParams, omega=None, alpha=None, beta=None):
         self.model = model
         self.gamma = params.sigma_r_sq
-        self.s_xi, self.s_eta = params.sigma_xi_sq, params.sigma_eta_sq
         self.n_xi = model.n_xi
         self.size = model.n_xi + model.n_eta
         self.omega = _target(omega, model.n_residual)
@@ -198,20 +172,13 @@ class PickleLoss:
         self.beta = _target(beta, model.n_eta)
 
     def stacked(self, z) -> np.ndarray:
-        """``z``, a :class:`CoefficientPair` or a vector, as a checked stacked vector."""
-        if isinstance(z, CoefficientPair):
-            z = z.stacked
+        """``z`` as a checked stacked vector: length ``size``, finite."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.size,):
             raise ConfigError(f"coefficient vector must have length {self.size}, got {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ConfigError("coefficients must be finite")
         return z
-
-    def prior_variances(self) -> np.ndarray:
-        """Per-coordinate prior variances ``s`` over stacked coefficients."""
-        n_eta = self.size - self.n_xi
-        return np.concatenate([np.full(self.n_xi, self.s_xi), np.full(n_eta, self.s_eta)])
 
     def take(self, index) -> "PickleLoss":
         """The loss of target rows ``index``; targets without a row axis are shared."""
@@ -231,14 +198,8 @@ class PickleLoss:
         dr, g_xi, g_eta = self.model.misfit_vjp(xi, eta, self.omega)
         dxi, deta = xi - self.alpha, eta - self.beta
         gamma = self.gamma
-        value = (
-            0.5 * _sq(dr)
-            + 0.5 * gamma * _sq(dxi) / self.s_xi
-            + 0.5 * gamma * _sq(deta) / self.s_eta
-        )
-        grad = np.concatenate(
-            [g_xi + gamma * dxi / self.s_xi, g_eta + gamma * deta / self.s_eta], axis=-1
-        )
+        value = 0.5 * _sq(dr) + 0.5 * gamma * _sq(dxi) + 0.5 * gamma * _sq(deta)
+        grad = np.concatenate([g_xi + gamma * dxi, g_eta + gamma * deta], axis=-1)
         return value, grad
 
     def value_grad(self, z) -> tuple:
@@ -246,21 +207,19 @@ class PickleLoss:
         value, grad = self._unscaled(z)
         return value / self.gamma, grad / self.gamma
 
-    def _jacobian(self, z) -> np.ndarray:
-        j_xi, j_eta = self.model.jacobians(z[: self.n_xi], z[self.n_xi :])
-        return np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
+    def hessian(self, z) -> np.ndarray:
+        """The Hessian of ``L / gamma`` at one stacked ``z``, symmetrized.
 
-    def hessian(self, z, misfit) -> np.ndarray:
-        """Symmetrized ``(J^T J + sum_n misfit_n Hess R_n) / gamma + diag(1/s)``.
-
-        With ``misfit = R(z) - omega`` this is the Hessian of ``L / gamma``.
+        That is ``(J^T J + sum_n m_n Hess R_n) / gamma + I`` with ``J`` the
+        residual Jacobian and ``m = R(z) - omega`` the misfit of a loss
+        whose targets have no row axis (one row of a batch: :meth:`take`).
         """
-        misfit = np.asarray(misfit, dtype=np.float64)
-        if misfit.shape != (self.model.n_residual,):
-            raise ConfigError("misfit length must match the residual dimension")
-        j = self._jacobian(z)
-        curvature = self.model.hessian_contract(z[: self.n_xi], z[self.n_xi :], misfit)
-        h = (j.T @ j + curvature) / self.gamma + np.diag(1.0 / self.prior_variances())
+        xi, eta = z[: self.n_xi], z[self.n_xi :]
+        misfit = self.model.residual(xi, eta) - self.omega
+        j_xi, j_eta = self.model.jacobians(xi, eta)
+        j = np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
+        curvature = self.model.hessian_contract(xi, eta, misfit)
+        h = (j.T @ j + curvature) / self.gamma + np.eye(self.size)
         return 0.5 * (h + h.T)
 
 
@@ -344,9 +303,8 @@ def minimize_randomized(
     The objective is :class:`PickleLoss`'s ``L / gamma`` for the targets
     ``omega``, ``alpha``, ``beta`` (``None`` is zero); with zero targets it is
     the deterministic loss divided by ``gamma``, so one code path serves both
-    the MAP solve and every randomized sample.  ``init``, a vector or a
-    :class:`CoefficientPair`, defaults to zero.  This is the one-row call of
-    :func:`minimize_batch`.
+    the MAP solve and every randomized sample.  ``init``, a stacked vector,
+    defaults to zero.  This is the one-row call of :func:`minimize_batch`.
     """
     loss = PickleLoss(model, params, omega, alpha, beta)
     x0 = np.zeros(loss.size) if init is None else loss.stacked(init)
@@ -489,8 +447,8 @@ def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) ->
 def _newton_polish(loss: PickleLoss, z, config):
     """Damped Newton steps on the exact Hessian of ``L / gamma``, from ``z``.
 
-    The Hessian (:meth:`PickleLoss.hessian`) takes the misfit at ``z``, so
-    near a minimizer the steps converge quadratically; damping ``mu I`` is
+    The Hessian (:meth:`PickleLoss.hessian`) is exact, so near a minimizer
+    the steps converge quadratically; damping ``mu I`` is
     raised until the damped Hessian has a Cholesky factor and the step is
     accepted, and lowered after each accepted step.  A step is accepted when
     the value drops or, since at the rounding floor the value no longer
@@ -506,8 +464,7 @@ def _newton_polish(loss: PickleLoss, z, config):
         gnorm = np.linalg.norm(grad)
         if gnorm <= config.tolerance(value):
             break
-        misfit = loss.model.residual(z[: loss.n_xi], z[loss.n_xi :]) - loss.omega
-        hess = loss.hessian(z, misfit)
+        hess = loss.hessian(z)
         floor = 1e-12 * float(np.trace(np.abs(hess))) / z.size
         accepted = False
         for _ in range(60):
@@ -539,45 +496,24 @@ def _newton_polish(loss: PickleLoss, z, config):
     return z, value, grad, steps
 
 
-@dataclass(frozen=True)
-class MapResult:
-    """MAP point with the optimizer's exit information.
-
-    ``loss`` is the deterministic (unscaled) loss at the solution;
-    ``grad_norm`` is the 2-norm of the scaled-loss gradient, the quantity the
-    convergence test applies to.
-    """
-
-    coefficients: CoefficientPair
-    loss: float
-    grad_norm: float
-    n_iter: int
-    converged: bool
-
-
 def map_optimize(
     model,
     params: LossParams,
-    init: CoefficientPair | None = None,
+    init=None,
     config: OptimConfig | None = None,
-) -> MapResult:
+) -> OptimResult:
     """Compute the MAP coefficients by minimizing the deterministic loss.
 
-    Initialization defaults to zero coefficients (the prior mean).  A
-    non-converged run is flagged but still returns the best iterate.
+    Initialization defaults to zero coefficients (the prior mean).  The
+    result is the scaled solve's: ``loss`` is ``L / gamma`` at the solution
+    and ``grad_norm`` the 2-norm of its gradient, the quantity the
+    convergence test applies to.  A non-converged run is flagged but still
+    returns the best iterate.
     """
-    res = minimize_randomized(model, params, None, None, None, init=init, config=config)
-    pair = CoefficientPair.from_stacked(res.z, model.n_xi)
-    return MapResult(
-        coefficients=pair,
-        loss=res.loss * params.sigma_r_sq,
-        grad_norm=res.grad_norm,
-        n_iter=res.n_iter,
-        converged=res.converged,
-    )
+    return minimize_randomized(model, params, None, None, None, init=init, config=config)
 
 
-def sweep_gammas(model, gammas, config: OptimConfig | None = None) -> list[tuple[float, MapResult]]:
+def sweep_gammas(model, gammas, config: OptimConfig | None = None) -> list[tuple[float, OptimResult]]:
     """MAP solves over a residual-variance grid (one independent solve per value)."""
     out = []
     for gamma in gammas:
@@ -586,11 +522,16 @@ def sweep_gammas(model, gammas, config: OptimConfig | None = None) -> list[tuple
     return out
 
 
-def map_result_to_json(result: MapResult, path, meta: dict | None = None) -> None:
+def map_result_to_json(result: OptimResult, n_xi: int, gamma: float, path, meta: dict | None = None) -> None:
+    """Write a MAP solve: ``xi`` and ``eta`` blocks of ``result.z`` and exit information.
+
+    ``loss`` is written unscaled, ``result.loss * gamma``: the deterministic
+    loss ``L`` at the solution.  ``grad_norm`` stays that of the scaled loss.
+    """
     doc = {
-        "xi": result.coefficients.xi.tolist(),
-        "eta": result.coefficients.eta.tolist(),
-        "loss": result.loss,
+        "xi": result.z[:n_xi].tolist(),
+        "eta": result.z[n_xi:].tolist(),
+        "loss": result.loss * gamma,
         "grad_norm": result.grad_norm,
         "n_iter": result.n_iter,
         "converged": result.converged,

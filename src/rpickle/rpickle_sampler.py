@@ -143,25 +143,23 @@ def draw_noise(model, params: LossParams, base_seed: int, index: int) -> NoiseDr
     rng = spawn_rng(base_seed, STREAM_NOISE, index)
     return NoiseDraw(
         omega=np.sqrt(params.sigma_r_sq) * rng.standard_normal(model.n_residual),
-        alpha=np.sqrt(params.sigma_xi_sq) * rng.standard_normal(model.n_xi),
-        beta=np.sqrt(params.sigma_eta_sq) * rng.standard_normal(model.n_eta),
+        alpha=rng.standard_normal(model.n_xi),
+        beta=rng.standard_normal(model.n_eta),
         seed=seed_token(base_seed, STREAM_NOISE, index),
     )
 
 
-def jacobian_logdet(model, params: LossParams, z_star, delta) -> float:
+def jacobian_logdet(loss: PickleLoss, z_star) -> float:
     """Log |det| of the noise-to-minimizer Jacobian factor at a minimizer.
 
-    The matrix is ``S`` times the loss Hessian at ``z_star`` with misfit
-    ``delta`` (:meth:`PickleLoss.hessian`), which equals ``I + S (H + G^T G /
-    s_r)`` over stacked coefficients, where ``S = diag(prior variances)``,
-    ``G`` is the residual Jacobian, and ``H`` contracts the residual's second
-    derivatives against ``delta/s_r``.  An absolute determinant at or below
-    1e-300 reports ``-inf``.
+    ``loss`` is the randomized loss ``z_star`` minimizes, one row of targets.
+    The matrix is its Hessian at ``z_star`` (:meth:`PickleLoss.hessian`),
+    ``I + (G^T G + H) / s_r`` over stacked coefficients, where ``G`` is the
+    residual Jacobian and ``H`` contracts the residual's second derivatives
+    against the misfit ``R(z_star) - omega``.  An absolute determinant at or
+    below ``DET_FLOOR`` reports ``-inf``.
     """
-    loss = PickleLoss(model, params)
-    m = loss.prior_variances()[:, None] * loss.hessian(loss.stacked(z_star), delta)
-    sign, logdet = np.linalg.slogdet(m)
+    sign, logdet = np.linalg.slogdet(loss.hessian(loss.stacked(z_star)))
     if sign == 0 or logdet <= np.log(DET_FLOOR):
         return float("-inf")
     return float(logdet)
@@ -218,8 +216,6 @@ class EnsembleConfig:
 def _config_snapshot(params: LossParams, n_ens: int, config: EnsembleConfig, metropolize: bool) -> dict:
     return {
         "sigma_r_sq": params.sigma_r_sq,
-        "sigma_xi_sq": params.sigma_xi_sq,
-        "sigma_eta_sq": params.sigma_eta_sq,
         "n_ens": int(n_ens),
         "base_seed": int(config.base_seed),
         "metropolize": bool(metropolize),
@@ -236,9 +232,9 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
     solves run in blocks of consecutive indices, about ``BLOCK_ENTRIES``
     residual entries each, through :func:`minimize_batch`, every row
     warm-started at the MAP by default; log-dets plus the Metropolis pass
-    are applied when enabled.  The log-det of a converged proposal takes its
-    misfit ``R(z_star) - omega``; an unconverged one gets ``-inf``.  More
-    than ``max_failure_fraction`` non-converged solves aborts with
+    are applied when enabled.  The log-det of a converged proposal is taken
+    on its own row of the block's loss; an unconverged one gets ``-inf``.
+    More than ``max_failure_fraction`` non-converged solves aborts with
     diagnostics; below that, failures stay flagged in the ensemble
     (unfiltered runs) or are rejected by the filter.
     """
@@ -251,24 +247,22 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
 
     init = np.zeros(model.n_xi + model.n_eta)
     if config.warm_start:
-        init = map_optimize(model, params, config=config.optim).coefficients.stacked
+        init = map_optimize(model, params, config=config.optim).z
 
     rows = max(1, BLOCK_ENTRIES // model.n_residual)
     z, loss, converged, log_det, seeds = [], [], [], [], []
     for first in range(0, n_ens, rows):
         block = [draw_noise(model, params, config.base_seed, i) for i in range(first, min(first + rows, n_ens))]
         targets = [np.array([getattr(noise, name) for noise in block]) for name in ("omega", "alpha", "beta")]
-        res = minimize_batch(PickleLoss(model, params, *targets), np.tile(init, (len(block), 1)), config.optim)
+        block_loss = PickleLoss(model, params, *targets)
+        res = minimize_batch(block_loss, np.tile(init, (len(block), 1)), config.optim)
         z.append(res.z)
         loss.append(res.loss)
         converged.append(res.converged)
         seeds += [noise.seed for noise in block]
-        for zk, ok, noise in zip(res.z, res.converged, block):
-            if metropolize and not ok:
-                log_det.append(float("-inf"))
-            elif metropolize:
-                delta = model.residual(zk[: model.n_xi], zk[model.n_xi :]) - noise.omega
-                log_det.append(jacobian_logdet(model, params, zk, delta))
+        if metropolize:
+            for r, (zk, ok) in enumerate(zip(res.z, res.converged)):
+                log_det.append(jacobian_logdet(block_loss.take(r), zk) if ok else float("-inf"))
     z, loss, converged = np.concatenate(z), np.concatenate(loss), np.concatenate(converged)
 
     failed = np.flatnonzero(~converged)

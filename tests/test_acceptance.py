@@ -52,7 +52,7 @@ def test_map_point_matches_posterior_mode():
     mean_o, _ = linear_oracle(model, params)
     result = map_optimize(model, params)
     assert result.converged
-    np.testing.assert_allclose(result.coefficients.stacked, mean_o, atol=1e-6)
+    np.testing.assert_allclose(result.z, mean_o, atol=1e-6)
 
 
 def test_linear_metropolis_accepts_every_proposal():
@@ -136,15 +136,15 @@ def test_posterior_conditioning_tracks_noise_and_dimension():
     conds = []
     for gamma in (1e-1, 1e-2, 1e-4):
         model, params, _ = cases.make_conditioning_case(sigma_r_sq=gamma)
-        point = map_optimize(model, params).coefficients
+        point = map_optimize(model, params).z
         _, cond, _ = laplace_posterior(model, params, point)
         conds.append(cond)
     assert conds[0] < conds[1] < conds[2]
 
     model10, params, _ = cases.make_conditioning_case(n_terms=5)
     model40, _, _ = cases.make_conditioning_case(n_terms=20)
-    _, c10, _ = laplace_posterior(model10, params, map_optimize(model10, params).coefficients)
-    _, c40, _ = laplace_posterior(model40, params, map_optimize(model40, params).coefficients)
+    _, c10, _ = laplace_posterior(model10, params, map_optimize(model10, params).z)
+    _, c40, _ = laplace_posterior(model40, params, map_optimize(model40, params).z)
     assert c40 > c10
 
 

@@ -107,6 +107,39 @@ class TestConfigValidation:
         config = cli.parse_run_config({**base, "sigma_r_sq": 0.25})
         assert config.gammas == (0.25,)
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("kernel", "fit", "false"),
+            ("kernel", "fit", 1),
+            ("sampler", "metropolize", "false"),
+            ("sampler", "metropolize", 0),
+            ("sampler", "n_ens", 2.9),
+            ("sampler", "n_ens", True),
+            ("truncation", "n_xi", 3.7),
+            ("mesh", "nx", "8"),
+        ],
+    )
+    def test_field_types_are_checked(self, tmp_path, capsys, section, field, value):
+        # Before these checks, "false" read as true and 2.9 as 2.
+        path = write_config(tmp_path / "c.json", tmp_path / "out", **{section: {field: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            cli.load_run_config(path)
+        assert cli.main(["map", "--config", path]) == 1
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    def test_valid_types_keep_their_hash(self, tmp_path):
+        path = write_config(tmp_path / "c.json", tmp_path / "out")
+        config = cli.load_run_config(path)
+        # The hash this config had before integer and boolean fields were checked.
+        assert config.config_hash == "d59293095c670eaa62684fd888e96928a1182768d7242cc7bfbe078174899e13"
+        floats = write_config(tmp_path / "f.json", tmp_path / "out", mesh={"nx": 6.0}, sampler={"n_ens": 8.0})
+        assert cli.load_run_config(floats).config_hash == config.config_hash
+        for value in (True, False, None):
+            doc = {"linear_case": {}, "sampler": {"metropolize": value}, "kernel": {"fit": bool(value)}}
+            parsed = cli.parse_run_config(doc)
+            assert parsed.metropolize is value and parsed.kernel_fit is bool(value)
+
     def test_linear_case_skips_flow_requirements(self):
         config = cli.parse_run_config({"linear_case": {"n_res": 12, "n_xi": 3, "n_eta": 2}})
         assert config.linear_case == {"n_res": 12, "n_xi": 3, "n_eta": 2}
@@ -346,6 +379,26 @@ class TestCorruptInputs:
         assert cli.main(["diagnose", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "each once" in err
+
+    @pytest.mark.parametrize(
+        "eta",
+        [
+            lambda eta: eta + [0.0],  # one term too many
+            lambda eta: eta[:-1],  # one term too few
+            lambda eta: eta[:-1] + [float("nan")],
+        ],
+        ids=["long", "short", "nan"],
+    )
+    def test_tampered_map_eta(self, pipeline, tmp_path, capsys, eta):
+        def edit(lines):
+            doc = json.loads("\n".join(lines))
+            doc["eta"] = eta(doc["eta"])
+            return json.dumps(doc).splitlines()
+
+        path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/map.json", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("gamma_0.05", "map.json") in err
 
     def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
         edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731

@@ -20,7 +20,7 @@ from rpickle.diagnostics import (
 from rpickle.errors import ConfigError, NonPsdHessianError
 from rpickle.gp_prior import CkleBasis, ConditionedGP, KernelParams, build_basis, matern52
 from rpickle.mesh_fv import build_structured_mesh
-from rpickle.pickle_map import CoefficientPair, LossParams, map_optimize
+from rpickle.pickle_map import LossParams, map_optimize
 from rpickle.rpickle_sampler import PosteriorEnsemble
 
 import cases
@@ -96,7 +96,7 @@ class TestLinearOracle:
         params = LossParams(sigma_r_sq=0.3)
         mean, _ = linear_oracle(model, params)
         result = map_optimize(model, params)
-        np.testing.assert_allclose(result.coefficients.stacked, mean, atol=1e-6)
+        np.testing.assert_allclose(result.z, mean, atol=1e-6)
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(41)
@@ -250,8 +250,7 @@ class TestConvergenceRatios:
 class TestLaplacePosterior:
     def test_pure_prior_is_identity(self):
         model = LinearModel(a_matrix=np.zeros((4, 2)), b_matrix=np.zeros((4, 2)))
-        point = CoefficientPair(xi=np.zeros(2), eta=np.zeros(2))
-        cov, cond, spectrum = laplace_posterior(model, LossParams(sigma_r_sq=1.0), point)
+        cov, cond, spectrum = laplace_posterior(model, LossParams(sigma_r_sq=1.0), np.zeros(4))
         np.testing.assert_allclose(cov, np.eye(4), atol=1e-14)
         assert cond == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(spectrum, 1.0, atol=1e-14)
@@ -261,8 +260,7 @@ class TestLaplacePosterior:
         model = cases.make_random_linear(rng)
         params = LossParams(sigma_r_sq=0.4)
         mean, cov_oracle = linear_oracle(model, params)
-        point = CoefficientPair(xi=mean[: model.n_xi], eta=mean[model.n_xi :])
-        cov, _, spectrum = laplace_posterior(model, params, point)
+        cov, _, spectrum = laplace_posterior(model, params, mean)
         np.testing.assert_allclose(cov, cov_oracle, atol=1e-8)
         assert np.all(np.diff(spectrum) <= 0.0)
 
@@ -272,36 +270,35 @@ class TestLaplacePosterior:
             model, params, _ = cases.make_conditioning_case(sigma_r_sq=gamma)
             result = map_optimize(model, params)
             assert result.converged
-            _, cond, _ = laplace_posterior(model, params, result.coefficients)
+            _, cond, _ = laplace_posterior(model, params, result.z)
             conds.append(cond)
         assert conds[0] < conds[1] < conds[2]
 
     def test_condition_grows_with_dimension(self):
         model10, params, _ = cases.make_conditioning_case(n_terms=5)
         model40, _, _ = cases.make_conditioning_case(n_terms=20)
-        _, c10, _ = laplace_posterior(model10, params, map_optimize(model10, params).coefficients)
-        _, c40, _ = laplace_posterior(model40, params, map_optimize(model40, params).coefficients)
+        _, c10, _ = laplace_posterior(model10, params, map_optimize(model10, params).z)
+        _, c40, _ = laplace_posterior(model40, params, map_optimize(model40, params).z)
         assert c40 > c10
 
     def test_matches_finite_difference_hessian(self):
         model, params, _ = cases.make_flow_case()
         result = map_optimize(model, params)
-        cov, _, _ = laplace_posterior(model, params, result.coefficients)
+        cov, _, _ = laplace_posterior(model, params, result.z)
         hessian = np.linalg.inv(cov)
         fd = oracles.fd_hessian(
             lambda z: oracles.reference_loss(
                 model.mesh, model.bc, model.y_basis, model.u_basis,
                 params.sigma_r_sq, z[: model.n_xi], z[model.n_xi :],
             ) / params.sigma_r_sq,
-            result.coefficients.stacked,
+            result.z,
         )
         assert np.linalg.norm(hessian - fd) <= 1e-4 * np.linalg.norm(fd)
 
     def test_saddle_rejected_with_eigenvalue(self):
         model = _ShiftedQuadratic(shift=2.0)
-        point = CoefficientPair(xi=np.zeros(1), eta=np.zeros(0))
         with pytest.raises(NonPsdHessianError, match="-3.0"):
-            laplace_posterior(model, LossParams(sigma_r_sq=1.0), point)
+            laplace_posterior(model, LossParams(sigma_r_sq=1.0), np.zeros(1))
 
 
 class TestSamplersAgainstOracle:

@@ -123,7 +123,7 @@ class TestLogPosterior:
     def test_map_is_stationary_point(self):
         model, params, _ = cases.make_flow_case()
         result = map_optimize(model, params)
-        _, grad = log_posterior_and_grad(model, params, result.coefficients.stacked)
+        _, grad = log_posterior_and_grad(model, params, result.z)
         assert np.linalg.norm(grad) <= 1e-7
 
     def test_doubling_gamma_halves_misfit_differences(self):

@@ -10,7 +10,6 @@ from rpickle.errors import ConfigError
 from rpickle.gp_prior import CkleBasis
 from rpickle.hmc_sampler import log_posterior_and_grad
 from rpickle.pickle_map import (
-    CoefficientPair,
     LossParams,
     OptimConfig,
     PickleLoss,
@@ -153,15 +152,6 @@ class TestPickleLoss:
         value, _ = PickleLoss(model, params).value_grad(z)
         assert value == pytest.approx(expected / params.sigma_r_sq, rel=1e-14)
 
-    def test_accepts_coefficient_pair(self):
-        model = cases.make_darcy_model()
-        params = LossParams(sigma_r_sq=1.0)
-        rng = np.random.default_rng(2)
-        z = random_point(model, rng)
-        pair = CoefficientPair.from_stacked(z, model.n_xi)
-        loss = PickleLoss(model, params)
-        assert loss.value_grad(loss.stacked(pair))[0] == loss.value_grad(loss.stacked(z))[0]
-
     def test_rejects_wrong_length(self):
         model = cases.make_darcy_model()
         with pytest.raises(ConfigError):
@@ -207,7 +197,7 @@ class TestPickleGrad:
 
     def test_matches_finite_differences_small_model(self):
         model = cases.make_darcy_model()
-        params = LossParams(sigma_r_sq=0.5, sigma_xi_sq=2.0, sigma_eta_sq=0.3)
+        params = LossParams(sigma_r_sq=0.5)
         rng = np.random.default_rng(5)
         z = random_point(model, rng)
         loss = PickleLoss(model, params)
@@ -287,6 +277,20 @@ class TestPickleGrad:
         # eta-eta block is exactly zero: the residual is linear in the head.
         assert np.all(h[model.n_xi :, model.n_xi :] == 0.0)
 
+    def test_hessian_with_noise_targets_matches_finite_differences(self):
+        # A row of a randomized block loss has nonzero targets, so the
+        # Hessian's curvature term contracts against R(z) - omega, not R(z).
+        model, params, _ = cases.make_flow_case()
+        rng = np.random.default_rng(30)
+        noises = [draw_noise(model, params, base_seed=8, index=i) for i in range(3)]
+        targets = [np.array([getattr(nz, name) for nz in noises]) for name in ("omega", "alpha", "beta")]
+        row = PickleLoss(model, params, *targets).take(1)
+        z = random_point(model, rng)
+        h = row.hessian(z)
+        np.testing.assert_array_equal(h, h.T)
+        h_fd = oracles.fd_hessian(lambda v: row.value_grad(v)[0], z)
+        assert np.linalg.norm(h - h_fd) <= 1e-4 * np.linalg.norm(h_fd)
+
 
 class TestMapOptimize:
     def test_linear_matches_posterior_mean(self):
@@ -300,7 +304,7 @@ class TestMapOptimize:
         np.testing.assert_allclose(mean, mean_ref, rtol=1e-10, atol=1e-12)
         result = map_optimize(model, params)
         assert result.converged
-        assert np.max(np.abs(result.coefficients.stacked - mean)) <= 1e-6
+        assert np.max(np.abs(result.z - mean)) <= 1e-6
 
     def test_large_gamma_shrinks_to_zero(self):
         model, _, _ = cases.make_flow_case()
@@ -311,7 +315,7 @@ class TestMapOptimize:
         g_xi, g_eta = model.vjp(zeros[: model.n_xi], zeros[model.n_xi :], r0)
         bound = np.linalg.norm(np.concatenate([g_xi, g_eta])) / gamma
         result = map_optimize(model, params)
-        z_norm = np.linalg.norm(result.coefficients.stacked)
+        z_norm = np.linalg.norm(result.z)
         assert z_norm <= 1.1 * bound
         assert z_norm <= 1e-4
 
@@ -320,11 +324,9 @@ class TestMapOptimize:
         model = cases.make_random_linear(rng)
         params = LossParams(sigma_r_sq=0.2)
         first = map_optimize(model, params)
-        second = map_optimize(model, params, init=first.coefficients)
+        second = map_optimize(model, params, init=first.z)
         assert second.n_iter <= 1
-        np.testing.assert_allclose(
-            second.coefficients.stacked, first.coefficients.stacked, rtol=0, atol=1e-10
-        )
+        np.testing.assert_allclose(second.z, first.z, rtol=0, atol=1e-10)
 
     def test_unique_minimum_from_random_inits(self):
         rng = np.random.default_rng(12)
@@ -332,12 +334,10 @@ class TestMapOptimize:
         params = LossParams(sigma_r_sq=0.1)
         solutions = []
         for _ in range(10):
-            init = CoefficientPair.from_stacked(
-                3.0 * rng.standard_normal(model.n_xi + model.n_eta), model.n_xi
-            )
+            init = 3.0 * rng.standard_normal(model.n_xi + model.n_eta)
             result = map_optimize(model, params, init=init)
             assert result.converged
-            solutions.append(result.coefficients.stacked)
+            solutions.append(result.z)
         for a in range(len(solutions)):
             for b in range(a + 1, len(solutions)):
                 assert np.max(np.abs(solutions[a] - solutions[b])) < 1e-6
@@ -362,16 +362,15 @@ class TestMapOptimize:
             method="BFGS",
             options={"gtol": 1e-12, "maxiter": 500},
         )
-        np.testing.assert_allclose(result.coefficients.stacked, res.x, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(result.z, res.x, rtol=0, atol=1e-6)
 
     def test_flow_case_map_is_stationary(self):
         model, params, _ = cases.make_flow_case()
         result = map_optimize(model, params)
         assert result.converged
-        scaled_loss = result.loss / params.sigma_r_sq
-        assert result.grad_norm <= max(1e-8, 1e-8 * (1.0 + scaled_loss))
+        assert result.grad_norm <= max(1e-8, 1e-8 * (1.0 + result.loss))
         zeros = np.zeros(model.n_xi + model.n_eta)
-        assert scaled_loss < PickleLoss(model, params).value_grad(zeros)[0]
+        assert result.loss < PickleLoss(model, params).value_grad(zeros)[0]
 
     def test_sweep_gammas_shrinks_with_regularization(self):
         rng = np.random.default_rng(14)
@@ -379,18 +378,21 @@ class TestMapOptimize:
         grid = [1e-4, 1e-2, 1.0, 1e2]
         results = sweep_gammas(model, grid)
         assert [g for g, _ in results] == grid
-        norms = [np.linalg.norm(r.coefficients.stacked) for _, r in results]
+        norms = [np.linalg.norm(r.z) for _, r in results]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_json_output(self, tmp_path):
         rng = np.random.default_rng(15)
         model = cases.make_random_linear(rng, n_res=8, n_xi=2, n_eta=2)
-        result = map_optimize(model, LossParams(sigma_r_sq=1.0))
+        params = LossParams(sigma_r_sq=0.25)
+        result = map_optimize(model, params)
         path = tmp_path / "map.json"
-        map_result_to_json(result, path, meta={"case": "unit"})
+        map_result_to_json(result, model.n_xi, params.sigma_r_sq, path, meta={"case": "unit"})
         doc = json.loads(path.read_text())
-        np.testing.assert_allclose(doc["xi"], result.coefficients.xi)
-        np.testing.assert_allclose(doc["eta"], result.coefficients.eta)
+        assert doc["xi"] == result.z[: model.n_xi].tolist()
+        assert doc["eta"] == result.z[model.n_xi :].tolist()
+        # The file holds the unscaled loss L; the solve's loss is L / gamma.
+        assert doc["loss"] == result.loss * params.sigma_r_sq
         assert doc["converged"] is True
         assert doc["meta"] == {"case": "unit"}
         assert doc["n_iter"] == result.n_iter
@@ -410,8 +412,8 @@ class TestRandomizedObjective:
         )
         result = map_optimize(model, params)
         assert res.converged
-        np.testing.assert_allclose(res.z, result.coefficients.stacked, rtol=0, atol=1e-7)
-        assert res.loss == pytest.approx(result.loss / params.sigma_r_sq, rel=1e-9)
+        np.testing.assert_allclose(res.z, result.z, rtol=0, atol=1e-7)
+        assert res.loss == pytest.approx(result.loss, rel=1e-9)
 
     def test_linear_noise_shift_has_closed_form(self):
         rng = np.random.default_rng(17)
@@ -446,12 +448,7 @@ class TestGaussNewtonPolish:
         short = OptimConfig(maxiter=1)
         result = map_optimize(model, params, config=short)
         assert result.converged
-        np.testing.assert_allclose(
-            result.coefficients.stacked,
-            map_optimize(model, params).coefficients.stacked,
-            rtol=0,
-            atol=1e-7,
-        )
+        np.testing.assert_allclose(result.z, map_optimize(model, params).z, rtol=0, atol=1e-7)
         assert not map_optimize(model, params, config=replace(short, polish=False)).converged
 
     def test_finishes_truncated_randomized_solve(self):
@@ -489,18 +486,16 @@ class TestValidation:
     def test_loss_params_must_be_positive(self):
         with pytest.raises(ConfigError):
             LossParams(sigma_r_sq=0.0)
-        with pytest.raises(ConfigError):
-            LossParams(sigma_r_sq=1.0, sigma_xi_sq=-1.0)
 
-    def test_coefficient_pair_requires_finite(self):
-        with pytest.raises(ConfigError):
-            CoefficientPair(xi=np.array([np.nan]), eta=np.array([0.0]))
-
-    def test_coefficient_pair_roundtrip(self):
-        pair = CoefficientPair(xi=np.array([1.0, 2.0]), eta=np.array([3.0]))
-        again = CoefficientPair.from_stacked(pair.stacked, 2)
-        np.testing.assert_array_equal(again.xi, pair.xi)
-        np.testing.assert_array_equal(again.eta, pair.eta)
+    def test_stacked_requires_finite(self):
+        model = cases.make_random_linear(np.random.default_rng(27))
+        params = LossParams(sigma_r_sq=0.5)
+        z = np.zeros(model.n_xi + model.n_eta)
+        z[-1] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            PickleLoss(model, params).stacked(z)
+        with pytest.raises(ConfigError, match="finite"):
+            map_optimize(model, params, init=z)
 
     def test_residual_model_rejects_mismatched_basis(self):
         base = cases.make_darcy_model()
@@ -523,9 +518,7 @@ class TestValidation:
                 model, params, noise.omega, noise.alpha, noise.beta, init=z
             ),
             "log_posterior_and_grad": lambda z: log_posterior_and_grad(model, params, z),
-            "jacobian_logdet": lambda z: jacobian_logdet(
-                model, params, z, np.zeros(model.n_residual)
-            ),
+            "jacobian_logdet": lambda z: jacobian_logdet(PickleLoss(model, params), z),
         }
         with pytest.raises(ConfigError):
             calls[entry](np.zeros(shape))

@@ -144,9 +144,9 @@ class TestRandomizedLoss:
         )
         assert shifted_loss(model, params, noise).value_grad(z)[0] == pytest.approx(want, rel=1e-12)
 
-    def test_noise_scales_with_prior_variances(self):
+    def test_noise_has_residual_variance_and_unit_prior(self):
         model = cases.make_darcy_model()
-        params = LossParams(sigma_r_sq=4.0, sigma_xi_sq=9.0, sigma_eta_sq=0.25)
+        params = LossParams(sigma_r_sq=4.0)
         draws = np.array(
             [
                 np.concatenate(
@@ -161,8 +161,8 @@ class TestRandomizedLoss:
         )
         n, n_xi = model.n_residual, model.n_xi
         assert np.std(draws[:, :n]) == pytest.approx(2.0, rel=0.05)
-        assert np.std(draws[:, n : n + n_xi]) == pytest.approx(3.0, rel=0.05)
-        assert np.std(draws[:, n + n_xi :]) == pytest.approx(0.5, rel=0.05)
+        assert np.std(draws[:, n : n + n_xi]) == pytest.approx(1.0, rel=0.05)
+        assert np.std(draws[:, n + n_xi :]) == pytest.approx(1.0, rel=0.05)
 
 
 class TestEnsembleSolves:
@@ -197,7 +197,7 @@ class TestEnsembleSolves:
         result = map_optimize(model, params)
         assert res.converged.all()
         for z in res.z:
-            np.testing.assert_allclose(z, result.coefficients.stacked, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(z, result.z, rtol=0, atol=1e-8)
 
     def test_reruns_bit_identical(self):
         model, params, _ = cases.make_flow_case()
@@ -211,7 +211,7 @@ class TestEnsembleSolves:
         # changes the batched products' rounding only, so every row converges
         # either way and the two minimizers lie within twice the tolerance.
         model, params, _ = cases.make_flow_case()
-        init = map_optimize(model, params).coefficients.stacked
+        init = map_optimize(model, params).z
         noises = [draw_noise(model, params, base_seed=11, index=i) for i in range(40)]
         targets = [np.array([getattr(nz, name) for nz in noises]) for name in ("omega", "alpha", "beta")]
         loss = PickleLoss(model, params, *targets)
@@ -223,6 +223,13 @@ class TestEnsembleSolves:
             assert np.linalg.norm(alone.z[0] - block.z[r]) <= 2.0 * config.tolerance(block.loss[r])
 
 
+def logdet_at_misfit(model, params, z, delta):
+    """The log-det at ``z`` of the loss whose target ``omega`` makes the misfit ``delta``."""
+    r = model.residual(z[: model.n_xi], z[model.n_xi :])
+    loss = PickleLoss(model, params, omega=r - delta)
+    return jacobian_logdet(loss, z), r - loss.omega
+
+
 class TestJacobianLogdet:
     def test_linear_model_constant(self):
         rng = np.random.default_rng(24)
@@ -232,48 +239,50 @@ class TestJacobianLogdet:
         for i in range(3):
             z = rng.standard_normal(9)
             delta = rng.standard_normal(model.n_residual)
-            values.add(jacobian_logdet(model, params, z, delta))
+            values.add(logdet_at_misfit(model, params, z, delta)[0])
         assert len(values) == 1
 
     def test_zero_delta_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(25)
         model = cases.make_random_linear(rng)
-        params = LossParams(sigma_r_sq=0.3, sigma_xi_sq=2.0, sigma_eta_sq=0.5)
-        got = jacobian_logdet(model, params, np.zeros(9), np.zeros(model.n_residual))
+        params = LossParams(sigma_r_sq=0.3)
+        got, misfit = logdet_at_misfit(model, params, np.zeros(9), np.zeros(model.n_residual))
+        assert np.all(misfit == 0.0)
         g = np.hstack([model.a_matrix, model.b_matrix])
-        scales = np.concatenate([np.full(5, 2.0), np.full(4, 0.5)])
-        m = np.eye(9) + scales[:, None] * (g.T @ g) / params.sigma_r_sq
+        m = np.eye(9) + (g.T @ g) / params.sigma_r_sq
         want = float(np.sum(np.log(np.linalg.eigvals(m).real)))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_scalar_toy_matches_hand_formula(self):
         model = _QuadraticResidual()
-        params = LossParams(sigma_r_sq=0.7, sigma_xi_sq=1.3)
-        xi, delta = 0.4, -0.2
-        got = jacobian_logdet(model, params, np.array([xi]), np.array([delta]))
-        m = 1.0 + params.sigma_xi_sq * (2.0 * delta / 0.7 + 4.0 * xi**2 / 0.7)
+        params = LossParams(sigma_r_sq=0.7)
+        # R(0.5) = 0.25, so omega = 0.5 and the misfit -0.25 are exact.
+        xi, delta = 0.5, -0.25
+        got, misfit = logdet_at_misfit(model, params, np.array([xi]), np.array([delta]))
+        assert misfit.tolist() == [delta]
+        m = 1.0 + 2.0 * delta / 0.7 + 4.0 * xi**2 / 0.7
         assert got == pytest.approx(np.log(abs(m)), abs=1e-10)
 
     def test_negative_determinant_uses_absolute_value(self):
         model = _QuadraticResidual()
-        params = LossParams(sigma_r_sq=1.0, sigma_xi_sq=1.0)
-        # m = 1 + 2*delta + 4*xi^2 = -1 at xi=1, delta=-3
-        got = jacobian_logdet(model, params, np.array([1.0]), np.array([-3.0]))
+        params = LossParams(sigma_r_sq=1.0)
+        # m = 1 + 2*delta + 4*xi^2 = -1 at xi=1, delta=-3 (omega = 4, exact)
+        got, misfit = logdet_at_misfit(model, params, np.array([1.0]), np.array([-3.0]))
+        assert misfit.tolist() == [-3.0]
         assert got == pytest.approx(np.log(1.0), abs=1e-12)
 
     def test_singular_matrix_reports_minus_infinity(self):
         model = _QuadraticResidual()
-        params = LossParams(sigma_r_sq=1.0, sigma_xi_sq=1.0)
-        # m = 1 + 2*delta + 4*xi^2 = 0 at xi=1, delta=-5/2
-        got = jacobian_logdet(model, params, np.array([1.0]), np.array([-2.5]))
+        params = LossParams(sigma_r_sq=1.0)
+        # m = 1 + 2*delta + 4*xi^2 = 0 at xi=1, delta=-5/2 (omega = 7/2, exact)
+        got, misfit = logdet_at_misfit(model, params, np.array([1.0]), np.array([-2.5]))
+        assert misfit.tolist() == [-2.5]
         assert got == float("-inf")
 
     def test_darcy_positive_at_map(self):
         model, params, _ = cases.make_flow_case()
         result = map_optimize(model, params)
-        noise = zero_noise(model)
-        delta = model.residual(result.coefficients.xi, result.coefficients.eta)
-        value = jacobian_logdet(model, params, result.coefficients, delta)
+        value = jacobian_logdet(PickleLoss(model, params), result.z)
         assert np.isfinite(value)
 
 
@@ -438,8 +447,8 @@ class TestRunEnsemble:
             g_xi, g_eta = model.vjp(xi, eta, dr / params.sigma_r_sq)
             grad = np.concatenate(
                 [
-                    g_xi + (xi - noise.alpha) / params.sigma_xi_sq,
-                    g_eta + (eta - noise.beta) / params.sigma_eta_sq,
+                    g_xi + (xi - noise.alpha),
+                    g_eta + (eta - noise.beta),
                 ]
             )
             assert np.linalg.norm(grad) <= 1e-6 * (1.0 + loss)
@@ -457,8 +466,7 @@ class TestRunEnsemble:
         ensemble = run_ensemble(model, params, 20, EnsembleConfig(base_seed=5))
         for z, seed, log_det in zip(ensemble.z, ensemble.seeds, ensemble.log_det_j):
             noise = draw_noise(model, params, 5, int(seed.split("/")[-1]))
-            delta = model.residual(z[: model.n_xi], z[model.n_xi :]) - noise.omega
-            assert log_det == jacobian_logdet(model, params, z, delta)
+            assert log_det == jacobian_logdet(shifted_loss(model, params, noise), z)
 
     def test_unfiltered_statistics_order_invariant(self):
         rng = np.random.default_rng(27)

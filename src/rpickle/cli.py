@@ -194,6 +194,8 @@ class RunConfig:
 
 
 def _require_keys(section: dict, name: str, allowed) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         listed = ", ".join(f"{name}.{key}" for key in unknown)
@@ -211,10 +213,15 @@ def _int_field(value, name: str, minimum: int) -> int:
     return value
 
 
+def _float_field(value, name: str) -> float:
+    """A finite number field; an integer such as ``1`` counts, a bool, a string, NaN or inf does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_run_config(raw: dict) -> RunConfig:
     """Validate a raw JSON document, filling defaults; see :class:`RunConfig`."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     _require_keys(
         raw,
         "config",
@@ -251,7 +258,7 @@ def parse_run_config(raw: dict) -> RunConfig:
         missing = [f"mesh.bc.{side}" for side in BC_SIDES if side not in bc]
         if missing:
             raise ConfigError("missing required config fields: " + ", ".join(missing))
-    bc = {side: float(bc[side]) for side in bc}
+    bc = {side: _float_field(bc[side], f"mesh.bc.{side}") for side in bc}
 
     kernel = raw.get("kernel", {})
     _require_keys(kernel, "kernel", ("fit", "sigma", "length_scale"))
@@ -278,6 +285,8 @@ def parse_run_config(raw: dict) -> RunConfig:
     n_xi = truncation.get("n_xi")
     n_eta = truncation.get("n_eta")
     energy = truncation.get("energy")
+    if energy is not None:
+        energy = _float_field(energy, "truncation.energy")
     if n_xi is not None or n_eta is not None:
         if energy is not None:
             raise ConfigError("truncation takes either energy or n_xi/n_eta, not both")
@@ -286,7 +295,7 @@ def parse_run_config(raw: dict) -> RunConfig:
         n_xi = _int_field(n_xi, "truncation.n_xi", 1)
         n_eta = _int_field(n_eta, "truncation.n_eta", 1)
     else:
-        energy = float(energy) if energy is not None else 0.95
+        energy = 0.95 if energy is None else energy
         if not 0.0 < energy <= 1.0:
             raise ConfigError("truncation.energy must lie in (0, 1]")
 
@@ -294,9 +303,9 @@ def parse_run_config(raw: dict) -> RunConfig:
     _require_keys(observations, "observations", ("n_y_obs", "n_u_obs"))
 
     gammas = raw.get("sigma_r_sq", [1e-2])
-    if isinstance(gammas, (int, float)):
+    if not isinstance(gammas, list):
         gammas = [gammas]
-    gammas = tuple(float(g) for g in gammas)
+    gammas = tuple(_float_field(g, "sigma_r_sq") for g in gammas)
     if not gammas:
         raise ConfigError("sigma_r_sq must list at least one value")
     if any(g <= 0 for g in gammas):
@@ -318,12 +327,12 @@ def parse_run_config(raw: dict) -> RunConfig:
     return RunConfig(
         nx=_int_field(mesh.get("nx", 8), "mesh.nx", 1),
         ny=_int_field(mesh.get("ny", 8), "mesh.ny", 1),
-        lx=float(mesh.get("lx", 1.0)),
-        ly=float(mesh.get("ly", 1.0)),
+        lx=_float_field(mesh.get("lx", 1.0), "mesh.lx"),
+        ly=_float_field(mesh.get("ly", 1.0), "mesh.ly"),
         bc=bc,
         kernel_fit=kernel_fit,
-        kernel_sigma=None if sigma is None else float(sigma),
-        kernel_length_scale=None if length_scale is None else float(length_scale),
+        kernel_sigma=None if sigma is None else _float_field(sigma, "kernel.sigma"),
+        kernel_length_scale=None if length_scale is None else _float_field(length_scale, "kernel.length_scale"),
         energy=energy,
         n_xi=n_xi,
         n_eta=n_eta,
@@ -400,9 +409,7 @@ def _record_timing(output_dir: str, stage: str, elapsed: float) -> None:
         with open(path) as fh:
             doc = json.load(fh)
     doc[stage] = elapsed
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _random_linear(n_res: int, n_xi: int, n_eta: int, seed: int) -> LinearModel:

@@ -13,7 +13,6 @@ stochastic method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,7 +21,7 @@ from scipy.special import ndtri
 from .errors import ConfigError, NonPsdHessianError, SingularSystemError
 from .gp_prior import CkleBasis
 from .pickle_map import LossParams, PickleLoss
-from .seeding import float_token
+from .seeding import float_token, write_json
 
 __all__ = [
     "LinearModel",
@@ -322,9 +321,7 @@ def report_to_json(report: DiagnosticsReport, path, meta: dict | None = None) ->
         "n_cells": int(report.mean_field.size),
         "meta": dict(sorted((meta or {}).items())),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def report_to_csv(report: DiagnosticsReport, out_dir, meta: dict | None = None) -> None:

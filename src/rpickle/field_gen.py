@@ -182,9 +182,9 @@ def save_case(case: SyntheticCase, mesh: Mesh, directory, meta: dict | None = No
 
 
 def load_case(directory) -> SyntheticCase:
+    """Read a case written by :func:`save_case`; a malformed case.json raises ConfigError naming it."""
     directory = str(directory)
-    with open(f"{directory}/case.json") as fh:
-        doc = json.load(fh)
+    path = f"{directory}/case.json"
 
     def obs_from(d) -> Observations:
         return Observations(
@@ -193,10 +193,18 @@ def load_case(directory) -> SyntheticCase:
             cells=d["cells"],
         )
 
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        y_obs, u_obs, provenance = obs_from(doc["y_obs"]), obs_from(doc["u_obs"]), doc["provenance"]
+    except KeyError as exc:
+        raise ConfigError(f"case file {path} has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"case file {path} is malformed: {exc}") from None
     return SyntheticCase(
         y_ref=load_field_csv(f"{directory}/y_ref.csv"),
         u_ref=load_field_csv(f"{directory}/u_ref.csv"),
-        y_obs=obs_from(doc["y_obs"]),
-        u_obs=obs_from(doc["u_obs"]),
-        provenance=doc["provenance"],
+        y_obs=y_obs,
+        u_obs=u_obs,
+        provenance=provenance,
     )

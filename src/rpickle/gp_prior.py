@@ -431,13 +431,20 @@ def basis_to_json(basis: CkleBasis, path, meta: dict | None = None) -> None:
 
 
 def basis_from_json(path) -> CkleBasis:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return CkleBasis(
-        mean=doc["mean"],
-        eigenvalues=doc["eigenvalues"],
-        eigenvectors=np.asarray(doc["eigenvectors"], dtype=np.float64).reshape(
-            len(doc["mean"]), len(doc["eigenvalues"])
-        ),
-        retained_energy=doc["retained_energy"],
-    )
+    """Read a basis written by :func:`basis_to_json`; a malformed file raises ConfigError naming it."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        basis = CkleBasis(
+            mean=doc["mean"],
+            eigenvalues=doc["eigenvalues"],
+            eigenvectors=doc["eigenvectors"],
+            retained_energy=doc["retained_energy"],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"prior file {path} has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"prior file {path} is malformed: {exc}") from None
+    if not all(np.all(np.isfinite(a)) for a in (basis.mean, basis.eigenvalues, basis.eigenvectors)):
+        raise ConfigError(f"prior file {path} has non-finite values")
+    return basis

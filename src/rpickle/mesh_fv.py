@@ -24,11 +24,12 @@ corrections, and Laplace Hessians.
 
 All of these live on :class:`FlowOperator`, built once per mesh and boundary
 conditions.  It keeps what does not change between evaluations (face
-incidence and transmissibilities, Dirichlet and Neumann terms, and the
-sparsity pattern of the Jacobians with the index that scatters face terms
-into it, plus a bandwidth-reducing ordering of the cells for the forward
+incidence and transmissibilities, Dirichlet and Neumann terms, the one
+sparsity pattern of every matrix with the index that scatters face terms
+into it, and a bandwidth-reducing ordering of the cells for the forward
 solve), so a caller that evaluates many fields, such as the optimizer or the
-Monte Carlo head prior, holds one operator.
+Monte Carlo head prior, holds one operator.  Its methods share one kernel of
+face and Dirichlet terms and, where they can, take a batch of fields.
 """
 
 from __future__ import annotations
@@ -323,12 +324,17 @@ class FlowOperator:
     transmissibilities, the Dirichlet cells with their half-cell
     transmissibilities and head values, the Neumann load, and the CSR
     pattern shared by ``dR/du``, ``dR/dy`` and the Hessian contractions,
-    with the index that scatters face and Dirichlet terms into its data, and
-    for the forward solve a reverse Cuthill-McKee ordering of the cells, its
-    half-bandwidth ``half_bandwidth`` and the index that scatters the same
-    terms into LAPACK band storage.  The methods then take only fields, so
-    repeated evaluations (optimizer steps, Monte Carlo forward solves) pay
+    with the one index that scatters face and Dirichlet terms into its data,
+    and for the forward solve a reverse Cuthill-McKee ordering of the cells,
+    its half-bandwidth ``half_bandwidth`` and the index that scatters the
+    same terms into LAPACK band storage.  The methods then take only fields,
+    so repeated evaluations (optimizer steps, Monte Carlo forward solves) pay
     for arithmetic alone and keep no state between calls.
+
+    One kernel gives every method the face and Dirichlet terms it uses.  One
+    rule checks the fields: all of one shape, ``(n_cells,)``, or for
+    :meth:`residual`, :meth:`vjp` and :meth:`misfit_vjp` ``(rows, n_cells)``,
+    each row treated exactly as it would be alone.
 
     Every sum into a cell or matrix slot adds its terms in one fixed order,
     starting from zero: faces by their ``i`` end, faces by their ``j`` end,
@@ -340,7 +346,7 @@ class FlowOperator:
     def __init__(self, mesh: Mesh, bc: BoundaryConditions):
         bc.validate(mesh)
         self.n_cells = n = mesh.n_cells
-        i, j = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+        i, j = np.ascontiguousarray(mesh.face_cells.T)  # take() copies a strided index on every call
         d_idx, n_idx = mesh.dirichlet_index, mesh.neumann_index
         d = mesh.boundary_cells[d_idx]
         self._i, self._j, self._d = i, j, d
@@ -358,11 +364,8 @@ class FlowOperator:
         ii, ij, ji, jj, dd = (
             np.searchsorted(keys, rows * n + cols) for rows, cols in ((i, i), (i, j), (j, i), (j, j), (d, d))
         )
-        # COO entry orders: rows (i, i, j, j) x cols (i, j, i, j) for the
-        # Jacobians and the mixed Hessian block, (i, j, i, j) x (i, j, j, i)
-        # for the (y, y) block.
+        # The one COO entry order of every matrix: faces (ii, ij, ji, jj), then Dirichlet (dd).
         self._slots = np.concatenate([ii, ij, ji, jj, dd])
-        self._slots_yy = np.concatenate([ii, jj, ij, ji, dd])
 
         # Forward-solve ordering: cell order[k] becomes unknown k.  In LAPACK
         # general-band storage with kl = ku (kl more rows for the LU's fill),
@@ -378,26 +381,40 @@ class FlowOperator:
         self._band_rows = 3 * self.half_bandwidth + 1
         self._band_slots = (c * self._band_rows + 2 * self.half_bandwidth + r - c)[self._slots]
 
-    def _check(self, **fields):
+    def _check(self, batch=False, **fields):
+        """The fields as float arrays of one shape, ``(n_cells,)`` or, with ``batch``, ``(rows, n_cells)``."""
         n = self.n_cells
-        out = []
-        for name, value in fields.items():
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != (n,):
-                raise ConfigError(f"{name} must have shape ({n},), got {value.shape}")
-            out.append(value)
-        return out
+        values = [np.asarray(value, dtype=np.float64) for value in fields.values()]
+        shapes = [value.shape for value in values]
+        if shapes[0][-1:] != (n,) or len(shapes[0]) > 1 + batch or len(set(shapes)) > 1:
+            allowed = f"({n},) or (rows, {n})" if batch else f"({n},)"
+            got = " and ".join(map(str, shapes))
+            raise ConfigError(f"{' and '.join(fields)} must have shape {allowed}, got {got}")
+        return values
 
-    def _faces(self, y):
-        """Per-face transmissivity ``k`` and its logistic log-derivative weights.
+    def _kernel(self, y, u=None, weights=False):
+        """Face and Dirichlet terms of one field or a ``(rows, n_cells)`` batch.
 
-        ``dk/dy_i = k s_i``, ``dk/dy_j = k s_j`` and ``s_i + s_j = 1``.
+        Returns ``(k, s_i, s_j, ed, du, ud)``: the face transmissivity, its
+        log-derivative weights (``dk/dy_i = k s_i``, ``s_i + s_j = 1``), the
+        Dirichlet cells' ``exp(y)``, the head drop ``u_i - u_j`` and the
+        Dirichlet ``u - u_D``.  The weights are None unless asked for, the
+        head terms without ``u``.
         """
-        yi, yj = y[self._i], y[self._j]
+        i, j, d = self._i, self._j, self._d
+        yi, yj = y.take(i, axis=-1), y.take(j, axis=-1)
         k = face_transmissivity(yi, yj)
-        # s_i = T_j / (T_i + T_j), written as a logistic in y_j - y_i for stability
-        s_i = 1.0 / (1.0 + np.exp(yi - yj))
-        return k, s_i, 1.0 - s_i
+        ed = np.exp(y.take(d, axis=-1))
+        s_i = s_j = None
+        if weights:
+            # s_i = T_j / (T_i + T_j), written as a logistic in y_j - y_i for stability
+            s_i = 1.0 / (1.0 + np.exp(yi - yj))
+            s_j = 1.0 - s_i
+        return (k, s_i, s_j, ed, *((None, None) if u is None else self._drops(u)))
+
+    def _drops(self, u):
+        """The kernel's head terms: per-face drop ``u_i - u_j`` and Dirichlet offset ``u - u_D``."""
+        return u.take(self._i, axis=-1) - u.take(self._j, axis=-1), u.take(self._d, axis=-1) - self._u_d
 
     def _sum(self, cells, terms):
         """Per-cell sums of per-face terms, row by row over an optional leading batch axis.
@@ -413,81 +430,67 @@ class FlowOperator:
         index = cells + n * np.arange(rows)[:, None]
         return np.bincount(index.ravel(), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
-    def _matrix(self, slots, terms) -> sp.csr_matrix:
-        data = np.bincount(slots, weights=np.concatenate(terms), minlength=self._indices.size)
+    def _matrix(self, terms) -> sp.csr_matrix:
+        """The CSR matrix summed from ``[ii, ij, ji, jj, dd]`` terms at their ``_slots``."""
+        data = np.bincount(self._slots, weights=np.concatenate(terms), minlength=self._indices.size)
         n = self.n_cells
         return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
 
+    def _balance(self, tk, ed, du, ud):
+        """R from the kernel's terms and ``tk = tau k``."""
+        flux = tk * du
+        load = self._neumann_load
+        if du.ndim == 2:
+            load = np.broadcast_to(load, (du.shape[0], load.size))
+        return self._sum(self._cells, [flux, -flux, self._tau_b * ed * ud, load])
+
+    def _adjoint(self, tk, s_i, s_j, ed, du, ud, w):
+        """``((dR/dy)^T w, (dR/du)^T w)`` from the kernel's terms, with ``tk = tau k``."""
+        dw = w.take(self._i, axis=-1) - w.take(self._j, axis=-1)
+        wkd = w.take(self._d, axis=-1) * self._tau_b * ed
+        gy = self._sum(self._face_cells, [tk * s_i * du * dw, tk * s_j * du * dw, wkd * ud])
+        tkdw = tk * dw
+        gu = self._sum(self._face_cells, [tkdw, -tkdw, wkd])
+        return gy, gu
+
     def residual(self, y, u) -> np.ndarray:
-        """The cell-balance residual R(y, u)."""
-        y, u = self._check(y=y, u=u)
-        i, j, d = self._i, self._j, self._d
-        flux = self._tau * face_transmissivity(y[i], y[j]) * (u[i] - u[j])
-        dirichlet = self._tau_b * np.exp(y[d]) * (u[d] - self._u_d)
-        return self._sum(self._cells, [flux, -flux, dirichlet, self._neumann_load])
+        """The cell-balance residual R(y, u), of one field pair or row by row over a batch."""
+        y, u = self._check(batch=True, y=y, u=u)
+        k, _, _, ed, du, ud = self._kernel(y, u)
+        return self._balance(self._tau * k, ed, du, ud)
 
     def jacobians(self, y, u) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """Exact sparse Jacobians (dR/dy, dR/du) at (y, u)."""
         y, u = self._check(y=y, u=u)
-        i, j, d = self._i, self._j, self._d
-        k, s_i, s_j = self._faces(y)
-        tau = self._tau
-        du = u[i] - u[j]
-        tk = tau * k
+        k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
+        tk = self._tau * k
+        kd = self._tau_b * ed
         # dR/dy: d(flux)/dy_i = tau k s_i du, rows i (+) and j (-)
-        gi = tau * k * s_i * du
-        gj = tau * k * s_j * du
-        kd = np.exp(y[d])
-        dr_dy = self._matrix(self._slots, [gi, gj, -gi, -gj, self._tau_b * kd * (u[d] - self._u_d)])
+        gi = tk * s_i * du
+        gj = tk * s_j * du
+        dr_dy = self._matrix([gi, gj, -gi, -gj, kd * ud])
         # dR/du: face stencil [[tk, -tk], [-tk, tk]]
-        dr_du = self._matrix(self._slots, [tk, -tk, -tk, tk, self._tau_b * kd])
+        dr_du = self._matrix([tk, -tk, -tk, tk, kd])
         return dr_dy, dr_du
 
     def vjp(self, y, u, w) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices."""
-        y, u, w = self._check(y=y, u=u, w=w)
-        i, j, d = self._i, self._j, self._d
-        k, s_i, s_j = self._faces(y)
-        tau = self._tau
-        du = u[i] - u[j]
-        dw = w[i] - w[j]
-        wkd = w[d] * self._tau_b * np.exp(y[d])
-        gy = self._sum(self._face_cells, [tau * k * s_i * du * dw, tau * k * s_j * du * dw, wkd * (u[d] - self._u_d)])
-        gu = self._sum(self._face_cells, [tau * k * dw, -tau * k * dw, wkd])
-        return gy, gu
+        """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices, batched like :meth:`residual`."""
+        y, u, w = self._check(batch=True, y=y, u=u, w=w)
+        k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
+        return self._adjoint(self._tau * k, s_i, s_j, ed, du, ud, w)
 
     def misfit_vjp(self, y, u, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Misfit ``m = R(y, u) - omega`` and its adjoint products ``((dR/dy)^T m, (dR/du)^T m)``.
 
-        ``y`` and ``u`` are one field each, shape ``(n_cells,)``, or a batch
-        of them, shape ``(rows, n_cells)``; ``omega`` broadcasts against the
-        residual.  The face terms are computed once for both results, in the
-        order :meth:`residual` and :meth:`vjp` use, so a single field gives
-        exactly ``m = residual(y, u) - omega`` and ``vjp(y, u, m)``.
+        Fields are batched as in :meth:`residual`; ``omega`` broadcasts.  One
+        set of kernel terms feeds the residual and the adjoint, so the result
+        is exactly ``residual(y, u) - omega`` and ``vjp(y, u, m)``.
         """
-        n = self.n_cells
-        y, u = np.asarray(y, dtype=np.float64), np.asarray(u, dtype=np.float64)
-        if y.shape[-1:] != (n,) or y.ndim > 2 or u.shape != y.shape:
-            raise ConfigError(f"y and u must have shape ({n},) or (rows, {n}), got {y.shape} and {u.shape}")
-        i, j, d = self._i, self._j, self._d
-        yi, yj = y.take(i, axis=-1), y.take(j, axis=-1)
-        tk = self._tau * face_transmissivity(yi, yj)
-        s_i = 1.0 / (1.0 + np.exp(yi - yj))
-        s_j = 1.0 - s_i
-        du = u.take(i, axis=-1) - u.take(j, axis=-1)
-        flux = tk * du
-        ed = np.exp(y.take(d, axis=-1))
-        ud = u.take(d, axis=-1) - self._u_d
-        load = self._neumann_load
-        if y.ndim == 2:
-            load = np.broadcast_to(load, (y.shape[0], load.size))
-        m = self._sum(self._cells, [flux, -flux, self._tau_b * ed * ud, load]) - omega
-        dw = m.take(i, axis=-1) - m.take(j, axis=-1)
-        wkd = m.take(d, axis=-1) * self._tau_b * ed
-        gy = self._sum(self._face_cells, [tk * s_i * du * dw, tk * s_j * du * dw, wkd * ud])
-        tkdw = tk * dw
-        gu = self._sum(self._face_cells, [tkdw, -tkdw, wkd])
-        return m, gy, gu
+        y, u = self._check(batch=True, y=y, u=u)
+        k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
+        tk = self._tau * k
+        m = self._balance(tk, ed, du, ud) - omega
+        return (m, *self._adjoint(tk, s_i, s_j, ed, du, ud, m))
 
     def hessian_contract(self, y, u, w) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """Weighted second derivatives ``(sum_i w_i d2R_i/dydy, sum_i w_i d2R_i/dydu)``.
@@ -497,27 +500,22 @@ class FlowOperator:
         ``sum_i w_i Hess(R_i)`` (the (u, y) block is the transpose of the second).
         """
         y, u, w = self._check(y=y, u=u, w=w)
-        i, j, d = self._i, self._j, self._d
-        k, s_i, s_j = self._faces(y)
-        tau = self._tau
-        du = u[i] - u[j]
-        dw = w[i] - w[j]
-        wkd = w[d] * self._tau_b * np.exp(y[d])
+        k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
+        dw_tau = (w[self._i] - w[self._j]) * self._tau
+        wkd = w[self._d] * self._tau_b * ed
 
         # Second derivatives of the harmonic mean:
         #   d2k/dy_i2 = k s_i (s_i - s_j), d2k/dy_j2 = k s_j (s_j - s_i),
         #   d2k/dy_i dy_j = 2 k s_i s_j   (their sum is k, matching k(y+c) = e^c k)
-        wface = dw * tau * du
-        kii = k * s_i * (s_i - s_j)
-        kjj = k * s_j * (s_j - s_i)
-        kij = 2 * k * s_i * s_j
+        wface = dw_tau * du
+        hij = wface * (2 * k * s_i * s_j)
         h_yy = self._matrix(
-            self._slots_yy, [wface * kii, wface * kjj, wface * kij, wface * kij, wkd * (u[d] - self._u_d)]
+            [wface * (k * s_i * (s_i - s_j)), hij, hij, wface * (k * s_j * (s_j - s_i)), wkd * ud]
         )
         # Mixed block: d2(flux)/dy_a du_i = tau k s_a, du_j enters with minus
-        ci = dw * tau * k * s_i
-        cj = dw * tau * k * s_j
-        h_yu = self._matrix(self._slots, [ci, -ci, cj, -cj, wkd])
+        ci = dw_tau * k * s_i
+        cj = dw_tau * k * s_j
+        h_yu = self._matrix([ci, -ci, cj, -cj, wkd])
         return h_yy, h_yu
 
     def solve(self, y) -> np.ndarray:
@@ -537,12 +535,13 @@ class FlowOperator:
             )
         # R is affine in u, so R(y, u) = A u - b with A = dR/du and b = -R(y, 0).
         # The face fluxes vanish at u = 0, which leaves the boundary terms in b.
-        tk = self._tau * face_transmissivity(y[self._i], y[self._j])
-        kd = self._tau_b * np.exp(y[self._d])
+        k, _, _, ed, _, _ = self._kernel(y)
+        tk = self._tau * k
+        kd = self._tau_b * ed
         b = -self._sum(self._boundary_cells, [kd * (0.0 - self._u_d), self._neumann_load])
         scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
         u = self._band_solve([tk, -tk, -tk, tk, kd], b)
-        achieved = float(np.max(np.abs(self.residual(y, u))))
+        achieved = float(np.max(np.abs(self._balance(tk, ed, *self._drops(u)))))
         if not np.isfinite(achieved) or achieved > SOLVE_TOL * scale:
             raise SolveConvergenceError(
                 f"forward solve residual {achieved:.3e} exceeds tolerance {SOLVE_TOL * scale:.3e}"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -118,15 +119,30 @@ class TestConfigValidation:
             ("sampler", "n_ens", True),
             ("truncation", "n_xi", 3.7),
             ("mesh", "nx", "8"),
+            ("mesh", "lx", True),
+            ("mesh", "ly", "1.0"),
+            ("mesh", "bc", {"west": True, "east": 0.0, "south": 0.0, "north": 0.0}),
+            ("kernel", "sigma", float("inf")),
+            ("kernel", "length_scale", "0.5"),
+            ("truncation", "energy", float("nan")),
+            ("sigma_r_sq", None, [True]),
+            ("sigma_r_sq", None, "0.05"),
+            ("mesh", None, 5),
+            ("sampler", None, [1]),
+            ("kernel", None, None),
         ],
     )
     def test_field_types_are_checked(self, tmp_path, capsys, section, field, value):
-        # Before these checks, "false" read as true and 2.9 as 2.
-        path = write_config(tmp_path / "c.json", tmp_path / "out", **{section: {field: value}})
-        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+        # Before these checks, "false" read as true, 2.9 as 2 and [true] as 1.0;
+        # a section that was not an object ended in a traceback or in a
+        # complaint about unknown fields.  ``field`` None replaces the section.
+        name = section if field is None else f"{section}.{field}"
+        override = {section: value} if field is None else {section: {field: value}}
+        path = write_config(tmp_path / "c.json", tmp_path / "out", **override)
+        with pytest.raises(ConfigError, match=rf"{re.escape(name)}(\.\w+)? must be"):
             cli.load_run_config(path)
         assert cli.main(["map", "--config", path]) == 1
-        assert f"{section}.{field}" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
 
     def test_valid_types_keep_their_hash(self, tmp_path):
         path = write_config(tmp_path / "c.json", tmp_path / "out")
@@ -399,6 +415,36 @@ class TestCorruptInputs:
         assert cli.main(["diagnose", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join("gamma_0.05", "map.json") in err
+
+    @pytest.mark.parametrize(
+        "rel, key, tamper",
+        [
+            ("prior/y_basis.json", "eigenvalues", None),
+            ("prior/y_basis.json", "mean", lambda mean: mean[:-1]),
+            ("prior/u_basis.json", "eigenvectors", lambda vecs: vecs[:-1]),
+            ("prior/u_basis.json", "eigenvalues", lambda vals: vals[:-1] + [float("nan")]),
+            ("case/case.json", "u_obs", None),
+            ("case/case.json", "y_obs", lambda obs: {**obs, "cells": obs["cells"][:-1]}),
+        ],
+        ids=[
+            "basis-no-eigenvalues", "basis-short-mean", "basis-short-modes", "basis-nan",
+            "case-no-u_obs", "case-short-cells",
+        ],
+    )
+    def test_tampered_prior_and_case(self, pipeline, tmp_path, capsys, rel, key, tamper):
+        # These used to end in a KeyError or a numpy reshape error that named no file.
+        def edit(lines):
+            doc = json.loads("\n".join(lines))
+            if tamper is None:
+                del doc[key]
+            else:
+                doc[key] = tamper(doc[key])
+            return json.dumps(doc).splitlines()
+
+        path = self.corrupt_copy(pipeline, tmp_path, rel, edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join(*rel.split("/")) in err
 
     def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
         edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731

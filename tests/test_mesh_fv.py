@@ -398,13 +398,16 @@ class TestMisfitVjp:
         rng = np.random.default_rng(mesh.n_cells + 1)
         rows = 6
         y, u, omega = (rng.normal(scale=0.8, size=(rows, mesh.n_cells)) for _ in range(3))
-        batch = op.misfit_vjp(y, u, omega)
+        w = rng.normal(size=(rows, mesh.n_cells))
+        batch, residual, vjp = op.misfit_vjp(y, u, omega), op.residual(y, u), op.vjp(y, u, w)
         for r in range(rows):
             m = op.residual(y[r], u[r]) - omega[r]
             want = (m, *op.vjp(y[r], u[r], m))
             assert_identical(op.misfit_vjp(y[r], u[r], omega[r]), want)
-            for got, ref in zip(batch, want):
-                assert np.max(np.abs(got[r] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # every row of a batch rounds exactly as the same field alone
+            assert_identical(tuple(part[r] for part in batch), want)
+            assert_identical(residual[r], op.residual(y[r], u[r]))
+            assert_identical(tuple(part[r] for part in vjp), op.vjp(y[r], u[r], w[r]))
 
     def test_rejects_mismatched_fields(self):
         mesh = mf.build_structured_mesh(4, 3)
@@ -414,6 +417,10 @@ class TestMisfitVjp:
             op.misfit_vjp(np.zeros((2, n)), np.zeros(n), 0.0)
         with pytest.raises(ConfigError, match="y and u must have shape"):
             op.misfit_vjp(np.zeros(n + 1), np.zeros(n + 1), 0.0)
+        with pytest.raises(ConfigError, match="w must have shape"):
+            op.vjp(np.zeros((2, n)), np.zeros((2, n)), np.zeros(n))
+        with pytest.raises(ConfigError, match=r"y and u must have shape \(12,\), got \(2, 12\)"):
+            op.jacobians(np.zeros((2, n)), np.zeros((2, n)))
 
 
 class TestSerialization:

@@ -441,8 +441,14 @@ def _flow_model(config: RunConfig):
     _require(os.path.join(case_dir, "case.json"), "generate")
     case = load_case(case_dir)
     prior_dir = os.path.join(config.output_dir, "prior")
-    y_basis = basis_from_json(_require(os.path.join(prior_dir, "y_basis.json"), "build-prior"))
-    u_basis = basis_from_json(_require(os.path.join(prior_dir, "u_basis.json"), "build-prior"))
+    bases = []
+    for name in ("y_basis.json", "u_basis.json"):
+        path = _require(os.path.join(prior_dir, name), "build-prior")
+        basis = basis_from_json(path)
+        if basis.n_cells != mesh.n_cells:
+            raise ConfigError(f"prior file {path} has {basis.n_cells} cells, the mesh has {mesh.n_cells}")
+        bases.append(basis)
+    y_basis, u_basis = bases
     return ResidualModel(mesh, y_basis, u_basis, bc), case, y_basis
 
 

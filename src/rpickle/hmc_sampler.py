@@ -6,8 +6,10 @@ constant); proposals integrate Hamiltonian dynamics with a plain fixed-length
 leapfrog and identity mass matrix, and the step size adapts during burn-in by
 dual averaging toward a target acceptance rate, then freezes.  Each iteration
 jitters the step within a narrow band to avoid resonant trajectories.  Chains
-are independent (one RNG stream each) and run one after another in chain-id
-order; no chain's result depends on that order.
+are independent (one RNG stream, step size and adaptation each) and advance
+in lockstep as rows of one state, so each leapfrog step is one batched
+gradient call for all of them.  A single chain rounds exactly as it does
+alone; with several, the batched products may move a chain's last bits.
 """
 
 from __future__ import annotations
@@ -98,37 +100,68 @@ class Chain:
         return float(self.accept_flags.mean())
 
 
-def log_posterior_and_grad(model, params: LossParams, z) -> tuple[float, np.ndarray]:
-    """Log posterior ``-loss/gamma`` (constant aside) and its exact gradient."""
+def log_posterior_and_grad(model, params: LossParams, z) -> tuple:
+    """Log posterior ``-loss/gamma`` (constant aside) and its exact gradient.
+
+    ``z`` is one stacked vector, or ``(chains, size)`` rows with one value
+    and one gradient row each.  A one-row batch is evaluated as its one
+    vector, so a single chain rounds exactly as it does alone: the batched
+    loss sums squares per row with ``einsum``, which can differ in the last
+    bit from the one-vector ``dot``.
+    """
     loss = PickleLoss(model, params)
-    value, grad = loss.value_grad(loss.stacked(z))
+    z = loss.stacked(z, batch=True)
+    if z.ndim == 2 and z.shape[0] == 1:
+        value, grad = loss.value_grad(z[0])
+        return np.array([-value]), -grad[None]
+    value, grad = loss.value_grad(z)
     return -value, -grad
 
 
 def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
-    """Fixed-length leapfrog with identity mass matrix.
+    """Fixed-length leapfrog with identity mass matrix, for one point or rows of points.
 
-    ``grad_fn`` returns the gradient of the log posterior; ``grad``, when
-    given, is its value at ``z`` and saves the first call.  Zero steps is the
-    identity.  Otherwise the last ``grad_fn`` call of a finite trajectory is
-    at the returned point.  A non-finite trajectory is returned as-is; the
-    caller treats it as a rejected proposal.
+    ``z`` and ``momentum`` are one vector or ``(rows, dim)``; ``step_size``
+    is one step, or one per row.  ``grad_fn`` returns the gradient of the
+    log posterior at points shaped like ``z``; ``grad``, when given, is its
+    value at ``z`` and saves the first call.  Zero steps is the identity.
+
+    A row whose position goes non-finite stops there: it is returned as it
+    is, takes no further ``grad_fn`` calls, and the caller treats it as a
+    rejected proposal.  The other rows go on exactly as they would alone.
+    Each call passes only the rows still finite, in row order, so the last
+    call of a trajectory is at the returned points of exactly the rows whose
+    positions are finite.
     """
-    if not step_size > 0:
+    h = np.asarray(step_size, dtype=np.float64)
+    if not (h > 0).all():
         raise ConfigError("step_size must be positive")
     z = np.array(z, dtype=np.float64)
     p = np.array(momentum, dtype=np.float64)
     if n_steps == 0:
         return z, p
-    p = p + 0.5 * step_size * (grad_fn(z) if grad is None else grad)
+    one = z.ndim == 1
+    if one:
+        z, p, fn = z[None], p[None], grad_fn
+        grad_fn = lambda x: fn(x[0])[None]  # noqa: E731
+        grad = None if grad is None else np.asarray(grad)[None]
+    out_z, out_p = z, p  # rows that stop are written here; the rest at the end
+    rows = np.arange(z.shape[0])  # the rows still finite, in order
+    h = h.reshape(-1, 1)
+    p = p + 0.5 * h * (grad_fn(z) if grad is None else grad)
     for k in range(n_steps):
-        z = z + step_size * p
-        if not np.all(np.isfinite(z)):
-            return z, p
-        if k < n_steps - 1:
-            p = p + step_size * grad_fn(z)
-    p = p + 0.5 * step_size * grad_fn(z)
-    return z, p
+        z = z + h * p
+        if not np.isfinite(z).all():
+            finite = np.isfinite(z).all(axis=1)
+            out_z[rows[~finite]], out_p[rows[~finite]] = z[~finite], p[~finite]
+            h = np.broadcast_to(h, (rows.size, 1))[finite]
+            rows, z, p = rows[finite], z[finite], p[finite]
+            if not rows.size:
+                break
+        p = p + (h if k < n_steps - 1 else 0.5 * h) * grad_fn(z)
+    else:
+        out_z[rows], out_p[rows] = z, p
+    return (out_z[0], out_p[0]) if one else (out_z, out_p)
 
 
 class _DualAveraging:
@@ -160,84 +193,89 @@ class _DualAveraging:
         return float(np.exp(self.log_step_avg))
 
 
-def _run_chain(model, params, config: HmcConfig, seed: int, chain_id: int) -> Chain:
-    rng = spawn_rng(seed, STREAM_HMC, chain_id)
-    dim = model.n_xi + model.n_eta
-    z = rng.standard_normal(dim)
+def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Chain]:
+    """Run independent chains initialized from prior draws, all in lockstep.
 
-    # Log posterior and gradient at the last point grad_fn saw.  Leapfrog's
-    # last call is at the proposal, so its log posterior, and its gradient
-    # once accepted, are read from here instead of being evaluated again.
+    The chains are held as one ``(n_chains, dim)`` state, so every leapfrog
+    step makes one :func:`log_posterior_and_grad` call for all of them.  Each
+    chain keeps its own RNG stream (drawing, per iteration, its momenta, its
+    step jitter and one accept uniform), its own step size and dual
+    averaging, and its own frozen step, so its draws do not depend on the
+    others; only the batched products may round a chain's gradient
+    differently in the last bits from a run of that chain alone.  A
+    split-chain potential-scale-reduction factor above 1.05 draws a warning
+    (never an error).
+    """
+    n, dim = config.n_chains, model.n_xi + model.n_eta
+    rngs = [spawn_rng(seed, STREAM_HMC, c) for c in range(n)]
+    z = np.array([rng.standard_normal(dim) for rng in rngs])
+    lp, grad = log_posterior_and_grad(model, params, z)
+    bad = np.flatnonzero(~np.isfinite(lp))
+    if bad.size:
+        c = int(bad[0])
+        raise NumericalError(
+            f"chain {c}: non-finite log posterior at the initial point "
+            f"(seed {seed_token(seed, STREAM_HMC, c)})"
+        )
+
+    # Log posterior and gradient at the last points grad_fn saw.  Leapfrog's
+    # last call is at the proposals still finite, so their log posteriors,
+    # and their gradients once accepted, are read from here instead of being
+    # evaluated again.
     last = {}
 
     def grad_fn(x):
         last["lp"], last["grad"] = log_posterior_and_grad(model, params, x)
         return last["grad"]
 
-    lp, grad = log_posterior_and_grad(model, params, z)
-    if not np.isfinite(lp):
-        raise NumericalError(
-            f"chain {chain_id}: non-finite log posterior at the initial point "
-            f"(seed {seed_token(seed, STREAM_HMC, chain_id)})"
-        )
-
-    adapter = _DualAveraging(config.step_size, config.target_accept)
-    step = config.step_size
-    trace = [step]
-    states = np.empty((config.n_samples, dim))
-    flags = np.empty(config.n_samples, dtype=bool)
-    lps = np.empty(config.n_samples)
+    adapters = [_DualAveraging(config.step_size, config.target_accept) for _ in range(n)]
+    step = np.full(n, config.step_size)
+    traces = [[config.step_size] for _ in range(n)]
+    states = np.empty((n, config.n_samples, dim))
+    flags = np.empty((n, config.n_samples), dtype=bool)
+    lps = np.empty((n, config.n_samples))
     total = config.burn_in + config.n_samples
 
     for t in range(total):
-        p = rng.standard_normal(dim)
-        step_t = step * rng.uniform(*STEP_JITTER)
+        p = np.array([rng.standard_normal(dim) for rng in rngs])
+        step_t = step * np.array([rng.uniform(*STEP_JITTER) for rng in rngs])
         # Divergent trajectories overflow before they are rejected; the
         # resulting warnings carry no information, so mute them here.
         with np.errstate(over="ignore", invalid="ignore"):
             z_new, p_new = leapfrog(z, p, step_t, config.leapfrog_steps, grad_fn, grad)
-            finite = np.all(np.isfinite(z_new)) and np.all(np.isfinite(p_new))
-            if finite:
-                lp_new = last["lp"]
-                log_alpha = (lp_new - lp) + 0.5 * (p @ p - p_new @ p_new)
-            else:
-                lp_new, log_alpha = -np.inf, -np.inf
-        alpha = float(np.exp(min(0.0, log_alpha))) if np.isfinite(log_alpha) else 0.0
-        accept = rng.uniform() < alpha
-        if accept:
-            z, lp, grad = z_new, lp_new, last["grad"]
+            live = np.isfinite(z_new).all(axis=1)
+            lp_new, grad_new = np.full(n, -np.inf), np.zeros((n, dim))
+            if live.any():
+                lp_new[live], grad_new[live] = last["lp"], last["grad"]
+            # The kinetic energies are per-row dots, as one chain's p @ p.
+            log_alpha = (lp_new - lp) + 0.5 * (np.vecdot(p, p) - np.vecdot(p_new, p_new))
+            log_alpha[~(live & np.isfinite(p_new).all(axis=1))] = -np.inf
+        alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
+        accept = np.array([rng.uniform() for rng in rngs]) < alpha
+        z[accept], lp[accept], grad[accept] = z_new[accept], lp_new[accept], grad_new[accept]
 
         if config.adapt and t < config.burn_in:
-            step = adapter.update(alpha)
-            trace.append(step)
-            if t == config.burn_in - 1:
-                step = adapter.frozen_step
+            for c, adapter in enumerate(adapters):
+                step[c] = adapter.update(float(alpha[c]))
+                traces[c].append(step[c])
+                if t == config.burn_in - 1:
+                    step[c] = adapter.frozen_step
         if t >= config.burn_in:
             k = t - config.burn_in
-            states[k] = z
-            flags[k] = accept
-            lps[k] = lp
+            states[:, k], flags[:, k], lps[:, k] = z, accept, lp
 
-    return Chain(
-        states=states,
-        accept_flags=flags,
-        adapted_step_size=step,
-        log_posteriors=lps,
-        adaptation_trace=np.asarray(trace),
-        chain_id=chain_id,
-        seed=seed_token(seed, STREAM_HMC, chain_id),
-    )
-
-
-def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Chain]:
-    """Run independent chains initialized from prior draws, in chain-id order.
-
-    Chains use one RNG stream each, so a chain's result does not depend on
-    the others.  A split-chain potential-scale-reduction factor above 1.05
-    draws a warning (never an error).
-    """
-    chains = [_run_chain(model, params, config, seed, c) for c in range(config.n_chains)]
-
+    chains = [
+        Chain(
+            states=states[c],
+            accept_flags=flags[c],
+            adapted_step_size=float(step[c]),
+            log_posteriors=lps[c],
+            adaptation_trace=np.asarray(traces[c]),
+            chain_id=c,
+            seed=seed_token(seed, STREAM_HMC, c),
+        )
+        for c in range(n)
+    ]
     if config.n_samples >= 4:
         psrf = split_chain_psrf(chains)
         worst = float(np.max(psrf))

@@ -329,7 +329,9 @@ class FlowOperator:
     its half-bandwidth ``half_bandwidth`` and the index that scatters the
     same terms into LAPACK band storage.  The methods then take only fields,
     so repeated evaluations (optimizer steps, Monte Carlo forward solves) pay
-    for arithmetic alone and keep no state between calls.
+    for arithmetic alone.  The one thing kept between calls is the
+    row-offset index of the largest batch summed so far, which smaller
+    batches reuse as a prefix; results never depend on it.
 
     One kernel gives every method the face and Dirichlet terms it uses.  One
     rule checks the fields: all of one shape, ``(n_cells,)``, or for
@@ -354,9 +356,12 @@ class FlowOperator:
         self._tau_b = mesh.boundary_areas[d_idx] / mesh.boundary_distances[d_idx]
         self._u_d = bc.dirichlet_values
         self._neumann_load = bc.neumann_fluxes * mesh.boundary_areas[n_idx]
-        self._cells = np.concatenate([i, j, d, mesh.boundary_cells[n_idx]])
-        self._face_cells = self._cells[: 2 * i.size + d.size]
-        self._boundary_cells = self._cells[2 * i.size :]
+        # The cells each per-face sum adds into: every term, the face and
+        # Dirichlet terms, the boundary terms.  _row_cells keeps, per kind,
+        # the row-offset cells of the largest batch summed so far.
+        cells = np.concatenate([i, j, d, mesh.boundary_cells[n_idx]])
+        self._cells = {"all": cells, "faces": cells[: 2 * i.size + d.size], "boundary": cells[2 * i.size :]}
+        self._row_cells = {}
 
         keys = np.unique(np.concatenate([i * n + i, i * n + j, j * n + i, j * n + j, d * n + d]))
         self._indices = (keys % n).astype(np.int32)
@@ -385,10 +390,10 @@ class FlowOperator:
         """The fields as float arrays of one shape, ``(n_cells,)`` or, with ``batch``, ``(rows, n_cells)``."""
         n = self.n_cells
         values = [np.asarray(value, dtype=np.float64) for value in fields.values()]
-        shapes = [value.shape for value in values]
-        if shapes[0][-1:] != (n,) or len(shapes[0]) > 1 + batch or len(set(shapes)) > 1:
+        shape = values[0].shape
+        if shape[-1:] != (n,) or len(shape) > 1 + batch or any(value.shape != shape for value in values[1:]):
             allowed = f"({n},) or (rows, {n})" if batch else f"({n},)"
-            got = " and ".join(map(str, shapes))
+            got = " and ".join(str(value.shape) for value in values)
             raise ConfigError(f"{' and '.join(fields)} must have shape {allowed}, got {got}")
         return values
 
@@ -416,19 +421,24 @@ class FlowOperator:
         """The kernel's head terms: per-face drop ``u_i - u_j`` and Dirichlet offset ``u - u_D``."""
         return u.take(self._i, axis=-1) - u.take(self._j, axis=-1), u.take(self._d, axis=-1) - self._u_d
 
-    def _sum(self, cells, terms):
-        """Per-cell sums of per-face terms, row by row over an optional leading batch axis.
+    def _sum(self, kind, terms):
+        """Per-cell sums of per-face terms into the ``kind`` cells, row by row over an optional batch axis.
 
         A batch adds each row's terms in the same order as a single field, by
         one ``bincount`` over row-offset cells, so every row rounds as it
-        would alone.
+        would alone; a one-row batch is summed as its one field.
         """
+        cells, n = self._cells[kind], self.n_cells
         weights = np.concatenate(terms, axis=-1)
         if weights.ndim == 1:
-            return np.bincount(cells, weights=weights, minlength=self.n_cells)
-        n, rows = self.n_cells, weights.shape[0]
-        index = cells + n * np.arange(rows)[:, None]
-        return np.bincount(index.ravel(), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+            return np.bincount(cells, weights=weights, minlength=n)
+        rows = weights.shape[0]
+        if rows == 1:
+            return np.bincount(cells, weights=weights[0], minlength=n)[None]
+        index = self._row_cells.get(kind)
+        if index is None or index.shape[0] < rows:
+            index = self._row_cells[kind] = cells + n * np.arange(rows)[:, None]
+        return np.bincount(index[:rows].ravel(), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
     def _matrix(self, terms) -> sp.csr_matrix:
         """The CSR matrix summed from ``[ii, ij, ji, jj, dd]`` terms at their ``_slots``."""
@@ -441,16 +451,16 @@ class FlowOperator:
         flux = tk * du
         load = self._neumann_load
         if du.ndim == 2:
-            load = np.broadcast_to(load, (du.shape[0], load.size))
-        return self._sum(self._cells, [flux, -flux, self._tau_b * ed * ud, load])
+            load = load[None].repeat(du.shape[0], axis=0)
+        return self._sum("all", [flux, -flux, self._tau_b * ed * ud, load])
 
     def _adjoint(self, tk, s_i, s_j, ed, du, ud, w):
         """``((dR/dy)^T w, (dR/du)^T w)`` from the kernel's terms, with ``tk = tau k``."""
         dw = w.take(self._i, axis=-1) - w.take(self._j, axis=-1)
         wkd = w.take(self._d, axis=-1) * self._tau_b * ed
-        gy = self._sum(self._face_cells, [tk * s_i * du * dw, tk * s_j * du * dw, wkd * ud])
+        gy = self._sum("faces", [tk * s_i * du * dw, tk * s_j * du * dw, wkd * ud])
         tkdw = tk * dw
-        gu = self._sum(self._face_cells, [tkdw, -tkdw, wkd])
+        gu = self._sum("faces", [tkdw, -tkdw, wkd])
         return gy, gu
 
     def residual(self, y, u) -> np.ndarray:
@@ -538,7 +548,7 @@ class FlowOperator:
         k, _, _, ed, _, _ = self._kernel(y)
         tk = self._tau * k
         kd = self._tau_b * ed
-        b = -self._sum(self._boundary_cells, [kd * (0.0 - self._u_d), self._neumann_load])
+        b = -self._sum("boundary", [kd * (0.0 - self._u_d), self._neumann_load])
         scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
         u = self._band_solve([tk, -tk, -tk, tk, kd], b)
         achieved = float(np.max(np.abs(self._balance(tk, ed, *self._drops(u)))))

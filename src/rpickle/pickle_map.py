@@ -119,9 +119,10 @@ class ResidualModel:
         """Misfit ``m = R(xi, eta) - omega`` and ``((dR/dxi)^T m, (dR/deta)^T m)`` in one pass.
 
         Coefficients are one vector each or ``(rows, n)`` batches.  A single
-        row gives exactly :meth:`residual` minus ``omega`` followed by
-        :meth:`vjp`; in a batch, the basis products are matrix products and
-        may round differently in the last bits.
+        row, or a one-row batch, gives exactly :meth:`residual` minus
+        ``omega`` followed by :meth:`vjp`; in a larger batch, the basis
+        products are matrix products and may round differently in the last
+        bits.
         """
         y, u = self.fields(xi, eta)
         m, gy, gu = self.operator.misfit_vjp(y, u, omega)
@@ -171,10 +172,10 @@ class PickleLoss:
         self.alpha = _target(alpha, model.n_xi)
         self.beta = _target(beta, model.n_eta)
 
-    def stacked(self, z) -> np.ndarray:
-        """``z`` as a checked stacked vector: length ``size``, finite."""
+    def stacked(self, z, batch=False) -> np.ndarray:
+        """``z`` as a checked stacked vector, or with ``batch`` ``(rows, size)`` of them: length ``size``, finite."""
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.size,):
+        if z.shape[-1:] != (self.size,) or z.ndim > 1 + batch:
             raise ConfigError(f"coefficient vector must have length {self.size}, got {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ConfigError("coefficients must be finite")
@@ -224,7 +225,12 @@ class PickleLoss:
 
 
 def _sq(v):
-    """Squared 2-norm of a vector, or of each row of a batch."""
+    """Squared 2-norm of a vector, or of each row of a batch.
+
+    The two round differently in the last bit: ``dot`` for a vector,
+    ``einsum`` per row for a batch, so a one-row batch's value may differ
+    from its vector's by an ulp (its gradient does not).
+    """
     return float(v @ v) if v.ndim == 1 else np.einsum("ij,ij->i", v, v)
 
 

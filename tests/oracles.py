@@ -171,6 +171,63 @@ def reference_randomized_loss(mesh, bc, y_basis, u_basis, sigma_r_sq, xi, eta,
     return out
 
 
+# -- HMC, one chain at a time --------------------------------------------------
+
+
+def reference_hmc_chain(log_post, dim, rng, n_samples, burn_in, leapfrog_steps,
+                        step_size, target_accept, adapt=True):
+    """One fixed-length leapfrog HMC chain, run on its own.
+
+    ``log_post(z)`` returns the log posterior and its gradient at one vector.
+    Each iteration draws momenta, a step jitter in [0.8, 1.2) and one accept
+    uniform from ``rng``; during burn-in the step adapts by dual averaging
+    (shrinkage 0.05, offset 10, decay 0.75) and then freezes at its average.
+    A trajectory that goes non-finite stops there and is rejected.  Returns
+    the kept states, accept flags and log posteriors, the final step and the
+    adaptation trace.
+    """
+    z = rng.standard_normal(dim)
+    lp, grad = log_post(z)
+    mu = np.log(10.0 * step_size)
+    h_bar, log_step_avg = 0.0, np.log(step_size)
+    step, trace = step_size, [step_size]
+    states, flags, lps = [], [], []
+    for t in range(burn_in + n_samples):
+        p0 = rng.standard_normal(dim)
+        eps = step * rng.uniform(0.8, 1.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, p = z, p0 + 0.5 * eps * grad
+            finite = True
+            for k in range(leapfrog_steps):
+                x = x + eps * p
+                if not np.all(np.isfinite(x)):
+                    finite = False
+                    break
+                lp_x, g_x = log_post(x)
+                p = p + (eps if k < leapfrog_steps - 1 else 0.5 * eps) * g_x
+            finite = finite and np.all(np.isfinite(p))
+            log_alpha = (lp_x - lp) + 0.5 * (p0 @ p0 - p @ p) if finite else -np.inf
+        alpha = float(np.exp(min(0.0, log_alpha))) if np.isfinite(log_alpha) else 0.0
+        accept = rng.uniform() < alpha
+        if accept:
+            z, lp, grad = x, lp_x, g_x
+        if adapt and t < burn_in:
+            m = t + 1
+            h_bar += (target_accept - alpha - h_bar) / (m + 10.0)
+            log_step = mu - np.sqrt(m) / 0.05 * h_bar
+            eta = m ** (-0.75)
+            log_step_avg = eta * log_step + (1.0 - eta) * log_step_avg
+            step = float(np.exp(log_step))
+            trace.append(step)
+            if t == burn_in - 1:
+                step = float(np.exp(log_step_avg))
+        if t >= burn_in:
+            states.append(z)
+            flags.append(accept)
+            lps.append(lp)
+    return np.array(states), np.array(flags), np.array(lps), step, np.array(trace)
+
+
 # -- misc --------------------------------------------------------------------
 
 

@@ -446,6 +446,21 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join(*rel.split("/")) in err
 
+    @pytest.mark.parametrize("name", ["y_basis.json", "u_basis.json"])
+    def test_basis_one_cell_short(self, pipeline, tmp_path, capsys, name):
+        # A basis that reads cleanly but covers one cell less than the mesh
+        # used to fail in the residual model with a message naming no file.
+        def edit(lines):
+            doc = json.loads("\n".join(lines))
+            doc["mean"] = doc["mean"][:-1]
+            doc["eigenvectors"] = doc["eigenvectors"][:-1]
+            return json.dumps(doc).splitlines()
+
+        path = self.corrupt_copy(pipeline, tmp_path, f"prior/{name}", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("prior", name) in err and "cells" in err
+
     def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
         edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731
         path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/rpickle.csv", edit)

@@ -179,6 +179,26 @@ class TestLeapfrog:
         z1, _ = leapfrog(np.array([1.0]), np.array([0.0]), 1e4, 50, lambda z: -1e8 * z)
         assert not np.all(np.isfinite(z1))
 
+    def test_diverging_row_leaves_the_other_as_if_alone(self):
+        # Row 0's step is far past the stability limit of the unit harmonic
+        # potential, so it overflows within the 50 steps; row 1's is stable.
+        z0 = np.array([[1.0, -0.5], [0.3, 0.7]])
+        p0 = np.array([[0.2, 0.1], [-0.4, 0.9]])
+        seen = []
+
+        def grad(z):
+            seen.append(z.shape[0])
+            return -z
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            z1, p1 = leapfrog(z0, p0, np.array([1e4, 0.1]), 50, grad)
+        assert not np.all(np.isfinite(z1[0]))
+        assert seen[0] == 2 and seen[-1] == 1  # the diverged row takes no more calls
+        z_row, p_row = leapfrog(z0[1:], p0[1:], np.array([0.1]), 50, self.gaussian_grad)
+        z_one, p_one = leapfrog(z0[1], p0[1], 0.1, 50, self.gaussian_grad)
+        for z, p in ((z_row[0], p_row[0]), (z_one, p_one)):
+            assert np.array_equal(z1[1], z) and np.array_equal(p1[1], p)
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigError):
             leapfrog(np.zeros(1), np.zeros(1), 0.0, 1, self.gaussian_grad)
@@ -262,24 +282,27 @@ class TestRunHmc:
             assert np.array_equal(ca.accept_flags, cb.accept_flags)
             assert ca.adapted_step_size == cb.adapted_step_size
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         import rpickle.hmc_sampler as hmc
 
         model = cases.make_random_linear(np.random.default_rng(57), n_res=12, n_xi=3, n_eta=2)
         params = LossParams(sigma_r_sq=0.5)
-        config = HmcConfig(n_samples=3, n_chains=1, burn_in=5, leapfrog_steps=32, step_size=0.01)
-        calls = {"n": 0}
+        config = HmcConfig(n_samples=3, n_chains=3, burn_in=5, leapfrog_steps=32, step_size=0.01)
+        rows = []
         counted = hmc.log_posterior_and_grad
 
-        def counting(*args):
-            calls["n"] += 1
-            return counted(*args)
+        def counting(model, params, z):
+            rows.append(np.shape(z)[0])
+            return counted(model, params, z)
 
         monkeypatch.setattr(hmc, "log_posterior_and_grad", counting)
-        (chain,) = run_hmc(model, params, config, seed=57)
-        # one evaluation at the initial point, then one per leapfrog step
-        assert calls["n"] == 1 + 32 * (config.burn_in + config.n_samples)
-        assert chain.acceptance_rate > 0.5
+        chains = run_hmc(model, params, config, seed=57)
+        # one batched evaluation of every chain at the initial points, then
+        # one per leapfrog step for all chains together
+        assert len(rows) == 1 + 32 * (config.burn_in + config.n_samples)
+        assert set(rows) == {3}
+        assert all(chain.acceptance_rate > 0.5 for chain in chains)
 
     def test_nonfinite_initial_posterior_aborts(self):
         model = _HugeResidual(n_xi=2)
@@ -328,6 +351,70 @@ class TestRunHmc:
             (chain,) = run_hmc(model, LossParams(sigma_r_sq=gamma), config, seed=58)
             steps.append(chain.adapted_step_size)
         assert steps[0] > steps[1] > steps[2]
+
+
+class TestLockstepAgainstOneChainAtATime:
+    """``run_hmc`` against :func:`oracles.reference_hmc_chain`, run chain by chain."""
+
+    @staticmethod
+    def reference(model, params, config, seed):
+        from rpickle.seeding import STREAM_HMC, spawn_rng
+
+        return [
+            oracles.reference_hmc_chain(
+                lambda z: log_posterior_and_grad(model, params, z),
+                model.n_xi + model.n_eta,
+                spawn_rng(seed, STREAM_HMC, c),
+                config.n_samples,
+                config.burn_in,
+                config.leapfrog_steps,
+                config.step_size,
+                config.target_accept,
+                config.adapt,
+            )
+            for c in range(config.n_chains)
+        ]
+
+    @staticmethod
+    def models():
+        model, params, _ = cases.make_flow_case()
+        yield "flow", model, params, 0.02
+        yield "linear", cases.make_random_linear(np.random.default_rng(35)), LossParams(sigma_r_sq=0.5), 0.05
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_one_chain_is_bit_for_bit_the_reference(self):
+        for name, model, params, step in self.models():
+            config = HmcConfig(n_samples=80, n_chains=1, burn_in=120, leapfrog_steps=32, step_size=step)
+            (chain,) = run_hmc(model, params, config, seed=57)
+            ((states, flags, lps, final_step, trace),) = self.reference(model, params, config, 57)
+            assert np.array_equal(chain.states, states), name
+            assert np.array_equal(chain.accept_flags, flags), name
+            assert np.array_equal(chain.log_posteriors, lps), name
+            assert chain.adapted_step_size == final_step, name
+            assert np.array_equal(chain.adaptation_trace, trace), name
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_each_of_three_chains_tracks_its_reference(self):
+        # Without adaptation the step sizes match exactly, so the batched
+        # products' last-bit rounding is the only difference left.
+        for name, model, params, step in self.models():
+            config = HmcConfig(
+                n_samples=60, n_chains=3, burn_in=0, leapfrog_steps=32, step_size=step, adapt=False
+            )
+            chains = run_hmc(model, params, config, seed=58)
+            for chain, (states, flags, lps, _, _) in zip(chains, self.reference(model, params, config, 58)):
+                assert np.max(np.abs(chain.states - states)) <= 1e-10, name
+                assert np.array_equal(chain.accept_flags, flags), name
+                np.testing.assert_allclose(chain.log_posteriors, lps, rtol=1e-10, atol=0)
+
+    def test_one_row_batch_is_one_vector(self):
+        # A single chain must round exactly as it always has, value included.
+        for name, model, params, _ in self.models():
+            z = 0.5 * np.random.default_rng(37).standard_normal(model.n_xi + model.n_eta)
+            lp, grad = log_posterior_and_grad(model, params, z)
+            lp_row, grad_row = log_posterior_and_grad(model, params, z[None])
+            assert lp_row.shape == (1,) and grad_row.shape == (1, z.size), name
+            assert lp_row[0] == lp and np.array_equal(grad_row[0], grad), name
 
 
 class TestPsrf:

@@ -409,6 +409,24 @@ class TestMisfitVjp:
             assert_identical(residual[r], op.residual(y[r], u[r]))
             assert_identical(tuple(part[r] for part in vjp), op.vjp(y[r], u[r], w[r]))
 
+    @pytest.mark.parametrize("nx", [8, 32])
+    def test_one_row_and_regrown_batches(self, nx):
+        # A one-row batch is summed as its one field; a batch after a larger
+        # one reuses a prefix of the larger one's row-offset cells, and a
+        # larger one after that rebuilds them.
+        mesh = mf.build_structured_mesh(nx, nx)
+        op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))
+        rng = np.random.default_rng(nx)
+        y, u, omega = (rng.normal(scale=0.8, size=(7, mesh.n_cells)) for _ in range(3))
+        for rows in (1, 5, 2, 7, 1):
+            batch = op.misfit_vjp(y[:rows], u[:rows], omega[:rows])
+            residual = op.residual(y[:rows], u[:rows])
+            vjp = op.vjp(y[:rows], u[:rows], omega[:rows])
+            for r in range(rows):
+                assert_identical(tuple(part[r] for part in batch), op.misfit_vjp(y[r], u[r], omega[r]))
+                assert_identical(residual[r], op.residual(y[r], u[r]))
+                assert_identical(tuple(part[r] for part in vjp), op.vjp(y[r], u[r], omega[r]))
+
     def test_rejects_mismatched_fields(self):
         mesh = mf.build_structured_mesh(4, 3)
         op = mf.FlowOperator(mesh, mf.boundary_values(mesh, SIDES))

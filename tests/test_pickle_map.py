@@ -261,6 +261,28 @@ class TestPickleGrad:
             for got, ref in zip(batch, want):
                 assert np.max(np.abs(got[r] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("nx", [8, 32])
+    def test_one_row_batch_rounds_as_one_vector(self, nx):
+        # A one-row batch reproduces one vector bit for bit through the
+        # fields, the operator and the basis products.  The loss value is the
+        # exception: a batch sums its squares with einsum, the rounding the
+        # lockstep solver and so every MAP and ensemble output were made
+        # with, one vector with dot.
+        model, params, _ = cases.make_flow_case(nx=nx, ny=nx, n_mc=200)
+        loss = PickleLoss(model, params, omega=np.random.default_rng(nx).standard_normal(model.n_residual))
+        rng = np.random.default_rng(39)
+        for _ in range(5):
+            z = 0.5 * rng.standard_normal(loss.size)
+            xi, eta = z[: model.n_xi], z[model.n_xi :]
+            one = model.misfit_vjp(xi, eta, loss.omega)
+            row = model.misfit_vjp(xi[None], eta[None], loss.omega)
+            for got, ref in zip(row, one):
+                assert got.shape == (1,) + ref.shape and np.array_equal(got[0], ref)
+            value, grad = loss.value_grad(z)
+            value_row, grad_row = loss.value_grad(z[None])
+            assert np.array_equal(grad_row[0], grad)
+            assert value_row[0] == pytest.approx(value, rel=8 * np.finfo(float).eps)
+
     def test_hessian_contract_matches_finite_differences(self):
         model = cases.make_darcy_model()
         rng = np.random.default_rng(9)

@@ -76,7 +76,6 @@ from .pickle_map import (
     sweep_gammas,
 )
 from .rpickle_sampler import (
-    EnsembleConfig,
     ensemble_from_csv,
     ensemble_to_csv,
     run_ensemble,
@@ -564,9 +563,9 @@ def cmd_sample_rpickle(config: RunConfig) -> None:
     if config.sampler_kind not in ("rpickle", "both"):
         raise ConfigError("sampler.kind excludes rpickle; set it to 'rpickle' or 'both'")
     model = _sampling_model(config)
-    ens_config = EnsembleConfig(base_seed=config.base_seed, metropolize=config.metropolize)
     for gamma in config.gammas:
-        ensemble = run_ensemble(model, LossParams(sigma_r_sq=gamma), config.n_ens, ens_config)
+        params = LossParams(sigma_r_sq=gamma)
+        ensemble = run_ensemble(model, params, config.n_ens, config.base_seed, config.metropolize)
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         ensemble_to_csv(ensemble, os.path.join(gamma_dir, "rpickle.csv"), meta=_csv_stamp(config))
@@ -707,7 +706,15 @@ def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) 
     On an affine residual the randomized-loss samples are exact posterior
     draws, so the ensemble must reproduce the closed-form moments up to
     Monte Carlo error and the Metropolis filter must accept everything.
+    A negative ``seed``, ``n_ens`` below 2 or a ``cov_tol`` that is not a
+    finite positive number raises :class:`ConfigError` before any work.
     """
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    if n_ens < 2:
+        raise ConfigError(f"--n-ens must be at least 2, got {n_ens}")
+    if not 0.0 < cov_tol <= sys.float_info.max:
+        raise ConfigError(f"--cov-tol must be a finite positive number, got {cov_tol}")
     model = _random_linear(30, 5, 4, seed)
     params = LossParams(sigma_r_sq=0.5)
     mean, cov = linear_oracle(model, params)
@@ -717,7 +724,7 @@ def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) 
     map_err = float(np.max(np.abs(map_result.z - mean)))
     checks = [("map vs oracle mean", map_err <= 1e-6, f"max coordinate error {map_err:.3e} (tol 1e-06)")]
 
-    ensemble = run_ensemble(model, params, n_ens, EnsembleConfig(base_seed=seed, metropolize=False))
+    ensemble = run_ensemble(model, params, n_ens, seed, metropolize=False)
     samples = ensemble.coefficient_matrix()
     se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
     worst = float(np.max(np.abs(samples.mean(axis=0) - mean) / se))
@@ -727,7 +734,7 @@ def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) 
     rel = float(np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov))
     checks.append(("sample covariance", rel <= cov_tol, f"relative Frobenius error {rel:.4f} (tol {cov_tol:g})"))
 
-    filtered = run_ensemble(model, params, 1000, EnsembleConfig(base_seed=seed, metropolize=True))
+    filtered = run_ensemble(model, params, 1000, seed, metropolize=True)
     acc = filtered.acceptance_rate
     checks.append(
         ("metropolis acceptance", acc == 1.0, f"{acc} over 1000 proposals (expected exactly 1.0)")

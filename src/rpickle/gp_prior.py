@@ -94,6 +94,8 @@ class Observations:
             raise ConfigError("at most one observation per cell")
         if np.any(self.cells < 0):
             raise ConfigError("observation cells must be nonnegative")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("observation values must be finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]

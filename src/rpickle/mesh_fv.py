@@ -594,7 +594,8 @@ def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", me
 def load_field_csv(path) -> np.ndarray:
     """Read a field written by :func:`save_field_csv`, ordered by cell index.
 
-    The cell column must hold ``0 .. rows-1``, each once, in any order.
+    The cell column must hold ``0 .. rows-1``, each once, in any order, and
+    every value must be a finite number.
     """
     cells, vals = [], []
     with open(path, newline="") as fh:
@@ -606,8 +607,13 @@ def load_field_csv(path) -> np.ndarray:
     for row in reader:
         if len(row) < 4:
             raise ConfigError(f"{path}: field row {row} has fewer than 4 columns")
-        cells.append(int(row[0]))
-        vals.append(float(row[3]))
+        try:
+            cells.append(int(row[0]))
+            vals.append(float(row[3]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: field row {row}: {exc}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{path}: field values must be finite")
     cells = np.asarray(cells, dtype=int)
     if not np.array_equal(np.sort(cells), np.arange(cells.size)):
         raise ConfigError(f"{path}: cells must be 0..{cells.size - 1}, each once")

@@ -19,7 +19,9 @@ in lockstep: each of its evaluations is one call of the model's fused
 misfit-and-adjoint method over every draw still running.  A solve that ends
 above tolerance gets a damped Newton polish on the exact Hessian.  The MAP
 solve (:func:`map_optimize` through :func:`minimize_randomized`) is the
-one-row call of the same solver.
+one-row call of the same solver.  Every solve uses the same settings, the
+module constants ``GTOL``, ``GTOL_REL``, ``MAXITER``, ``HISTORY`` and
+``POLISH_MAXITER``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "LossParams",
     "ResidualModel",
     "PickleLoss",
-    "OptimConfig",
     "OptimResult",
     "map_optimize",
     "sweep_gammas",
@@ -255,29 +256,24 @@ MAX_HALVINGS = 20
 STALL_ULPS = 4
 
 
-@dataclass(frozen=True)
-class OptimConfig:
-    """Solver settings shared by the MAP and sampling solves.
+# A solve has converged when the 2-norm of its scaled-loss gradient is at
+# most max(GTOL, GTOL_REL * (1 + |loss|)); see tolerance().  The iteration
+# runs on past that point while its steps still lower the loss, so a solve
+# ends near the rounding floor.
+GTOL = 1e-8
+GTOL_REL = 1e-8
 
-    Convergence is declared when the 2-norm of the scaled-loss gradient drops
-    below ``max(gtol, gtol_rel * (1 + |loss|))``.  The quasi-Newton iteration
-    itself runs on past that point while its steps still lower the loss, so
-    a solve ends near the rounding floor.  ``maxiter`` bounds the accepted
-    L-BFGS steps of each row and ``history`` the curvature pairs each row
-    keeps.  ``polish`` enables a damped Newton cleanup of rows that end
-    above tolerance, with at most ``polish_maxiter`` steps each.
-    """
+# Accepted L-BFGS steps per row, and curvature pairs each row keeps.
+MAXITER = 5000
+HISTORY = 20
 
-    gtol: float = 1e-8
-    gtol_rel: float = 1e-8
-    maxiter: int = 5000
-    history: int = 20
-    polish: bool = True
-    polish_maxiter: int = 60
+# Damped Newton steps the polish takes on a row that ends above tolerance.
+POLISH_MAXITER = 60
 
-    def tolerance(self, loss_value):
-        """The gradient-norm tolerance at a loss value, elementwise over an array."""
-        return np.maximum(self.gtol, self.gtol_rel * (1.0 + np.abs(loss_value)))
+
+def tolerance(loss_value):
+    """The gradient-norm tolerance at a loss value, elementwise over an array."""
+    return np.maximum(GTOL, GTOL_REL * (1.0 + np.abs(loss_value)))
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,6 @@ def minimize_randomized(
     alpha: np.ndarray | None,
     beta: np.ndarray | None,
     init=None,
-    config: OptimConfig | None = None,
 ) -> OptimResult:
     """Minimize the noise-shifted scaled loss.
 
@@ -314,7 +309,7 @@ def minimize_randomized(
     """
     loss = PickleLoss(model, params, omega, alpha, beta)
     x0 = np.zeros(loss.size) if init is None else loss.stacked(init)
-    res = minimize_batch(loss, x0[None, :], config)
+    res = minimize_batch(loss, x0[None, :])
     return OptimResult(
         z=res.z[0],
         loss=float(res.loss[0]),
@@ -324,7 +319,7 @@ def minimize_randomized(
     )
 
 
-def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) -> OptimResult:
+def minimize_batch(loss: PickleLoss, init) -> OptimResult:
     """Minimize ``loss``'s ``L / gamma`` from every row of ``init`` at once.
 
     ``init`` has shape ``(rows, size)``; row ``r`` is solved for target row
@@ -334,21 +329,20 @@ def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) ->
     :meth:`PickleLoss.value_grad` over the rows still running:
 
     - the direction comes from the two-loop recursion over the row's last
-      ``history`` curvature pairs; a pair with ``s'y <= eps y'y`` is skipped;
+      ``HISTORY`` curvature pairs; a pair with ``s'y <= eps y'y`` is skipped;
     - the step comes from Armijo backtracking (halving) from a step of 1, or
       of at most unit length while the row holds no pair; a direction that
       does not descend restarts the row from steepest descent;
     - a row stops when an accepted step lowers its loss by at most
       ``STALL_ULPS`` ulps, when its line search fails ``MAX_HALVINGS``
       times (twice if the row is already within tolerance), or after
-      ``maxiter`` steps.
+      ``MAXITER`` steps.
 
-    Rows that stop above tolerance get :func:`_newton_polish` when
-    ``config.polish`` is set.  The result holds per-row arrays.  Rows do not
-    interact, except that the batched matrix products may round a row
-    differently in the last bits from a solve of that row alone.
+    Rows that stop above :func:`tolerance` get :func:`_newton_polish`.  The
+    result holds per-row arrays.  Rows do not interact, except that the
+    batched matrix products may round a row differently in the last bits
+    from a solve of that row alone.
     """
-    config = config or OptimConfig()
     x = np.array(init, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != loss.size:
         raise ConfigError(f"initial points must have shape (rows, {loss.size}), got {x.shape}")
@@ -361,8 +355,8 @@ def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) ->
 
     f, g = loss.value_grad(x)
     n_iter = np.zeros(rows, dtype=np.int64)
-    act = np.flatnonzero(np.linalg.norm(g, axis=1) > config.tolerance(f))
-    m = config.history
+    act = np.flatnonzero(np.linalg.norm(g, axis=1) > tolerance(f))
+    m = HISTORY
     s_hist = np.zeros((act.size, m, n))
     y_hist = np.zeros((act.size, m, n))
     rho = np.zeros((act.size, m))
@@ -372,7 +366,7 @@ def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) ->
     it = 0
     while act.size:
         xa, fa, ga = x[act], f[act], g[act]
-        within = np.linalg.norm(ga, axis=1) <= config.tolerance(fa)
+        within = np.linalg.norm(ga, axis=1) <= tolerance(fa)
 
         # Two-loop recursion, newest pair first; an empty slot has rho = 0.
         q = ga.copy()
@@ -429,46 +423,46 @@ def minimize_batch(loss: PickleLoss, init, config: OptimConfig | None = None) ->
         x[act], f[act], g[act] = x_new, f_new, g_new
         n_iter[act] += accepted
         stalled = fa - f_new <= STALL_ULPS * eps * np.abs(fa)
-        running = accepted & ~stalled & (n_iter[act] < config.maxiter)
+        running = accepted & ~stalled & (n_iter[act] < MAXITER)
         if not running.all():
             act = act[running]
             s_hist, y_hist, rho = s_hist[running], y_hist[running], rho[running]
             h0, has_pair = h0[running], has_pair[running]
 
     gnorm = np.linalg.norm(g, axis=1)
-    if config.polish:
-        for r in np.flatnonzero(gnorm > config.tolerance(f)):
-            x[r], f[r], g[r], extra = _newton_polish(loss.take(r), x[r], config)
-            gnorm[r] = np.linalg.norm(g[r])
-            n_iter[r] += extra
+    for r in np.flatnonzero(gnorm > tolerance(f)):
+        x[r], f[r], g[r], extra = _newton_polish(loss.take(r), x[r])
+        gnorm[r] = np.linalg.norm(g[r])
+        n_iter[r] += extra
     return OptimResult(
         z=x,
         loss=f,
         grad_norm=gnorm,
         n_iter=n_iter,
-        converged=gnorm <= config.tolerance(f),
+        converged=gnorm <= tolerance(f),
     )
 
 
-def _newton_polish(loss: PickleLoss, z, config):
+def _newton_polish(loss: PickleLoss, z):
     """Damped Newton steps on the exact Hessian of ``L / gamma``, from ``z``.
 
     The Hessian (:meth:`PickleLoss.hessian`) is exact, so near a minimizer
-    the steps converge quadratically; damping ``mu I`` is
-    raised until the damped Hessian has a Cholesky factor and the step is
-    accepted, and lowered after each accepted step.  A step is accepted when
-    the value drops or, since at the rounding floor the value no longer
-    resolves the improvement, when the value stays within rounding and the
-    gradient norm drops.  Starts with a fresh single-row evaluation and
-    returns the final point, value, gradient and number of accepted steps.
+    the steps converge quadratically; damping ``mu I`` is raised until the
+    damped Hessian has a Cholesky factor and the step is accepted, and
+    lowered after each accepted step, for at most ``POLISH_MAXITER`` steps.
+    A step is accepted when the value drops or, since at the rounding floor
+    the value no longer resolves the improvement, when the value stays
+    within rounding and the gradient norm drops.  Starts with a fresh
+    single-row evaluation and returns the final point, value, gradient and
+    number of accepted steps.
     """
     value, grad = loss.value_grad(z)
     eye = np.eye(z.size)
     mu = 0.0
     steps = 0
-    for _ in range(config.polish_maxiter):
+    for _ in range(POLISH_MAXITER):
         gnorm = np.linalg.norm(grad)
-        if gnorm <= config.tolerance(value):
+        if gnorm <= tolerance(value):
             break
         hess = loss.hessian(z)
         floor = 1e-12 * float(np.trace(np.abs(hess))) / z.size
@@ -502,29 +496,25 @@ def _newton_polish(loss: PickleLoss, z, config):
     return z, value, grad, steps
 
 
-def map_optimize(
-    model,
-    params: LossParams,
-    init=None,
-    config: OptimConfig | None = None,
-) -> OptimResult:
+def map_optimize(model, params: LossParams, init=None) -> OptimResult:
     """Compute the MAP coefficients by minimizing the deterministic loss.
 
     Initialization defaults to zero coefficients (the prior mean).  The
     result is the scaled solve's: ``loss`` is ``L / gamma`` at the solution
-    and ``grad_norm`` the 2-norm of its gradient, the quantity the
-    convergence test applies to.  A non-converged run is flagged but still
-    returns the best iterate.
+    and ``grad_norm`` the 2-norm of its gradient, the quantity
+    :func:`tolerance` applies to.  A non-converged run (``MAXITER`` L-BFGS
+    steps and ``POLISH_MAXITER`` polish steps spent above tolerance) is
+    flagged but still returns the best iterate.
     """
-    return minimize_randomized(model, params, None, None, None, init=init, config=config)
+    return minimize_randomized(model, params, None, None, None, init=init)
 
 
-def sweep_gammas(model, gammas, config: OptimConfig | None = None) -> list[tuple[float, OptimResult]]:
+def sweep_gammas(model, gammas) -> list[tuple[float, OptimResult]]:
     """MAP solves over a residual-variance grid (one independent solve per value)."""
     out = []
     for gamma in gammas:
         params = LossParams(sigma_r_sq=float(gamma))
-        out.append((float(gamma), map_optimize(model, params, config=config)))
+        out.append((float(gamma), map_optimize(model, params)))
     return out
 
 

@@ -22,18 +22,17 @@ it holds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EnsembleFailureError
-from .pickle_map import LossParams, OptimConfig, PickleLoss, map_optimize, minimize_batch
+from .pickle_map import LossParams, PickleLoss, map_optimize, minimize_batch
 from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng, write_json
 
 __all__ = [
     "NoiseDraw",
     "PosteriorEnsemble",
-    "EnsembleConfig",
     "draw_noise",
     "jacobian_logdet",
     "metropolis_filter",
@@ -55,6 +54,10 @@ METROPOLIS_DIM_LIMIT = 100
 # Fewer rows pay the solver's per-iteration overhead more often; more rows
 # spill the evaluation's arrays out of cache.
 BLOCK_ENTRIES = 4096
+
+# More non-converged solves than this fraction of the ensemble abort the run
+# (the same 1% limit as the Monte Carlo head prior's failed draws).
+MAX_FAILURE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ class PosteriorEnsemble:
             raise ConfigError("ensemble must contain at least one sample")
         if not 0 <= self.n_xi <= z.shape[1]:
             raise ConfigError(f"n_xi={self.n_xi} does not fit {z.shape[1]} coefficient columns")
+        if not np.all(np.isfinite(z)):
+            raise ConfigError("coefficients must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         columns = {"loss": np.float64, "log_det_j": np.float64, "accepted": bool, "converged": bool}
@@ -199,63 +204,36 @@ def metropolis_filter(log_det, converged, rng) -> tuple[np.ndarray, np.ndarray]:
     return index, accepted
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Run settings for :func:`run_ensemble`.
-
-    ``metropolize=None`` picks the default by dimension.
-    """
-
-    base_seed: int = 0
-    metropolize: bool | None = None
-    warm_start: bool = True
-    max_failure_fraction: float = 0.01
-    optim: OptimConfig = field(default_factory=OptimConfig)
-
-
-def _config_snapshot(params: LossParams, n_ens: int, config: EnsembleConfig, metropolize: bool) -> dict:
-    return {
-        "sigma_r_sq": params.sigma_r_sq,
-        "n_ens": int(n_ens),
-        "base_seed": int(config.base_seed),
-        "metropolize": bool(metropolize),
-        "warm_start": bool(config.warm_start),
-        "max_failure_fraction": config.max_failure_fraction,
-        "optim": asdict(config.optim),
-    }
-
-
-def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig | None = None) -> PosteriorEnsemble:
+def run_ensemble(
+    model, params: LossParams, n_ens: int, base_seed: int = 0, metropolize: bool | None = None
+) -> PosteriorEnsemble:
     """Generate a posterior ensemble of ``n_ens`` randomized solves.
 
-    Noise comes from counter-derived seeds (stream per sample index).  The
-    solves run in blocks of consecutive indices, about ``BLOCK_ENTRIES``
-    residual entries each, through :func:`minimize_batch`, every row
-    warm-started at the MAP by default; log-dets plus the Metropolis pass
-    are applied when enabled.  The log-det of a converged proposal is taken
-    on its own row of the block's loss; an unconverged one gets ``-inf``.
-    More than ``max_failure_fraction`` non-converged solves aborts with
-    diagnostics; below that, failures stay flagged in the ensemble
-    (unfiltered runs) or are rejected by the filter.
+    Noise comes from counter-derived seeds (stream per sample index) under
+    ``base_seed``.  The solves run in blocks of consecutive indices, about
+    ``BLOCK_ENTRIES`` residual entries each, through :func:`minimize_batch`,
+    every row warm-started at the MAP.  With ``metropolize`` (``None`` picks
+    it by dimension, below ``METROPOLIS_DIM_LIMIT`` coefficients) the
+    log-dets and the Metropolis pass are applied.  The log-det of a
+    converged proposal is taken on its own row of the block's loss; an
+    unconverged one gets ``-inf``.  More than ``MAX_FAILURE_FRACTION`` of
+    non-converged solves aborts with diagnostics; below that, failures stay
+    flagged in the ensemble (unfiltered runs) or are rejected by the filter.
     """
-    config = config or EnsembleConfig()
     if n_ens < 1:
         raise ConfigError("n_ens must be at least 1")
-    metropolize = config.metropolize
     if metropolize is None:
         metropolize = (model.n_xi + model.n_eta) < METROPOLIS_DIM_LIMIT
 
-    init = np.zeros(model.n_xi + model.n_eta)
-    if config.warm_start:
-        init = map_optimize(model, params, config=config.optim).z
+    init = map_optimize(model, params).z
 
     rows = max(1, BLOCK_ENTRIES // model.n_residual)
     z, loss, converged, log_det, seeds = [], [], [], [], []
     for first in range(0, n_ens, rows):
-        block = [draw_noise(model, params, config.base_seed, i) for i in range(first, min(first + rows, n_ens))]
+        block = [draw_noise(model, params, base_seed, i) for i in range(first, min(first + rows, n_ens))]
         targets = [np.array([getattr(noise, name) for noise in block]) for name in ("omega", "alpha", "beta")]
         block_loss = PickleLoss(model, params, *targets)
-        res = minimize_batch(block_loss, np.tile(init, (len(block), 1)), config.optim)
+        res = minimize_batch(block_loss, np.tile(init, (len(block), 1)))
         z.append(res.z)
         loss.append(res.loss)
         converged.append(res.converged)
@@ -266,16 +244,16 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
     z, loss, converged = np.concatenate(z), np.concatenate(loss), np.concatenate(converged)
 
     failed = np.flatnonzero(~converged)
-    if failed.size > config.max_failure_fraction * n_ens:
+    if failed.size > MAX_FAILURE_FRACTION * n_ens:
         preview = ", ".join(str(i) for i in failed[:10])
         raise EnsembleFailureError(
             f"{failed.size} of {n_ens} randomized solves did not converge "
-            f"(limit {config.max_failure_fraction:.0%}); failed indices: {preview}"
+            f"(limit {MAX_FAILURE_FRACTION:.0%}); failed indices: {preview}"
         )
 
     index, accepted, rate = np.arange(n_ens), np.ones(n_ens, dtype=bool), None
     if metropolize:
-        index, accepted = metropolis_filter(log_det, converged, spawn_rng(config.base_seed, STREAM_METROPOLIS))
+        index, accepted = metropolis_filter(log_det, converged, spawn_rng(base_seed, STREAM_METROPOLIS))
         rate = np.count_nonzero(accepted) / n_ens
     return PosteriorEnsemble(
         z=z[index],
@@ -285,7 +263,12 @@ def run_ensemble(model, params: LossParams, n_ens: int, config: EnsembleConfig |
         accepted=accepted,
         converged=converged[index],
         seeds=[seeds[i] for i in index],
-        config=_config_snapshot(params, n_ens, config, metropolize),
+        config={
+            "sigma_r_sq": params.sigma_r_sq,
+            "n_ens": int(n_ens),
+            "base_seed": int(base_seed),
+            "metropolize": bool(metropolize),
+        },
         acceptance_rate=rate,
         n_failed=failed.size,
     )
@@ -328,8 +311,12 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
 def ensemble_from_csv(path) -> PosteriorEnsemble:
     """Rebuild an ensemble from its CSV.
 
-    A row with the wrong number of columns, or a log-det column blank on
-    some rows and filled on others, raises :class:`ConfigError`.
+    Malformed input raises :class:`ConfigError` naming the file: block sizes
+    that are not nonnegative integers, a row with the wrong number of
+    columns, a value that is not a number, a log-det column blank on some
+    rows and filled on others, or anything :class:`PosteriorEnsemble`
+    rejects, such as a non-finite coefficient.  A log-det of ``-inf`` is
+    legal.
     """
     meta = {}
     rows = []
@@ -346,27 +333,32 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
                 rows.append(line.split(","))
     if header is None or "n_xi" not in meta or "n_eta" not in meta:
         raise ConfigError(f"not an ensemble CSV: {path}")
-    n_xi = int(meta["n_xi"])
-    width = 1 + n_xi + int(meta["n_eta"]) + 4
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise ConfigError(f"{path}: sample row {k} has {len(row)} columns, expected {width}")
-    log_det = [row[-3] for row in rows]
-    if "" in log_det and any(log_det):
-        raise ConfigError(f"{path}: log_det_j is blank on some rows and set on others")
     rate = meta.get("acceptance_rate")
-    return PosteriorEnsemble(
-        z=[[float(v) for v in row[1:-4]] for row in rows],
-        n_xi=n_xi,
-        loss=[float(row[-4]) for row in rows],
-        log_det_j=None if "" in log_det else [float(v) for v in log_det],
-        accepted=[row[-2] == "1" for row in rows],
-        converged=[row[-1] == "1" for row in rows],
-        seeds=[row[0] for row in rows],
-        config={},
-        acceptance_rate=None if rate is None else float(rate),
-        n_failed=int(meta.get("n_failed", 0)),
-    )
+    try:
+        n_xi, n_eta = int(meta["n_xi"]), int(meta["n_eta"])
+        if min(n_xi, n_eta) < 0:
+            raise ConfigError("n_xi and n_eta must be nonnegative")
+        width = 1 + n_xi + n_eta + 4
+        for k, row in enumerate(rows):
+            if len(row) != width:
+                raise ConfigError(f"sample row {k} has {len(row)} columns, expected {width}")
+        log_det = [row[-3] for row in rows]
+        if "" in log_det and any(log_det):
+            raise ConfigError("log_det_j is blank on some rows and set on others")
+        return PosteriorEnsemble(
+            z=[[float(v) for v in row[1:-4]] for row in rows],
+            n_xi=n_xi,
+            loss=[float(row[-4]) for row in rows],
+            log_det_j=None if "" in log_det else [float(v) for v in log_det],
+            accepted=[row[-2] == "1" for row in rows],
+            converged=[row[-1] == "1" for row in rows],
+            seeds=[row[0] for row in rows],
+            config={},
+            acceptance_rate=None if rate is None else float(rate),
+            n_failed=int(meta.get("n_failed", 0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_manifest(ensemble: PosteriorEnsemble, path, extra: dict | None = None) -> None:

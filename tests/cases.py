@@ -134,11 +134,11 @@ def make_linear_ensemble(n_ens=20_000, sigma_r_sq=0.5, base_seed=42):
     """
     import time
 
-    from rpickle.rpickle_sampler import EnsembleConfig, run_ensemble
+    from rpickle.rpickle_sampler import run_ensemble
 
     model = make_random_linear(np.random.default_rng(100))
     params = LossParams(sigma_r_sq=sigma_r_sq)
     start = time.perf_counter()
-    ensemble = run_ensemble(model, params, n_ens, EnsembleConfig(base_seed=base_seed))
+    ensemble = run_ensemble(model, params, n_ens, base_seed=base_seed)
     elapsed = time.perf_counter() - start
     return model, params, ensemble, elapsed

@@ -22,7 +22,7 @@ from rpickle import mesh_fv as mf
 from rpickle.diagnostics import laplace_posterior, linear_oracle, lpp, posterior_moments
 from rpickle.hmc_sampler import HmcConfig, log_posterior_and_grad, run_hmc
 from rpickle.pickle_map import LossParams, PickleLoss, map_optimize
-from rpickle.rpickle_sampler import EnsembleConfig, run_ensemble
+from rpickle.rpickle_sampler import run_ensemble
 
 import cases
 import oracles
@@ -59,7 +59,7 @@ def test_linear_metropolis_accepts_every_proposal():
     # The noise-to-sample map of a linear model has constant Jacobian, so the
     # accept/reject ratio is identically one: exact equality, not a bound.
     model, params, _, _ = cases.make_linear_ensemble()
-    ens = run_ensemble(model, params, 1000, EnsembleConfig(base_seed=7, metropolize=True))
+    ens = run_ensemble(model, params, 1000, base_seed=7, metropolize=True)
     assert ens.acceptance_rate == 1.0
 
 
@@ -71,7 +71,7 @@ def darcy_runs():
     """Full-scale Metropolized ensemble and HMC baseline on the flow case."""
     model, params, _ = cases.make_flow_case()
     start = time.perf_counter()
-    ens = run_ensemble(model, params, 10_000, EnsembleConfig(base_seed=0, metropolize=True))
+    ens = run_ensemble(model, params, 10_000, base_seed=0, metropolize=True)
     chains = run_hmc(model, params, HmcConfig(n_samples=3334, n_chains=3, burn_in=10_000), seed=101)
     elapsed = time.perf_counter() - start
     return ens, chains, elapsed
@@ -155,10 +155,9 @@ def test_reference_lpp_peaks_inside_noise_grid():
     model, _, case = cases.make_conditioning_case()
     y_basis = cases.conditioning_y_basis()
     grid = [1e-5, 1e-4, 1e-2, 1e-1, 1.0]
-    config = EnsembleConfig(base_seed=21, metropolize=True)
     scores = []
     for gamma in grid:
-        ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, config)
+        ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, base_seed=21, metropolize=True)
         mean_f, std_f = posterior_moments(ens, y_basis)
         scores.append(lpp(mean_f, std_f, case.y_ref))
     best = int(np.argmax(scores))

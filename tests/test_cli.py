@@ -268,6 +268,18 @@ class TestLinearCaseStages:
         assert cli.main(["sample-hmc", "--config", path]) == 1
         assert "sampler.kind" in capsys.readouterr().err
 
+    def test_manifest_config_holds_the_run_settings(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json",
+            tmp_path / "out",
+            linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1},
+            sampler={"kind": "rpickle", "n_ens": 6, "metropolize": None},
+        )
+        assert cli.main(["sample-rpickle", "--config", path]) == 0
+        with open(tmp_path / "out" / "gamma_0.05" / "rpickle.json") as fh:
+            doc = json.load(fh)
+        assert doc["config"] == {"sigma_r_sq": 0.05, "n_ens": 6, "base_seed": 3, "metropolize": True}
+
     def test_samplers_start_no_thread_whatever_threads_says(self, tmp_path, monkeypatch):
         import threading
 
@@ -461,6 +473,18 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join("prior", name) in err and "cells" in err
 
+    @pytest.mark.parametrize("value", ["nan", "abc"])
+    def test_tampered_ensemble_coefficient(self, pipeline, tmp_path, capsys, value):
+        def edit(lines):
+            row = lines[-1].split(",")
+            row[1] = value
+            return lines[:-1] + [",".join(row)]
+
+        path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/rpickle.csv", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("gamma_0.05", "rpickle.csv") in err
+
     def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
         edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731
         path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/rpickle.csv", edit)
@@ -514,6 +538,22 @@ class TestOracleCheck:
                          "--threads", "4"]) == 2
         out = capsys.readouterr().out
         assert "FAIL sample covariance" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n-ens", "1"],
+            ["--cov-tol", "nan"],
+            ["--cov-tol", "-1"],
+            ["--cov-tol", "0"],
+            ["--cov-tol", "inf"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_bad_arguments_exit_one_before_any_work(self, capsys, args):
+        assert cli.main(["oracle-check", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and args[0] in err
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pass_status_stable_across_seeds(self, seed):

@@ -338,15 +338,14 @@ class TestLppGridShape:
         # Five modes cannot resolve the length-0.25 field, so tiny sigma_r_sq
         # makes the ensemble confidently wrong and huge sigma_r_sq ignores the
         # data; the reference log predictive probability peaks in between.
-        from rpickle.rpickle_sampler import EnsembleConfig, run_ensemble
+        from rpickle.rpickle_sampler import run_ensemble
 
         model, _, case = cases.make_conditioning_case()
         y_basis = cases.conditioning_y_basis()
         grid = [1e-5, 1e-4, 1e-2, 1e-1, 1.0]
-        config = EnsembleConfig(base_seed=21, metropolize=True)
         scores = []
         for gamma in grid:
-            ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, config)
+            ens = run_ensemble(model, LossParams(sigma_r_sq=gamma), 500, base_seed=21, metropolize=True)
             mean_f, std_f = posterior_moments(ens, y_basis)
             scores.append(lpp(mean_f, std_f, case.y_ref))
         best = int(np.argmax(scores))

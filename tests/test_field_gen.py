@@ -182,3 +182,12 @@ class TestBuildCase:
         (tmp_path / "case.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="nonnegative"):
             fg.load_case(tmp_path)
+
+    def test_load_rejects_non_finite_observation_value(self, tmp_path):
+        mesh, _, case = self.make()
+        fg.save_case(case, mesh, tmp_path)
+        doc = json.loads((tmp_path / "case.json").read_text())
+        doc["u_obs"]["values"][0] = float("nan")
+        (tmp_path / "case.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="case.json.*finite"):
+            fg.load_case(tmp_path)

@@ -323,12 +323,12 @@ class TestRunHmc:
         assert rel < 0.05
 
     def test_hmc_and_randomized_means_agree_on_flow_case(self):
-        from rpickle.rpickle_sampler import EnsembleConfig, run_ensemble
+        from rpickle.rpickle_sampler import run_ensemble
 
         # 4,000 draws per sampler keep the Monte Carlo error of the mean gap
         # near 0.025 std, so noise alone rarely reaches the 0.10 std tolerance.
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 4000, EnsembleConfig(base_seed=57))
+        ensemble = run_ensemble(model, params, 4000, base_seed=57)
         config = HmcConfig(
             n_samples=4000, n_chains=1, burn_in=800, leapfrog_steps=32, step_size=0.02
         )

@@ -463,6 +463,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=message):
             mf.load_field_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,0.5,0.5,nan", "1,0.5,0.5,inf", "1,0.5,0.5,abc", "one,0.5,0.5,1.0"])
+    def test_field_csv_rejects_non_finite_or_non_numeric(self, tmp_path, row):
+        path = tmp_path / "field.csv"
+        path.write_text(f"cell,x,y,y\n0,0.5,0.5,1.0\n{row}\n")
+        with pytest.raises(ConfigError, match="field.csv"):
+            mf.load_field_csv(path)
+
     def test_field_csv_rejects_short_row(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("cell,x,y,y\n0,0.5,0.5,1.0\n1,0.5\n")

@@ -1,25 +1,25 @@
-from dataclasses import replace
 import json
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
+from rpickle import pickle_map, rpickle_sampler
 from rpickle.diagnostics import linear_oracle
 from rpickle.errors import ConfigError
 from rpickle.gp_prior import CkleBasis
 from rpickle.hmc_sampler import log_posterior_and_grad
 from rpickle.pickle_map import (
     LossParams,
-    OptimConfig,
     PickleLoss,
     ResidualModel,
     map_optimize,
     map_result_to_json,
     minimize_randomized,
     sweep_gammas,
+    tolerance,
 )
-from rpickle.rpickle_sampler import EnsembleConfig, draw_noise, jacobian_logdet, run_ensemble
+from rpickle.rpickle_sampler import draw_noise, jacobian_logdet, run_ensemble
 
 import cases
 import oracles
@@ -465,33 +465,33 @@ class TestRandomizedObjective:
 class TestGaussNewtonPolish:
     """One quasi-Newton iteration stops above tolerance; the polish must finish the solve."""
 
-    def test_finishes_truncated_map_solve(self):
+    def test_finishes_truncated_map_solve(self, monkeypatch):
         model, params, _ = cases.make_flow_case()
-        short = OptimConfig(maxiter=1)
-        result = map_optimize(model, params, config=short)
+        full = map_optimize(model, params)
+        monkeypatch.setattr(pickle_map, "MAXITER", 1)
+        result = map_optimize(model, params)
         assert result.converged
-        np.testing.assert_allclose(result.z, map_optimize(model, params).z, rtol=0, atol=1e-7)
-        assert not map_optimize(model, params, config=replace(short, polish=False)).converged
+        np.testing.assert_allclose(result.z, full.z, rtol=0, atol=1e-7)
+        monkeypatch.setattr(pickle_map, "POLISH_MAXITER", 0)
+        assert not map_optimize(model, params).converged
 
-    def test_finishes_truncated_randomized_solve(self):
+    def test_finishes_truncated_randomized_solve(self, monkeypatch):
         model, params, _ = cases.make_flow_case()
         noise = draw_noise(model, params, base_seed=4, index=2)
         targets = (noise.omega, noise.alpha, noise.beta)
-        short = OptimConfig(maxiter=1)
-        result = minimize_randomized(model, params, *targets, config=short)
         full = minimize_randomized(model, params, *targets)
+        monkeypatch.setattr(pickle_map, "MAXITER", 1)
+        result = minimize_randomized(model, params, *targets)
         assert result.converged and full.converged
         # Both solves stop with a gradient norm below the tolerance and the
         # scaled Hessian's eigenvalues are near or above the unit prior
         # precision, so the minimizers lie within about twice the tolerance.
-        assert np.linalg.norm(result.z - full.z) <= 2.0 * short.tolerance(full.loss)
-        unpolished = minimize_randomized(
-            model, params, *targets, config=replace(short, polish=False)
-        )
-        assert not unpolished.converged
+        assert np.linalg.norm(result.z - full.z) <= 2.0 * tolerance(full.loss)
+        monkeypatch.setattr(pickle_map, "POLISH_MAXITER", 0)
+        assert not minimize_randomized(model, params, *targets).converged
 
     @pytest.mark.parametrize("c, sigma_r_sq", [(0.1, 0.1), (1.0, 0.3)])
-    def test_finishes_solves_at_the_rounding_floor(self, c, sigma_r_sq):
+    def test_finishes_solves_at_the_rounding_floor(self, c, sigma_r_sq, monkeypatch):
         # Some of these 4,000 solves stop where the loss no longer resolves
         # a step's improvement, with the gradient still just above the
         # tolerance.  The polish must finish every one of them: the earlier
@@ -499,8 +499,8 @@ class TestGaussNewtonPolish:
         # (c = 1.0) of them unconverged.
         model = _CurvedToy(c)
         params = LossParams(sigma_r_sq=sigma_r_sq)
-        config = EnsembleConfig(base_seed=0, metropolize=False, max_failure_fraction=1.0)
-        ensemble = run_ensemble(model, params, 4000, config)
+        monkeypatch.setattr(rpickle_sampler, "MAX_FAILURE_FRACTION", 1.0)
+        ensemble = run_ensemble(model, params, 4000, base_seed=0, metropolize=False)
         assert ensemble.n_failed == 0
 
 

@@ -3,16 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rpickle import pickle_map
 from rpickle.errors import ConfigError, EnsembleFailureError
 from rpickle.pickle_map import (
     LossParams,
-    OptimConfig,
     PickleLoss,
     map_optimize,
     minimize_batch,
+    tolerance,
 )
 from rpickle.rpickle_sampler import (
-    EnsembleConfig,
     NoiseDraw,
     PosteriorEnsemble,
     draw_noise,
@@ -172,7 +172,7 @@ class TestEnsembleSolves:
         rng = np.random.default_rng(23)
         model = cases.make_random_linear(rng)
         params = LossParams(sigma_r_sq=0.5)
-        ensemble = run_ensemble(model, params, 3, EnsembleConfig(base_seed=7, metropolize=False))
+        ensemble = run_ensemble(model, params, 3, base_seed=7, metropolize=False)
         g = np.hstack([model.a_matrix, model.b_matrix])
         lhs = g.T @ g / params.sigma_r_sq + np.eye(9)
         assert ensemble.converged.all()
@@ -201,9 +201,8 @@ class TestEnsembleSolves:
 
     def test_reruns_bit_identical(self):
         model, params, _ = cases.make_flow_case()
-        config = EnsembleConfig(base_seed=9)
-        a = run_ensemble(model, params, 6, config)
-        b = run_ensemble(model, params, 6, config)
+        a = run_ensemble(model, params, 6, base_seed=9)
+        b = run_ensemble(model, params, 6, base_seed=9)
         assert_same_ensemble(a, b)
 
     def test_block_size_changes_rows_only_within_tolerance(self):
@@ -216,11 +215,10 @@ class TestEnsembleSolves:
         targets = [np.array([getattr(nz, name) for nz in noises]) for name in ("omega", "alpha", "beta")]
         loss = PickleLoss(model, params, *targets)
         block = minimize_batch(loss, np.tile(init, (40, 1)))
-        config = OptimConfig()
         for r in range(40):
             alone = minimize_batch(loss.take([r]), init[None, :])
             assert alone.converged[0] == block.converged[r]
-            assert np.linalg.norm(alone.z[0] - block.z[r]) <= 2.0 * config.tolerance(block.loss[r])
+            assert np.linalg.norm(alone.z[0] - block.z[r]) <= 2.0 * tolerance(block.loss[r])
 
 
 def logdet_at_misfit(model, params, z, delta):
@@ -387,6 +385,7 @@ class TestPosteriorEnsemble:
             {"converged": [True] * 5},
             {"seeds": ["a"]},
             {"n_xi": 4},
+            {"z": np.full((4, 3), np.nan)},
         ],
     )
     def test_misaligned_columns_rejected(self, change):
@@ -417,26 +416,21 @@ class TestRunEnsemble:
         rng = np.random.default_rng(26)
         model = cases.make_random_linear(rng, n_res=10, n_xi=2, n_eta=2)
         params = LossParams(sigma_r_sq=1.0)
-        ensemble = run_ensemble(model, params, 1, EnsembleConfig(base_seed=1))
+        ensemble = run_ensemble(model, params, 1, base_seed=1)
         assert len(ensemble) == 1
         assert ensemble.moments_defined is False
 
-    def test_aborts_when_failures_exceed_limit(self):
+    def test_aborts_when_failures_exceed_limit(self, monkeypatch):
         model = cases.make_darcy_model()
         params = LossParams(sigma_r_sq=1e-4)
-        config = EnsembleConfig(
-            base_seed=2,
-            warm_start=False,
-            metropolize=False,
-            optim=OptimConfig(maxiter=1, polish=False),
-        )
+        monkeypatch.setattr(pickle_map, "MAXITER", 1)
+        monkeypatch.setattr(pickle_map, "POLISH_MAXITER", 0)
         with pytest.raises(EnsembleFailureError, match="did not converge"):
-            run_ensemble(model, params, 10, config)
+            run_ensemble(model, params, 10, base_seed=2, metropolize=False)
 
     def test_accepted_samples_are_stationary(self):
         model, params, _ = cases.make_flow_case()
-        config = EnsembleConfig(base_seed=3)
-        ensemble = run_ensemble(model, params, 40, config)
+        ensemble = run_ensemble(model, params, 40, base_seed=3)
         rows = zip(ensemble.z, ensemble.loss, ensemble.seeds, ensemble.accepted)
         for z, loss, seed, accepted in rows:
             if not accepted:
@@ -455,7 +449,7 @@ class TestRunEnsemble:
 
     def test_darcy_acceptance_rate_high(self):
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 400, EnsembleConfig(base_seed=4))
+        ensemble = run_ensemble(model, params, 400, base_seed=4)
         assert ensemble.acceptance_rate is not None
         assert ensemble.acceptance_rate >= 0.9
 
@@ -463,7 +457,7 @@ class TestRunEnsemble:
         # Each stored log-det is taken at its own row's misfit R(z) - omega,
         # so the filter's index keeps coefficients, seeds and log-dets aligned.
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 20, EnsembleConfig(base_seed=5))
+        ensemble = run_ensemble(model, params, 20, base_seed=5)
         for z, seed, log_det in zip(ensemble.z, ensemble.seeds, ensemble.log_det_j):
             noise = draw_noise(model, params, 5, int(seed.split("/")[-1]))
             assert log_det == jacobian_logdet(shifted_loss(model, params, noise), z)
@@ -473,7 +467,7 @@ class TestRunEnsemble:
         model = cases.make_random_linear(rng, n_res=12, n_xi=3, n_eta=2)
         params = LossParams(sigma_r_sq=0.5)
         ensemble = run_ensemble(
-            model, params, 200, EnsembleConfig(base_seed=6, metropolize=False)
+            model, params, 200, base_seed=6, metropolize=False
         )
         assert ensemble.acceptance_rate is None
         draws = ensemble.coefficient_matrix()
@@ -498,7 +492,7 @@ class TestSerialization:
         model, params, _ = cases.make_flow_case()
         path = tmp_path / "ens.csv"
         for metropolize in (True, False):
-            ensemble = run_ensemble(model, params, 8, EnsembleConfig(base_seed=8, metropolize=metropolize))
+            ensemble = run_ensemble(model, params, 8, base_seed=8, metropolize=metropolize)
             ensemble_to_csv(ensemble, path)
             assert_same_ensemble(ensemble, ensemble_from_csv(path))
 
@@ -514,7 +508,7 @@ class TestSerialization:
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         ensembles = [
-            run_ensemble(model, params, 5, EnsembleConfig(base_seed=9, metropolize=metropolize))
+            run_ensemble(model, params, 5, base_seed=9, metropolize=metropolize)
             for metropolize in (True, False)
         ]
         for ensemble in ensembles + [hand_ensemble(), hand_ensemble([0.0, 0.0, -np.inf, -1.25])]:
@@ -539,6 +533,25 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="row|log_det_j"):
             ensemble_from_csv(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (",0.25,", ",nan,"),
+            (",0.25,", ",inf,"),
+            (",0.25,", ",abc,"),
+            (",2.25,", ",abc,"),
+            ("# n_xi=2", "# n_xi=two"),
+            ("# n_eta=1", "# n_eta=-1"),
+        ],
+        ids=["nan-coefficient", "inf-coefficient", "text-coefficient", "text-loss", "text-n_xi", "negative-n_eta"],
+    )
+    def test_bad_value_rejected_naming_file(self, tmp_path, old, new):
+        path = tmp_path / "ens.csv"
+        ensemble_to_csv(hand_ensemble(), path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ConfigError, match="ens.csv"):
+            ensemble_from_csv(path)
+
     def test_header_without_block_sizes_rejected(self, tmp_path):
         path = tmp_path / "ens.csv"
         ensemble_to_csv(hand_ensemble(), path)
@@ -550,7 +563,7 @@ class TestSerialization:
         import json
 
         model, params, _ = cases.make_flow_case()
-        ensemble = run_ensemble(model, params, 5, EnsembleConfig(base_seed=10))
+        ensemble = run_ensemble(model, params, 5, base_seed=10)
         path = tmp_path / "manifest.json"
         write_manifest(ensemble, path, extra={"stage": "unit"})
         doc = json.loads(path.read_text())

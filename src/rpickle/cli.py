@@ -493,13 +493,28 @@ def cmd_generate(config: RunConfig) -> None:
     print(f"generate: {mesh.n_cells} cells, {len(case.y_obs)}+{len(case.u_obs)} wells -> {case_dir}")
 
 
+def _check_wells(case, mesh, path) -> None:
+    """Each well's cell lies in ``mesh`` and its location is that cell's center, to 1e-12.
+
+    The kernel fit reads the locations and the conditioning the cells.
+    """
+    for name, obs in (("y_obs", case.y_obs), ("u_obs", case.u_obs)):
+        for k, (cell, location) in enumerate(zip(obs.cells, obs.locations)):
+            where = f"case file {path}: {name} well {k}"
+            if cell >= mesh.n_cells:
+                raise ConfigError(f"{where} is in cell {cell}, outside the {mesh.n_cells}-cell mesh")
+            if np.max(np.abs(location - mesh.cell_centers[cell])) > 1e-12:
+                raise ConfigError(f"{where} at {location.tolist()} is not the center of its cell {cell}")
+
+
 def cmd_build_prior(config: RunConfig) -> None:
     """Condition both expansions on the case's wells; persist under ``prior/``."""
     _reject_linear(config, "build-prior")
     mesh, bc = _mesh_and_bc(config)
     case_dir = _require(os.path.join(config.output_dir, "case"), "generate")
-    _require(os.path.join(case_dir, "case.json"), "generate")
+    case_path = _require(os.path.join(case_dir, "case.json"), "generate")
     case = load_case(case_dir)
+    _check_wells(case, mesh, case_path)
 
     if config.kernel_fit:
         kernel = fit_hyperparameters(case.y_obs)

@@ -96,6 +96,8 @@ class Observations:
             raise ConfigError("observation cells must be nonnegative")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("observation values must be finite")
+        if not np.all(np.isfinite(self.locations)):
+            raise ConfigError("observation locations must be finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]

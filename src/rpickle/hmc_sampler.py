@@ -8,8 +8,9 @@ dual averaging toward a target acceptance rate, then freezes.  Each iteration
 jitters the step within a narrow band to avoid resonant trajectories.  Chains
 are independent (one RNG stream, step size and adaptation each) and advance
 in lockstep as rows of one state, so each leapfrog step is one batched
-gradient call for all of them.  A single chain rounds exactly as it does
-alone; with several, the batched products may move a chain's last bits.
+gradient call for all of them, and the step adaptation runs over per-chain
+arrays.  A single chain is a one-row batch and rounds exactly as one vector;
+with several, the batched basis products may move a chain's last bits.
 """
 
 from __future__ import annotations
@@ -104,27 +105,22 @@ def log_posterior_and_grad(model, params: LossParams, z) -> tuple:
     """Log posterior ``-loss/gamma`` (constant aside) and its exact gradient.
 
     ``z`` is one stacked vector, or ``(chains, size)`` rows with one value
-    and one gradient row each.  A one-row batch is evaluated as its one
-    vector, so a single chain rounds exactly as it does alone: the batched
-    loss sums squares per row with ``einsum``, which can differ in the last
-    bit from the one-vector ``dot``.
+    and one gradient row each; a one-row batch gives its vector's value and
+    gradient bit for bit.
     """
     loss = PickleLoss(model, params)
-    z = loss.stacked(z, batch=True)
-    if z.ndim == 2 and z.shape[0] == 1:
-        value, grad = loss.value_grad(z[0])
-        return np.array([-value]), -grad[None]
-    value, grad = loss.value_grad(z)
+    value, grad = loss.value_grad(loss.stacked(z, batch=True))
     return -value, -grad
 
 
 def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
-    """Fixed-length leapfrog with identity mass matrix, for one point or rows of points.
+    """Fixed-length leapfrog with identity mass matrix over rows of points.
 
-    ``z`` and ``momentum`` are one vector or ``(rows, dim)``; ``step_size``
-    is one step, or one per row.  ``grad_fn`` returns the gradient of the
-    log posterior at points shaped like ``z``; ``grad``, when given, is its
-    value at ``z`` and saves the first call.  Zero steps is the identity.
+    ``z`` and ``momentum`` are ``(rows, dim)``, one point per row (a single
+    point is one row); ``step_size`` is one step, or one per row.
+    ``grad_fn`` returns the gradient of the log posterior at ``(rows, dim)``
+    points; ``grad``, when given, is its value at ``z`` and saves the first
+    call.  Zero steps is the identity.
 
     A row whose position goes non-finite stops there: it is returned as it
     is, takes no further ``grad_fn`` calls, and the caller treats it as a
@@ -138,13 +134,10 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
         raise ConfigError("step_size must be positive")
     z = np.array(z, dtype=np.float64)
     p = np.array(momentum, dtype=np.float64)
+    if z.ndim != 2 or p.shape != z.shape:
+        raise ConfigError(f"positions and momenta must share one (rows, dim) shape, got {z.shape} and {p.shape}")
     if n_steps == 0:
         return z, p
-    one = z.ndim == 1
-    if one:
-        z, p, fn = z[None], p[None], grad_fn
-        grad_fn = lambda x: fn(x[0])[None]  # noqa: E731
-        grad = None if grad is None else np.asarray(grad)[None]
     out_z, out_p = z, p  # rows that stop are written here; the rest at the end
     rows = np.arange(z.shape[0])  # the rows still finite, in order
     h = h.reshape(-1, 1)
@@ -161,36 +154,22 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
         p = p + (h if k < n_steps - 1 else 0.5 * h) * grad_fn(z)
     else:
         out_z[rows], out_p[rows] = z, p
-    return (out_z[0], out_p[0]) if one else (out_z, out_p)
+    return out_z, out_p
 
 
-class _DualAveraging:
-    """Standard dual-averaging step-size recursion, plus the frozen average.
+def _dual_averaging(config: HmcConfig, t, accept_prob, h_bar, log_step_avg):
+    """Update ``t`` (from 1) of dual averaging over ``(n_chains,)`` arrays.
 
-    Each :meth:`update` with an iteration's acceptance probability pulls the
-    log-step toward more (less) aggressive values while acceptance stays
-    above (below) the target, and returns the step the next iteration uses.
+    ``h_bar`` starts at zero and ``log_step_avg`` at ``log(step_size)``.
+    Returns the new ``h_bar``, the next iteration's step (larger while
+    acceptance beats the target) and the new log-step average, whose
+    exponential is the step frozen after burn-in.
     """
-
-    def __init__(self, initial_step_size, target_accept):
-        self.mu = np.log(10.0 * initial_step_size)
-        self.target = target_accept
-        self.h_bar = 0.0
-        self.log_step = np.log(initial_step_size)
-        self.log_step_avg = np.log(initial_step_size)
-        self.t = 0
-
-    def update(self, accept_prob) -> float:
-        self.t += 1
-        self.h_bar += (self.target - accept_prob - self.h_bar) / (self.t + DA_OFFSET)
-        self.log_step = self.mu - np.sqrt(self.t) / DA_SHRINKAGE * self.h_bar
-        eta = self.t ** (-DA_DECAY)
-        self.log_step_avg = eta * self.log_step + (1.0 - eta) * self.log_step_avg
-        return float(np.exp(self.log_step))
-
-    @property
-    def frozen_step(self) -> float:
-        return float(np.exp(self.log_step_avg))
+    mu = np.log(10.0 * config.step_size)
+    h_bar = h_bar + (config.target_accept - accept_prob - h_bar) / (t + DA_OFFSET)
+    log_step = mu - np.sqrt(t) / DA_SHRINKAGE * h_bar
+    eta = t ** (-DA_DECAY)
+    return h_bar, np.exp(log_step), eta * log_step + (1.0 - eta) * log_step_avg
 
 
 def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Chain]:
@@ -199,8 +178,8 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
     The chains are held as one ``(n_chains, dim)`` state, so every leapfrog
     step makes one :func:`log_posterior_and_grad` call for all of them.  Each
     chain keeps its own RNG stream (drawing, per iteration, its momenta, its
-    step jitter and one accept uniform), its own step size and dual
-    averaging, and its own frozen step, so its draws do not depend on the
+    step jitter and one accept uniform), and its own entries of the step,
+    dual-averaging and trace arrays, so its draws do not depend on the
     others; only the batched products may round a chain's gradient
     differently in the last bits from a run of that chain alone.  A
     split-chain potential-scale-reduction factor above 1.05 draws a warning
@@ -228,9 +207,10 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
         last["lp"], last["grad"] = log_posterior_and_grad(model, params, x)
         return last["grad"]
 
-    adapters = [_DualAveraging(config.step_size, config.target_accept) for _ in range(n)]
+    n_adapt = config.burn_in if config.adapt else 0
     step = np.full(n, config.step_size)
-    traces = [[config.step_size] for _ in range(n)]
+    h_bar, log_step_avg = np.zeros(n), np.full(n, np.log(config.step_size))
+    traces = np.full((n, n_adapt + 1), config.step_size)
     states = np.empty((n, config.n_samples, dim))
     flags = np.empty((n, config.n_samples), dtype=bool)
     lps = np.empty((n, config.n_samples))
@@ -254,12 +234,11 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
         accept = np.array([rng.uniform() for rng in rngs]) < alpha
         z[accept], lp[accept], grad[accept] = z_new[accept], lp_new[accept], grad_new[accept]
 
-        if config.adapt and t < config.burn_in:
-            for c, adapter in enumerate(adapters):
-                step[c] = adapter.update(float(alpha[c]))
-                traces[c].append(step[c])
-                if t == config.burn_in - 1:
-                    step[c] = adapter.frozen_step
+        if t < n_adapt:
+            h_bar, step, log_step_avg = _dual_averaging(config, t + 1, alpha, h_bar, log_step_avg)
+            traces[:, t + 1] = step
+            if t == n_adapt - 1:
+                step = np.exp(log_step_avg)
         if t >= config.burn_in:
             k = t - config.burn_in
             states[:, k], flags[:, k], lps[:, k] = z, accept, lp
@@ -270,7 +249,7 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
             accept_flags=flags[c],
             adapted_step_size=float(step[c]),
             log_posteriors=lps[c],
-            adaptation_trace=np.asarray(traces[c]),
+            adaptation_trace=traces[c],
             chain_id=c,
             seed=seed_token(seed, STREAM_HMC, c),
         )

@@ -425,16 +425,14 @@ class FlowOperator:
         """Per-cell sums of per-face terms into the ``kind`` cells, row by row over an optional batch axis.
 
         A batch adds each row's terms in the same order as a single field, by
-        one ``bincount`` over row-offset cells, so every row rounds as it
-        would alone; a one-row batch is summed as its one field.
+        one ``bincount`` over row-offset cells, so every row, the only row of
+        a one-row batch included, rounds as it would alone.
         """
         cells, n = self._cells[kind], self.n_cells
         weights = np.concatenate(terms, axis=-1)
         if weights.ndim == 1:
             return np.bincount(cells, weights=weights, minlength=n)
         rows = weights.shape[0]
-        if rows == 1:
-            return np.bincount(cells, weights=weights[0], minlength=n)[None]
         index = self._row_cells.get(kind)
         if index is None or index.shape[0] < rows:
             index = self._row_cells[kind] = cells + n * np.arange(rows)[:, None]

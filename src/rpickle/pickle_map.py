@@ -21,7 +21,9 @@ above tolerance gets a damped Newton polish on the exact Hessian.  The MAP
 solve (:func:`map_optimize` through :func:`minimize_randomized`) is the
 one-row call of the same solver.  Every solve uses the same settings, the
 module constants ``GTOL``, ``GTOL_REL``, ``MAXITER``, ``HISTORY`` and
-``POLISH_MAXITER``.
+``POLISH_MAXITER``.  Every per-row sum of squares and dot product is
+``np.vecdot``, which rounds each row of a batch as ``dot`` rounds that row
+alone, so a single point is a one-row batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class ResidualModel:
         """Misfit ``m = R(xi, eta) - omega`` and ``((dR/dxi)^T m, (dR/deta)^T m)`` in one pass.
 
         Coefficients are one vector each or ``(rows, n)`` batches.  A single
-        row, or a one-row batch, gives exactly :meth:`residual` minus
-        ``omega`` followed by :meth:`vjp`; in a larger batch, the basis
+        row and a one-row batch give the same bits, exactly :meth:`residual`
+        minus ``omega`` followed by :meth:`vjp`; in a larger batch, the basis
         products are matrix products and may round differently in the last
         bits.
         """
@@ -194,13 +196,13 @@ class PickleLoss:
         """``L(z)`` and its gradient; a non-finite ``z`` gives non-finite values.
 
         ``z`` is one stacked vector, or ``(rows, size)`` with one value and
-        gradient row per target row.
+        gradient row per target row; a one-row batch gives its vector's bits.
         """
         xi, eta = z[..., : self.n_xi], z[..., self.n_xi :]
         dr, g_xi, g_eta = self.model.misfit_vjp(xi, eta, self.omega)
         dxi, deta = xi - self.alpha, eta - self.beta
         gamma = self.gamma
-        value = 0.5 * _sq(dr) + 0.5 * gamma * _sq(dxi) + 0.5 * gamma * _sq(deta)
+        value = 0.5 * np.vecdot(dr, dr) + 0.5 * gamma * np.vecdot(dxi, dxi) + 0.5 * gamma * np.vecdot(deta, deta)
         grad = np.concatenate([g_xi + gamma * dxi, g_eta + gamma * deta], axis=-1)
         return value, grad
 
@@ -223,16 +225,6 @@ class PickleLoss:
         curvature = self.model.hessian_contract(xi, eta, misfit)
         h = (j.T @ j + curvature) / self.gamma + np.eye(self.size)
         return 0.5 * (h + h.T)
-
-
-def _sq(v):
-    """Squared 2-norm of a vector, or of each row of a batch.
-
-    The two round differently in the last bit: ``dot`` for a vector,
-    ``einsum`` per row for a batch, so a one-row batch's value may differ
-    from its vector's by an ulp (its gradient does not).
-    """
-    return float(v @ v) if v.ndim == 1 else np.einsum("ij,ij->i", v, v)
 
 
 def _target(value, n: int):
@@ -373,15 +365,15 @@ def minimize_batch(loss: PickleLoss, init) -> OptimResult:
         slots = [(it - 1 - k) % m for k in range(min(it, m))]
         coef = []
         for k in slots:
-            a = rho[:, k] * np.einsum("ij,ij->i", s_hist[:, k], q)
+            a = rho[:, k] * np.vecdot(s_hist[:, k], q)
             q -= a[:, None] * y_hist[:, k]
             coef.append(a)
         q *= h0[:, None]
         for k, a in zip(reversed(slots), reversed(coef)):
-            b = rho[:, k] * np.einsum("ij,ij->i", y_hist[:, k], q)
+            b = rho[:, k] * np.vecdot(y_hist[:, k], q)
             q += (a - b)[:, None] * s_hist[:, k]
         d = -q
-        gd = np.einsum("ij,ij->i", ga, d)
+        gd = np.vecdot(ga, d)
         # A row whose direction does not descend restarts from steepest descent.
         reset = ~(gd < 0.0)
         if reset.any():
@@ -389,7 +381,7 @@ def minimize_batch(loss: PickleLoss, init) -> OptimResult:
             h0[reset] = 1.0
             has_pair[reset] = False
             d[reset] = -ga[reset]
-            gd[reset] = -np.einsum("ij,ij->i", ga[reset], ga[reset])
+            gd[reset] = -np.vecdot(ga[reset], ga[reset])
         step = np.where(has_pair, 1.0, np.minimum(1.0, 1.0 / np.linalg.norm(d, axis=1)))
 
         x_new, f_new, g_new = xa.copy(), fa.copy(), ga.copy()
@@ -410,8 +402,8 @@ def minimize_batch(loss: PickleLoss, init) -> OptimResult:
             pend = fail[~give_up]
 
         s_new, y_new = x_new - xa, g_new - ga
-        sy = np.einsum("ij,ij->i", s_new, y_new)
-        yy = np.einsum("ij,ij->i", y_new, y_new)
+        sy = np.vecdot(s_new, y_new)
+        yy = np.vecdot(y_new, y_new)
         keep_pair = accepted & (sy > eps * yy)
         slot = it % m
         s_hist[:, slot], y_hist[:, slot] = s_new, y_new

@@ -4,10 +4,12 @@ Each draw perturbs the loss targets with Gaussian noise (a residual target
 ``omega`` and prior targets ``alpha``, ``beta``) and minimizes the shifted
 loss; the map from noise to minimizer pushes the noise distribution onto an
 approximation of the coefficient posterior, exact when the residual is
-linear.  An optional Metropolis pass corrects the nonlinear bias using the
-log-determinant of that map's Jacobian at each minimizer: a proposal is
-accepted with probability ``min(1, exp((logdet_new - logdet_prev)/2))`` and a
-rejection repeats the previous state.  Proposals are solved together, in
+linear.  An optional Metropolis pass accepts a proposal with probability
+``min(1, exp((logdet_new - logdet_prev)/2))`` from the log-determinant of
+that map's Jacobian at each minimizer (:func:`jacobian_logdet`); a rejection
+repeats the previous state.  The ratio is exact only on linear models, where
+every log-det is equal and every proposal is accepted; on a nonlinear model
+it does not remove the ensemble's bias.  Proposals are solved together, in
 blocks of consecutive indices, by the lockstep batched solver
 (:func:`~rpickle.pickle_map.minimize_batch`); each draws its noise from its
 own RNG stream, and the other rows of its block change a proposal only
@@ -313,8 +315,9 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
 
     Malformed input raises :class:`ConfigError` naming the file: block sizes
     that are not nonnegative integers, a row with the wrong number of
-    columns, a value that is not a number, a log-det column blank on some
-    rows and filled on others, or anything :class:`PosteriorEnsemble`
+    columns, a value that is not a number, an ``accepted`` or ``converged``
+    flag other than ``0`` or ``1``, a log-det column blank on some rows and
+    filled on others, or anything :class:`PosteriorEnsemble`
     rejects, such as a non-finite coefficient.  A log-det of ``-inf`` is
     legal.
     """
@@ -342,6 +345,9 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
         for k, row in enumerate(rows):
             if len(row) != width:
                 raise ConfigError(f"sample row {k} has {len(row)} columns, expected {width}")
+            if not {row[-2], row[-1]} <= {"0", "1"}:
+                flags = f"{row[-2]!r}, {row[-1]!r}"
+                raise ConfigError(f"sample row {k} has flags {flags}; accepted and converged must be 0 or 1")
         log_det = [row[-3] for row in rows]
         if "" in log_det and any(log_det):
             raise ConfigError("log_det_j is blank on some rows and set on others")

@@ -82,8 +82,9 @@ def make_flow_case(nx=8, ny=8, n_terms=5, sigma_r_sq=1e-2, seed=13, n_mc=4000):
     Monte Carlo pushforward of the y expansion.  The reference field is
     smoothed so the truncated basis can represent it well; with 16 wells per
     field and a moderate prior amplitude the posterior stays mildly nonlinear
-    (Metropolis acceptance around 98%, close enough to linear that the
-    approximate acceptance ratio leaves no visible bias in the moments).
+    (Metropolis acceptance around 98%).  The filter's log-det ratio is exact
+    only on linear models: here the filtered mean of the first coefficient
+    sits 0.035-0.06 posterior std from that of exact samplers.
     """
     model, case, _ = _conditioned_flow_model(nx, ny, n_terms, 0.7, 0.5, seed, n_mc)
     return model, LossParams(sigma_r_sq=sigma_r_sq), case

@@ -458,6 +458,28 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join(*rel.split("/")) in err
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda obs: {**obs, "locations": [[float("nan"), 0.5]] + obs["locations"][1:]}, "finite"),
+            (lambda obs: {**obs, "cells": obs["cells"][:-1] + [10_000]}, "outside the 36-cell mesh"),
+            (lambda obs: {**obs, "locations": obs["locations"][:-1] + [[5.0, obs["locations"][-1][1]]]}, "center"),
+        ],
+        ids=["nan-location", "cell-outside-mesh", "moved-location"],
+    )
+    def test_tampered_well_stops_build_prior(self, pipeline, tmp_path, capsys, tamper, message):
+        # The kernel fit reads the locations and the conditioning the cells,
+        # so a well whose two disagree must stop the stage, naming the file.
+        def edit(lines):
+            doc = json.loads("\n".join(lines))
+            doc["y_obs"] = tamper(doc["y_obs"])
+            return json.dumps(doc).splitlines()
+
+        path = self.corrupt_copy(pipeline, tmp_path, "case/case.json", edit)
+        assert cli.main(["build-prior", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("case", "case.json") in err and message in err
+
     @pytest.mark.parametrize("name", ["y_basis.json", "u_basis.json"])
     def test_basis_one_cell_short(self, pipeline, tmp_path, capsys, name):
         # A basis that reads cleanly but covers one cell less than the mesh
@@ -484,6 +506,17 @@ class TestCorruptInputs:
         assert cli.main(["diagnose", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join("gamma_0.05", "rpickle.csv") in err
+
+    def test_ensemble_flags_other_than_zero_or_one(self, pipeline, tmp_path, capsys):
+        # Read as False, such rows would silently leave the moments, exit 0.
+        def edit(lines):
+            rows = [row.split(",") for row in lines[-5:]]
+            return lines[:-5] + [",".join(row[:-2] + ["true", "yes"]) for row in rows]
+
+        path = self.corrupt_copy(pipeline, tmp_path, "gamma_0.05/rpickle.csv", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("gamma_0.05", "rpickle.csv") in err and "0 or 1" in err
 
     def test_short_ensemble_row(self, pipeline, tmp_path, capsys):
         edit = lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]  # noqa: E731

@@ -410,6 +410,11 @@ class TestObservations:
                 gp.Observations(locations=np.zeros((1, 2)), values=[1.0], cells=[-1]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_locations(self, bad):
+        with pytest.raises(ConfigError, match="locations must be finite"):
+            gp.Observations(locations=[[0.5, bad]], values=[1.0], cells=[0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigError):
             gp.Observations(locations=np.zeros((2, 2)), values=[1.0], cells=[0, 1])

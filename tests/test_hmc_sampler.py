@@ -8,7 +8,7 @@ from rpickle.errors import ConfigError, NumericalError
 from rpickle.hmc_sampler import (
     Chain,
     HmcConfig,
-    _DualAveraging,
+    _dual_averaging,
     chains_to_csv,
     leapfrog,
     log_posterior_and_grad,
@@ -147,8 +147,8 @@ class TestLeapfrog:
 
     def test_reverse_integration_returns_start(self):
         rng = np.random.default_rng(34)
-        z0 = rng.standard_normal(3)
-        p0 = rng.standard_normal(3)
+        z0 = rng.standard_normal((1, 3))
+        p0 = rng.standard_normal((1, 3))
         z1, p1 = leapfrog(z0, p0, 0.05, 40, self.gaussian_grad)
         z2, p2 = leapfrog(z1, -p1, 0.05, 40, self.gaussian_grad)
         np.testing.assert_allclose(z2, z0, rtol=0, atol=1e-10)
@@ -158,25 +158,25 @@ class TestLeapfrog:
         def hamiltonian(z, p):
             return 0.5 * float(z @ z) + 0.5 * float(p @ p)
 
-        z0 = np.array([1.0])
-        p0 = np.array([0.3])
+        z0 = np.array([[1.0]])
+        p0 = np.array([[0.3]])
         errors = []
         for step in (0.05, 0.025):
             n = int(round(2.0 / step))
             z1, p1 = leapfrog(z0, p0, step, n, self.gaussian_grad)
-            errors.append(abs(hamiltonian(z1, p1) - hamiltonian(z0, p0)))
+            errors.append(abs(hamiltonian(z1[0], p1[0]) - hamiltonian(z0[0], p0[0])))
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 5.0
 
     def test_zero_steps_is_identity(self):
-        z0 = np.array([1.0, -2.0])
-        p0 = np.array([0.5, 0.5])
+        z0 = np.array([[1.0, -2.0]])
+        p0 = np.array([[0.5, 0.5]])
         z1, p1 = leapfrog(z0, p0, 0.1, 0, self.gaussian_grad)
         np.testing.assert_array_equal(z1, z0)
         np.testing.assert_array_equal(p1, p0)
 
     def test_nonfinite_trajectory_returned_for_caller(self):
-        z1, _ = leapfrog(np.array([1.0]), np.array([0.0]), 1e4, 50, lambda z: -1e8 * z)
+        z1, _ = leapfrog(np.array([[1.0]]), np.array([[0.0]]), 1e4, 50, lambda z: -1e8 * z)
         assert not np.all(np.isfinite(z1))
 
     def test_diverging_row_leaves_the_other_as_if_alone(self):
@@ -195,25 +195,55 @@ class TestLeapfrog:
         assert not np.all(np.isfinite(z1[0]))
         assert seen[0] == 2 and seen[-1] == 1  # the diverged row takes no more calls
         z_row, p_row = leapfrog(z0[1:], p0[1:], np.array([0.1]), 50, self.gaussian_grad)
-        z_one, p_one = leapfrog(z0[1], p0[1], 0.1, 50, self.gaussian_grad)
-        for z, p in ((z_row[0], p_row[0]), (z_one, p_one)):
-            assert np.array_equal(z1[1], z) and np.array_equal(p1[1], p)
+        assert np.array_equal(z1[1], z_row[0]) and np.array_equal(p1[1], p_row[0])
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigError):
-            leapfrog(np.zeros(1), np.zeros(1), 0.0, 1, self.gaussian_grad)
+            leapfrog(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 1, self.gaussian_grad)
+
+    @pytest.mark.parametrize("z_shape, p_shape", [((2,), (2,)), ((1, 1, 2), (1, 1, 2)), ((1, 2), (2, 2))])
+    def test_rejects_anything_but_matching_rows(self, z_shape, p_shape):
+        with pytest.raises(ConfigError, match="rows, dim"):
+            leapfrog(np.zeros(z_shape), np.zeros(p_shape), 0.1, 1, self.gaussian_grad)
 
 
 class TestDualAveraging:
+    @staticmethod
+    def steps(accept_prob, n_updates=39):
+        """The steps of one chain updated with a constant acceptance probability."""
+        config = HmcConfig(n_samples=1, target_accept=0.70, step_size=0.1)
+        h_bar, log_step_avg = np.zeros(1), np.full(1, np.log(config.step_size))
+        sizes = []
+        for t in range(1, n_updates + 1):
+            h_bar, step, log_step_avg = _dual_averaging(config, t, np.array([accept_prob]), h_bar, log_step_avg)
+            sizes.append(float(step[0]))
+        return sizes
+
     def test_acceptance_above_target_raises_step(self):
-        adapter = _DualAveraging(0.1, 0.70)
-        sizes = [adapter.update(0.95) for _ in range(39)]
+        sizes = self.steps(0.95)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_acceptance_below_target_lowers_step(self):
-        adapter = _DualAveraging(0.1, 0.70)
-        sizes = [adapter.update(0.2) for _ in range(39)]
+        sizes = self.steps(0.2)
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_each_chain_is_the_scalar_recursion(self):
+        # The per-chain arrays must round exactly as one chain's scalar
+        # recursion (shrinkage 0.05, offset 10, decay 0.75), written out here.
+        config = HmcConfig(n_samples=1, n_chains=3, target_accept=0.65, step_size=0.07)
+        accept = np.random.default_rng(3).uniform(size=(200, 3))
+        accept[::7, 1] = 1.0
+        h_bar, log_step_avg = np.zeros(3), np.full(3, np.log(config.step_size))
+        for t in range(1, 201):
+            h_bar, step, log_step_avg = _dual_averaging(config, t, accept[t - 1], h_bar, log_step_avg)
+        for c in range(3):
+            mu, h, avg = np.log(10.0 * config.step_size), 0.0, np.log(config.step_size)
+            for t in range(1, 201):
+                h += (config.target_accept - float(accept[t - 1, c]) - h) / (t + 10.0)
+                log_step = mu - np.sqrt(t) / 0.05 * h
+                eta = t ** (-0.75)
+                avg = eta * log_step + (1.0 - eta) * avg
+            assert step[c] == float(np.exp(log_step)) and log_step_avg[c] == avg
 
     def test_empty_history_returns_initial(self):
         # No burn-in: the step is never adapted and stays the configured one.
@@ -408,13 +438,15 @@ class TestLockstepAgainstOneChainAtATime:
                 np.testing.assert_allclose(chain.log_posteriors, lps, rtol=1e-10, atol=0)
 
     def test_one_row_batch_is_one_vector(self):
-        # A single chain must round exactly as it always has, value included.
+        # A single chain rounds exactly as one vector, value included.
         for name, model, params, _ in self.models():
-            z = 0.5 * np.random.default_rng(37).standard_normal(model.n_xi + model.n_eta)
-            lp, grad = log_posterior_and_grad(model, params, z)
-            lp_row, grad_row = log_posterior_and_grad(model, params, z[None])
-            assert lp_row.shape == (1,) and grad_row.shape == (1, z.size), name
-            assert lp_row[0] == lp and np.array_equal(grad_row[0], grad), name
+            rng = np.random.default_rng(37)
+            for _ in range(5):
+                z = 0.5 * rng.standard_normal(model.n_xi + model.n_eta)
+                lp, grad = log_posterior_and_grad(model, params, z)
+                lp_row, grad_row = log_posterior_and_grad(model, params, z[None])
+                assert lp_row.shape == (1,) and grad_row.shape == (1, z.size), name
+                assert lp_row[0] == lp and np.array_equal(grad_row[0], grad), name
 
 
 class TestPsrf:

@@ -552,6 +552,17 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="ens.csv"):
             ensemble_from_csv(path)
 
+    @pytest.mark.parametrize("flags", [("true", "1"), ("1", "yes"), ("", "0"), ("2", "0")])
+    def test_flag_other_than_zero_or_one_rejected(self, tmp_path, flags):
+        # Read as False, such a row would silently leave the moments.
+        path = tmp_path / "ens.csv"
+        ensemble_to_csv(hand_ensemble(), path)
+        lines = path.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:-2] + list(flags))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="ens.csv.*must be 0 or 1"):
+            ensemble_from_csv(path)
+
     def test_header_without_block_sizes_rejected(self, tmp_path):
         path = tmp_path / "ens.csv"
         ensemble_to_csv(hand_ensemble(), path)

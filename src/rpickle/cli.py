@@ -66,7 +66,7 @@ from .gp_prior import (
     matern52,
     mc_state_prior,
 )
-from .hmc_sampler import HmcConfig, chains_to_csv, run_hmc, write_hmc_manifest
+from .hmc_sampler import chains_to_csv, run_hmc, write_hmc_manifest
 from .mesh_fv import boundary_values, build_structured_mesh
 from .pickle_map import (
     LossParams,
@@ -365,8 +365,10 @@ def load_run_config(path, seed: int | None = None, out: str | None = None) -> Ru
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     if seed is not None:
         raw["base_seed"] = int(seed)
     if out is not None:
@@ -599,21 +601,16 @@ def cmd_sample_hmc(config: RunConfig) -> None:
     if config.sampler_kind not in ("hmc", "both"):
         raise ConfigError("sampler.kind excludes hmc; set it to 'hmc' or 'both'")
     model = _sampling_model(config)
-    hmc_config = HmcConfig(
-        n_samples=config.hmc_samples,
-        n_chains=config.hmc_chains,
-        burn_in=config.hmc_burn_in,
-    )
     for gamma in config.gammas:
         params = LossParams(sigma_r_sq=gamma)
-        chains = run_hmc(model, params, hmc_config, seed=config.base_seed)
+        chains = run_hmc(model, params, config.hmc_samples, config.hmc_chains, config.hmc_burn_in, config.base_seed)
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         chains_to_csv(chains, model.n_xi, os.path.join(gamma_dir, "hmc.csv"), meta=_csv_stamp(config))
         write_hmc_manifest(
             chains,
-            hmc_config,
             params,
+            config.hmc_burn_in,
             os.path.join(gamma_dir, "hmc.json"),
             extra=_json_stamp(config, gamma=gamma),
         )

@@ -3,8 +3,9 @@
 Reference sampler for desk-scale validation of the randomized-minimization
 ensembles.  The target is the coefficient posterior ``-loss/gamma`` (up to a
 constant); proposals integrate Hamiltonian dynamics with a plain fixed-length
-leapfrog and identity mass matrix, and the step size adapts during burn-in by
-dual averaging toward a target acceptance rate, then freezes.  Each iteration
+leapfrog of ``LEAPFROG_STEPS`` steps and identity mass matrix; the step starts
+at ``STEP_SIZE`` and adapts over every burn-in iteration by dual averaging
+toward the acceptance rate ``TARGET_ACCEPT``, then freezes.  Each iteration
 jitters the step within a narrow band to avoid resonant trajectories.  Chains
 are independent (one RNG stream, step size and adaptation each) and advance
 in lockstep as rows of one state, so each leapfrog step is one batched
@@ -15,7 +16,7 @@ with several, the batched basis products may move a chain's last bits.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import warnings
 
 import numpy as np
@@ -25,7 +26,6 @@ from .pickle_map import LossParams, PickleLoss
 from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json
 
 __all__ = [
-    "HmcConfig",
     "Chain",
     "log_posterior_and_grad",
     "leapfrog",
@@ -34,6 +34,11 @@ __all__ = [
     "chains_to_csv",
     "write_hmc_manifest",
 ]
+
+# Integrator and adaptation settings, read at call time.
+TARGET_ACCEPT = 0.70
+LEAPFROG_STEPS = 32
+STEP_SIZE = 0.1
 
 # Dual-averaging constants: shrinkage toward mu, iteration offset, and the
 # averaging decay exponent.
@@ -49,29 +54,6 @@ PSRF_WARN_THRESHOLD = 1.05
 # step uniformly from this band around the adapted base step breaks the
 # periodicity without touching the leapfrog count.
 STEP_JITTER = (0.8, 1.2)
-
-
-@dataclass(frozen=True)
-class HmcConfig:
-    """Chain layout and integrator settings."""
-
-    n_samples: int
-    n_chains: int = 3
-    burn_in: int = 20_000
-    target_accept: float = 0.70
-    leapfrog_steps: int = 32
-    step_size: float = 0.1
-    adapt: bool = True
-
-    def __post_init__(self):
-        if self.n_samples < 1 or self.n_chains < 1 or self.leapfrog_steps < 1:
-            raise ConfigError("sample, chain, and leapfrog counts must be positive")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be nonnegative")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ConfigError("target_accept must lie in (0, 1)")
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,7 +102,7 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
     point is one row); ``step_size`` is one step, or one per row.
     ``grad_fn`` returns the gradient of the log posterior at ``(rows, dim)``
     points; ``grad``, when given, is its value at ``z`` and saves the first
-    call.  Zero steps is the identity.
+    call.  ``n_steps`` is a nonnegative integer; zero steps is the identity.
 
     A row whose position goes non-finite stops there: it is returned as it
     is, takes no further ``grad_fn`` calls, and the caller treats it as a
@@ -136,6 +118,7 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
     p = np.array(momentum, dtype=np.float64)
     if z.ndim != 2 or p.shape != z.shape:
         raise ConfigError(f"positions and momenta must share one (rows, dim) shape, got {z.shape} and {p.shape}")
+    _check_count(n_steps, "n_steps", 0)
     if n_steps == 0:
         return z, p
     out_z, out_p = z, p  # rows that stop are written here; the rest at the end
@@ -157,35 +140,45 @@ def leapfrog(z, momentum, step_size, n_steps, grad_fn, grad=None):
     return out_z, out_p
 
 
-def _dual_averaging(config: HmcConfig, t, accept_prob, h_bar, log_step_avg):
+def _check_count(value, name: str, least: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _dual_averaging(t, accept_prob, h_bar, log_step_avg):
     """Update ``t`` (from 1) of dual averaging over ``(n_chains,)`` arrays.
 
-    ``h_bar`` starts at zero and ``log_step_avg`` at ``log(step_size)``.
+    ``h_bar`` starts at zero and ``log_step_avg`` at ``log(STEP_SIZE)``.
     Returns the new ``h_bar``, the next iteration's step (larger while
     acceptance beats the target) and the new log-step average, whose
     exponential is the step frozen after burn-in.
     """
-    mu = np.log(10.0 * config.step_size)
-    h_bar = h_bar + (config.target_accept - accept_prob - h_bar) / (t + DA_OFFSET)
+    mu = np.log(10.0 * STEP_SIZE)
+    h_bar = h_bar + (TARGET_ACCEPT - accept_prob - h_bar) / (t + DA_OFFSET)
     log_step = mu - np.sqrt(t) / DA_SHRINKAGE * h_bar
     eta = t ** (-DA_DECAY)
     return h_bar, np.exp(log_step), eta * log_step + (1.0 - eta) * log_step_avg
 
 
-def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Chain]:
-    """Run independent chains initialized from prior draws, all in lockstep.
+def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: int, seed: int) -> list[Chain]:
+    """Run ``n_chains`` chains from prior draws, all in lockstep.
 
-    The chains are held as one ``(n_chains, dim)`` state, so every leapfrog
-    step makes one :func:`log_posterior_and_grad` call for all of them.  Each
-    chain keeps its own RNG stream (drawing, per iteration, its momenta, its
-    step jitter and one accept uniform), and its own entries of the step,
-    dual-averaging and trace arrays, so its draws do not depend on the
-    others; only the batched products may round a chain's gradient
-    differently in the last bits from a run of that chain alone.  A
-    split-chain potential-scale-reduction factor above 1.05 draws a warning
-    (never an error).
+    Each chain adapts its step over ``burn_in`` iterations, then keeps
+    ``n_samples`` states.  The chains are held as one ``(n_chains, dim)``
+    state, so every leapfrog step makes one :func:`log_posterior_and_grad`
+    call for all of them.  Each chain keeps its own RNG stream (drawing, per
+    iteration, its momenta, its step jitter and one accept uniform), and its
+    own entries of the step, dual-averaging and trace arrays, so its draws
+    do not depend on the others; only the batched products may round a
+    chain's gradient differently in the last bits from a run of that chain
+    alone.  A split-chain potential-scale-reduction factor above 1.05 draws
+    a warning (never an error).
     """
-    n, dim = config.n_chains, model.n_xi + model.n_eta
+    _check_count(n_samples, "n_samples", 1)
+    _check_count(n_chains, "n_chains", 1)
+    _check_count(burn_in, "burn_in", 0)
+    n, dim = n_chains, model.n_xi + model.n_eta
     rngs = [spawn_rng(seed, STREAM_HMC, c) for c in range(n)]
     z = np.array([rng.standard_normal(dim) for rng in rngs])
     lp, grad = log_posterior_and_grad(model, params, z)
@@ -207,22 +200,20 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
         last["lp"], last["grad"] = log_posterior_and_grad(model, params, x)
         return last["grad"]
 
-    n_adapt = config.burn_in if config.adapt else 0
-    step = np.full(n, config.step_size)
-    h_bar, log_step_avg = np.zeros(n), np.full(n, np.log(config.step_size))
-    traces = np.full((n, n_adapt + 1), config.step_size)
-    states = np.empty((n, config.n_samples, dim))
-    flags = np.empty((n, config.n_samples), dtype=bool)
-    lps = np.empty((n, config.n_samples))
-    total = config.burn_in + config.n_samples
+    step = np.full(n, STEP_SIZE)
+    h_bar, log_step_avg = np.zeros(n), np.full(n, np.log(STEP_SIZE))
+    traces = np.full((n, burn_in + 1), STEP_SIZE)
+    states = np.empty((n, n_samples, dim))
+    flags = np.empty((n, n_samples), dtype=bool)
+    lps = np.empty((n, n_samples))
 
-    for t in range(total):
+    for t in range(burn_in + n_samples):
         p = np.array([rng.standard_normal(dim) for rng in rngs])
         step_t = step * np.array([rng.uniform(*STEP_JITTER) for rng in rngs])
         # Divergent trajectories overflow before they are rejected; the
         # resulting warnings carry no information, so mute them here.
         with np.errstate(over="ignore", invalid="ignore"):
-            z_new, p_new = leapfrog(z, p, step_t, config.leapfrog_steps, grad_fn, grad)
+            z_new, p_new = leapfrog(z, p, step_t, LEAPFROG_STEPS, grad_fn, grad)
             live = np.isfinite(z_new).all(axis=1)
             lp_new, grad_new = np.full(n, -np.inf), np.zeros((n, dim))
             if live.any():
@@ -234,13 +225,13 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
         accept = np.array([rng.uniform() for rng in rngs]) < alpha
         z[accept], lp[accept], grad[accept] = z_new[accept], lp_new[accept], grad_new[accept]
 
-        if t < n_adapt:
-            h_bar, step, log_step_avg = _dual_averaging(config, t + 1, alpha, h_bar, log_step_avg)
+        if t < burn_in:
+            h_bar, step, log_step_avg = _dual_averaging(t + 1, alpha, h_bar, log_step_avg)
             traces[:, t + 1] = step
-            if t == n_adapt - 1:
+            if t == burn_in - 1:
                 step = np.exp(log_step_avg)
-        if t >= config.burn_in:
-            k = t - config.burn_in
+        else:
+            k = t - burn_in
             states[:, k], flags[:, k], lps[:, k] = z, accept, lp
 
     chains = [
@@ -255,7 +246,7 @@ def run_hmc(model, params: LossParams, config: HmcConfig, seed: int) -> list[Cha
         )
         for c in range(n)
     ]
-    if config.n_samples >= 4:
+    if n_samples >= 4:
         psrf = split_chain_psrf(chains)
         worst = float(np.max(psrf))
         if worst > PSRF_WARN_THRESHOLD:
@@ -324,17 +315,27 @@ def chains_to_csv(chains, n_xi: int, path, meta: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_hmc_manifest(chains, config: HmcConfig, params: LossParams, path, extra: dict | None = None) -> None:
+def write_hmc_manifest(chains, params: LossParams, burn_in: int, path, extra: dict | None = None) -> None:
     """Run manifest: config, outcomes, adaptation traces (timing lives apart).
+
+    ``config`` holds the run's three counts and the integrator constants.
 
     Records that the sampler is plain fixed-length leapfrog HMC standing in
     for a tree-based sampler.
     """
-    psrf = split_chain_psrf(chains) if chains and chains[0].states.shape[0] >= 4 else None
+    n_samples = chains[0].states.shape[0]
+    psrf = split_chain_psrf(chains) if n_samples >= 4 else None
     doc = {
         "sampler": "hmc-fixed-leapfrog",
         "sampler_note": "plain HMC with a fixed leapfrog count in place of a tree-based sampler",
-        "config": asdict(config),
+        "config": {
+            "n_samples": n_samples,
+            "n_chains": len(chains),
+            "burn_in": burn_in,
+            "target_accept": TARGET_ACCEPT,
+            "leapfrog_steps": LEAPFROG_STEPS,
+            "step_size": STEP_SIZE,
+        },
         "gamma": params.sigma_r_sq,
         "acceptance_rates": [chain.acceptance_rate for chain in chains],
         "adapted_step_sizes": [chain.adapted_step_size for chain in chains],

@@ -175,7 +175,7 @@ def reference_randomized_loss(mesh, bc, y_basis, u_basis, sigma_r_sq, xi, eta,
 
 
 def reference_hmc_chain(log_post, dim, rng, n_samples, burn_in, leapfrog_steps,
-                        step_size, target_accept, adapt=True):
+                        step_size, target_accept):
     """One fixed-length leapfrog HMC chain, run on its own.
 
     ``log_post(z)`` returns the log posterior and its gradient at one vector.
@@ -211,7 +211,7 @@ def reference_hmc_chain(log_post, dim, rng, n_samples, burn_in, leapfrog_steps,
         accept = rng.uniform() < alpha
         if accept:
             z, lp, grad = x, lp_x, g_x
-        if adapt and t < burn_in:
+        if t < burn_in:
             m = t + 1
             h_bar += (target_accept - alpha - h_bar) / (m + 10.0)
             log_step = mu - np.sqrt(m) / 0.05 * h_bar

@@ -20,7 +20,7 @@ from rpickle import cli
 from rpickle import gp_prior as gp
 from rpickle import mesh_fv as mf
 from rpickle.diagnostics import laplace_posterior, linear_oracle, lpp, posterior_moments
-from rpickle.hmc_sampler import HmcConfig, log_posterior_and_grad, run_hmc
+from rpickle.hmc_sampler import log_posterior_and_grad, run_hmc
 from rpickle.pickle_map import LossParams, PickleLoss, map_optimize
 from rpickle.rpickle_sampler import run_ensemble
 
@@ -72,7 +72,7 @@ def darcy_runs():
     model, params, _ = cases.make_flow_case()
     start = time.perf_counter()
     ens = run_ensemble(model, params, 10_000, base_seed=0, metropolize=True)
-    chains = run_hmc(model, params, HmcConfig(n_samples=3334, n_chains=3, burn_in=10_000), seed=101)
+    chains = run_hmc(model, params, 3334, 3, 10_000, seed=101)
     elapsed = time.perf_counter() - start
     return ens, chains, elapsed
 

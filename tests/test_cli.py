@@ -165,6 +165,19 @@ class TestConfigValidation:
         assert cli.main(["map", "--config", "/nonexistent/c.json"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_bad_config_file_named(self, tmp_path, capsys):
+        truncated, listed = tmp_path / "c.json", tmp_path / "list.json"
+        truncated.write_text('{"sigma_r_sq": 0.05, ')
+        listed.write_text("[1, 2]")
+        for path, reason in (
+            (truncated, "Expecting property name"),
+            (tmp_path, "Is a directory"),
+            (listed, "JSON object"),
+        ):
+            assert cli.main(["map", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert str(path) in err and reason in err
+
 
 class TestConfigHash:
     def test_output_dir_excluded_from_hash(self, tmp_path):
@@ -268,17 +281,27 @@ class TestLinearCaseStages:
         assert cli.main(["sample-hmc", "--config", path]) == 1
         assert "sampler.kind" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_manifest_config_holds_the_run_settings(self, tmp_path):
+        # Short chains; their PSRF warning is expected.
         path = write_config(
             tmp_path / "c.json",
             tmp_path / "out",
             linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1},
-            sampler={"kind": "rpickle", "n_ens": 6, "metropolize": None},
+            sampler={"kind": "both", "n_ens": 6, "metropolize": None,
+                     "hmc_samples": 8, "hmc_chains": 2, "hmc_burn_in": 10},
         )
         assert cli.main(["sample-rpickle", "--config", path]) == 0
+        assert cli.main(["sample-hmc", "--config", path]) == 0
         with open(tmp_path / "out" / "gamma_0.05" / "rpickle.json") as fh:
             doc = json.load(fh)
         assert doc["config"] == {"sigma_r_sq": 0.05, "n_ens": 6, "base_seed": 3, "metropolize": True}
+        with open(tmp_path / "out" / "gamma_0.05" / "hmc.json") as fh:
+            doc = json.load(fh)
+        assert doc["config"] == {
+            "n_samples": 8, "n_chains": 2, "burn_in": 10,
+            "target_accept": 0.7, "leapfrog_steps": 32, "step_size": 0.1,
+        }
 
     def test_samplers_start_no_thread_whatever_threads_says(self, tmp_path, monkeypatch):
         import threading

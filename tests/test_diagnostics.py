@@ -302,8 +302,8 @@ class TestLaplacePosterior:
 
 
 class TestSamplersAgainstOracle:
-    def test_linear_triangle(self):
-        from rpickle.hmc_sampler import HmcConfig, run_hmc
+    def test_linear_triangle(self, monkeypatch):
+        import rpickle.hmc_sampler as hmc
 
         model, params, ensemble, _ = cases.make_linear_ensemble()
         mean_o, cov_o = linear_oracle(model, params)
@@ -314,10 +314,8 @@ class TestSamplersAgainstOracle:
         cov_r = np.cov(coeffs, rowvar=False, ddof=1)
         assert np.linalg.norm(cov_r - cov_o) <= 0.05 * np.linalg.norm(cov_o)
 
-        config = HmcConfig(
-            n_samples=6667, n_chains=3, burn_in=800, leapfrog_steps=32, step_size=0.05
-        )
-        chains = run_hmc(model, params, config, seed=62)
+        monkeypatch.setattr(hmc, "STEP_SIZE", 0.05)
+        chains = hmc.run_hmc(model, params, 6667, 3, 800, seed=62)
         states = np.vstack([c.states for c in chains])
         # Batch-means SE per coordinate absorbs the chain autocorrelation.
         batch_means = np.array(

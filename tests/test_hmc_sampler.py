@@ -5,9 +5,9 @@ import pytest
 
 from rpickle.diagnostics import linear_oracle
 from rpickle.errors import ConfigError, NumericalError
+import rpickle.hmc_sampler as hmc
 from rpickle.hmc_sampler import (
     Chain,
-    HmcConfig,
     _dual_averaging,
     chains_to_csv,
     leapfrog,
@@ -51,6 +51,12 @@ class _ZeroResidual:
 class _HugeResidual(_ZeroResidual):
     def residual(self, xi, eta):
         return np.array([1e300])
+
+
+def set_constants(monkeypatch, **values):
+    """Patch ``hmc_sampler``'s integrator constants, e.g. ``STEP_SIZE=0.05``."""
+    for name, value in values.items():
+        monkeypatch.setattr(hmc, name, value)
 
 
 def pooled_batch_se(chains, n_batches_per_chain=8):
@@ -206,16 +212,21 @@ class TestLeapfrog:
         with pytest.raises(ConfigError, match="rows, dim"):
             leapfrog(np.zeros(z_shape), np.zeros(p_shape), 0.1, 1, self.gaussian_grad)
 
+    @pytest.mark.parametrize("n_steps", [-1, True, 2.5])
+    def test_rejects_step_counts_but_nonnegative_integers(self, n_steps):
+        # -1 used to return a half-kicked momentum, True to run one step.
+        with pytest.raises(ConfigError, match="n_steps"):
+            leapfrog(np.array([[1.0]]), np.array([[0.5]]), 0.1, n_steps, self.gaussian_grad)
+
 
 class TestDualAveraging:
     @staticmethod
     def steps(accept_prob, n_updates=39):
         """The steps of one chain updated with a constant acceptance probability."""
-        config = HmcConfig(n_samples=1, target_accept=0.70, step_size=0.1)
-        h_bar, log_step_avg = np.zeros(1), np.full(1, np.log(config.step_size))
+        h_bar, log_step_avg = np.zeros(1), np.full(1, np.log(hmc.STEP_SIZE))
         sizes = []
         for t in range(1, n_updates + 1):
-            h_bar, step, log_step_avg = _dual_averaging(config, t, np.array([accept_prob]), h_bar, log_step_avg)
+            h_bar, step, log_step_avg = _dual_averaging(t, np.array([accept_prob]), h_bar, log_step_avg)
             sizes.append(float(step[0]))
         return sizes
 
@@ -227,38 +238,36 @@ class TestDualAveraging:
         sizes = self.steps(0.2)
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
-    def test_each_chain_is_the_scalar_recursion(self):
+    def test_each_chain_is_the_scalar_recursion(self, monkeypatch):
         # The per-chain arrays must round exactly as one chain's scalar
         # recursion (shrinkage 0.05, offset 10, decay 0.75), written out here.
-        config = HmcConfig(n_samples=1, n_chains=3, target_accept=0.65, step_size=0.07)
+        set_constants(monkeypatch, TARGET_ACCEPT=0.65, STEP_SIZE=0.07)
         accept = np.random.default_rng(3).uniform(size=(200, 3))
         accept[::7, 1] = 1.0
-        h_bar, log_step_avg = np.zeros(3), np.full(3, np.log(config.step_size))
+        h_bar, log_step_avg = np.zeros(3), np.full(3, np.log(0.07))
         for t in range(1, 201):
-            h_bar, step, log_step_avg = _dual_averaging(config, t, accept[t - 1], h_bar, log_step_avg)
+            h_bar, step, log_step_avg = _dual_averaging(t, accept[t - 1], h_bar, log_step_avg)
         for c in range(3):
-            mu, h, avg = np.log(10.0 * config.step_size), 0.0, np.log(config.step_size)
+            mu, h, avg = np.log(10.0 * 0.07), 0.0, np.log(0.07)
             for t in range(1, 201):
-                h += (config.target_accept - float(accept[t - 1, c]) - h) / (t + 10.0)
+                h += (0.65 - float(accept[t - 1, c]) - h) / (t + 10.0)
                 log_step = mu - np.sqrt(t) / 0.05 * h
                 eta = t ** (-0.75)
                 avg = eta * log_step + (1.0 - eta) * avg
             assert step[c] == float(np.exp(log_step)) and log_step_avg[c] == avg
 
-    def test_empty_history_returns_initial(self):
-        # No burn-in: the step is never adapted and stays the configured one.
-        config = HmcConfig(n_samples=2, n_chains=1, burn_in=0, step_size=0.3)
-        (chain,) = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), config, seed=52)
+    def test_empty_history_returns_initial(self, monkeypatch):
+        # No burn-in: the step is never adapted and stays the initial one.
+        set_constants(monkeypatch, STEP_SIZE=0.3)
+        (chain,) = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), 2, 1, 0, seed=52)
         assert chain.adapted_step_size == 0.3
         np.testing.assert_array_equal(chain.adaptation_trace, [0.3])
 
-    def test_adapted_chain_hits_target_window(self):
+    def test_adapted_chain_hits_target_window(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(
-            n_samples=10_000, n_chains=1, burn_in=1500, leapfrog_steps=32, step_size=0.05
-        )
-        (chain,) = run_hmc(model, params, config, seed=50)
+        set_constants(monkeypatch, STEP_SIZE=0.05)
+        (chain,) = run_hmc(model, params, 10_000, 1, 1500, seed=50)
         assert 0.6 <= chain.acceptance_rate <= 0.8
 
 
@@ -266,23 +275,18 @@ class TestRunHmc:
     def test_standard_gaussian_moments(self):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(
-            n_samples=10_000, n_chains=1, burn_in=1000, leapfrog_steps=32, step_size=0.1
-        )
-        (chain,) = run_hmc(model, params, config, seed=51)
+        (chain,) = run_hmc(model, params, 10_000, 1, 1000, seed=51)
         mean = chain.states.mean(axis=0)
         std = chain.states.std(axis=0, ddof=1)
         assert np.all(np.abs(mean) < 0.05)
         assert np.all((std >= 0.95) & (std <= 1.05))
 
-    def test_linear_model_matches_oracle(self):
+    def test_linear_model_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(35)
         model = cases.make_random_linear(rng)
         params = LossParams(sigma_r_sq=0.5)
-        config = HmcConfig(
-            n_samples=4000, n_chains=3, burn_in=800, leapfrog_steps=32, step_size=0.05
-        )
-        chains = run_hmc(model, params, config, seed=52)
+        set_constants(monkeypatch, STEP_SIZE=0.05)
+        chains = run_hmc(model, params, 4000, 3, 800, seed=52)
         mean, cov = linear_oracle(model, params)
         pooled = np.vstack([chain.states for chain in chains])
         se_mean = pooled_batch_se(chains)
@@ -301,12 +305,12 @@ class TestRunHmc:
         se_std = se_var / (2 * std)
         assert np.all(np.abs(std - np.sqrt(np.diag(cov))) <= 3 * se_std)
 
-    def test_fixed_seed_reproduces_chains(self):
+    def test_fixed_seed_reproduces_chains(self, monkeypatch):
         model = _ZeroResidual(n_xi=3)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(n_samples=50, n_chains=2, burn_in=20, leapfrog_steps=8)
-        a = run_hmc(model, params, config, seed=53)
-        b = run_hmc(model, params, config, seed=53)
+        set_constants(monkeypatch, LEAPFROG_STEPS=8)
+        a = run_hmc(model, params, 50, 2, 20, seed=53)
+        b = run_hmc(model, params, 50, 2, 20, seed=53)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.states, cb.states)
             assert np.array_equal(ca.accept_flags, cb.accept_flags)
@@ -314,11 +318,9 @@ class TestRunHmc:
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
-        import rpickle.hmc_sampler as hmc
-
         model = cases.make_random_linear(np.random.default_rng(57), n_res=12, n_xi=3, n_eta=2)
         params = LossParams(sigma_r_sq=0.5)
-        config = HmcConfig(n_samples=3, n_chains=3, burn_in=5, leapfrog_steps=32, step_size=0.01)
+        set_constants(monkeypatch, STEP_SIZE=0.01)
         rows = []
         counted = hmc.log_posterior_and_grad
 
@@ -327,58 +329,52 @@ class TestRunHmc:
             return counted(model, params, z)
 
         monkeypatch.setattr(hmc, "log_posterior_and_grad", counting)
-        chains = run_hmc(model, params, config, seed=57)
+        chains = run_hmc(model, params, 3, 3, 5, seed=57)
         # one batched evaluation of every chain at the initial points, then
         # one per leapfrog step for all chains together
-        assert len(rows) == 1 + 32 * (config.burn_in + config.n_samples)
+        assert len(rows) == 1 + 32 * (5 + 3)
         assert set(rows) == {3}
         assert all(chain.acceptance_rate > 0.5 for chain in chains)
 
-    def test_nonfinite_initial_posterior_aborts(self):
+    def test_nonfinite_initial_posterior_aborts(self, monkeypatch):
         model = _HugeResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(n_samples=10, n_chains=1, burn_in=0, leapfrog_steps=4)
+        set_constants(monkeypatch, LEAPFROG_STEPS=4)
         with pytest.raises(NumericalError, match="non-finite"):
-            run_hmc(model, params, config, seed=55)
+            run_hmc(model, params, 10, 1, 0, seed=55)
 
-    def test_detailed_balance_on_gaussian_covariance(self):
+    def test_detailed_balance_on_gaussian_covariance(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(
-            n_samples=50_000, n_chains=1, burn_in=1000, leapfrog_steps=16, step_size=0.2
-        )
-        (chain,) = run_hmc(model, params, config, seed=56)
+        set_constants(monkeypatch, LEAPFROG_STEPS=16, STEP_SIZE=0.2)
+        (chain,) = run_hmc(model, params, 50_000, 1, 1000, seed=56)
         emp = np.cov(chain.states, rowvar=False, ddof=1)
         rel = np.linalg.norm(emp - np.eye(2)) / np.linalg.norm(np.eye(2))
         assert rel < 0.05
 
-    def test_hmc_and_randomized_means_agree_on_flow_case(self):
+    def test_hmc_and_randomized_means_agree_on_flow_case(self, monkeypatch):
         from rpickle.rpickle_sampler import run_ensemble
 
         # 4,000 draws per sampler keep the Monte Carlo error of the mean gap
         # near 0.025 std, so noise alone rarely reaches the 0.10 std tolerance.
         model, params, _ = cases.make_flow_case()
         ensemble = run_ensemble(model, params, 4000, base_seed=57)
-        config = HmcConfig(
-            n_samples=4000, n_chains=1, burn_in=800, leapfrog_steps=32, step_size=0.02
-        )
-        (chain,) = run_hmc(model, params, config, seed=57)
+        set_constants(monkeypatch, STEP_SIZE=0.02)
+        (chain,) = run_hmc(model, params, 4000, 1, 800, seed=57)
         mean_r = ensemble.coefficient_matrix().mean(axis=0)
         mean_h = chain.states.mean(axis=0)
         std = chain.states.std(axis=0, ddof=1)
         assert np.all(np.abs(mean_r - mean_h) <= 0.10 * std)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_adapted_step_decreases_with_gamma(self):
+    def test_adapted_step_decreases_with_gamma(self, monkeypatch):
         # PSRF on a 4-sample chain is meaningless; the warning is expected.
         rng = np.random.default_rng(36)
         model = cases.make_random_linear(rng, n_res=20, n_xi=3, n_eta=2)
+        set_constants(monkeypatch, LEAPFROG_STEPS=16)
         steps = []
         for gamma in (1e-1, 1e-2, 1e-4):
-            config = HmcConfig(
-                n_samples=4, n_chains=1, burn_in=600, leapfrog_steps=16, step_size=0.1
-            )
-            (chain,) = run_hmc(model, LossParams(sigma_r_sq=gamma), config, seed=58)
+            (chain,) = run_hmc(model, LossParams(sigma_r_sq=gamma), 4, 1, 600, seed=58)
             steps.append(chain.adapted_step_size)
         assert steps[0] > steps[1] > steps[2]
 
@@ -387,7 +383,7 @@ class TestLockstepAgainstOneChainAtATime:
     """``run_hmc`` against :func:`oracles.reference_hmc_chain`, run chain by chain."""
 
     @staticmethod
-    def reference(model, params, config, seed):
+    def reference(model, params, n_samples, n_chains, burn_in, seed):
         from rpickle.seeding import STREAM_HMC, spawn_rng
 
         return [
@@ -395,14 +391,13 @@ class TestLockstepAgainstOneChainAtATime:
                 lambda z: log_posterior_and_grad(model, params, z),
                 model.n_xi + model.n_eta,
                 spawn_rng(seed, STREAM_HMC, c),
-                config.n_samples,
-                config.burn_in,
-                config.leapfrog_steps,
-                config.step_size,
-                config.target_accept,
-                config.adapt,
+                n_samples,
+                burn_in,
+                hmc.LEAPFROG_STEPS,
+                hmc.STEP_SIZE,
+                hmc.TARGET_ACCEPT,
             )
-            for c in range(config.n_chains)
+            for c in range(n_chains)
         ]
 
     @staticmethod
@@ -412,11 +407,11 @@ class TestLockstepAgainstOneChainAtATime:
         yield "linear", cases.make_random_linear(np.random.default_rng(35)), LossParams(sigma_r_sq=0.5), 0.05
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_one_chain_is_bit_for_bit_the_reference(self):
+    def test_one_chain_is_bit_for_bit_the_reference(self, monkeypatch):
         for name, model, params, step in self.models():
-            config = HmcConfig(n_samples=80, n_chains=1, burn_in=120, leapfrog_steps=32, step_size=step)
-            (chain,) = run_hmc(model, params, config, seed=57)
-            ((states, flags, lps, final_step, trace),) = self.reference(model, params, config, 57)
+            set_constants(monkeypatch, STEP_SIZE=step)
+            (chain,) = run_hmc(model, params, 80, 1, 120, seed=57)
+            ((states, flags, lps, final_step, trace),) = self.reference(model, params, 80, 1, 120, 57)
             assert np.array_equal(chain.states, states), name
             assert np.array_equal(chain.accept_flags, flags), name
             assert np.array_equal(chain.log_posteriors, lps), name
@@ -424,15 +419,14 @@ class TestLockstepAgainstOneChainAtATime:
             assert np.array_equal(chain.adaptation_trace, trace), name
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_each_of_three_chains_tracks_its_reference(self):
-        # Without adaptation the step sizes match exactly, so the batched
-        # products' last-bit rounding is the only difference left.
+    def test_each_of_three_chains_tracks_its_reference(self, monkeypatch):
+        # With no burn-in the step never adapts and the step sizes match
+        # exactly, so the batched products' last-bit rounding is the only
+        # difference left.
         for name, model, params, step in self.models():
-            config = HmcConfig(
-                n_samples=60, n_chains=3, burn_in=0, leapfrog_steps=32, step_size=step, adapt=False
-            )
-            chains = run_hmc(model, params, config, seed=58)
-            for chain, (states, flags, lps, _, _) in zip(chains, self.reference(model, params, config, 58)):
+            set_constants(monkeypatch, STEP_SIZE=step)
+            chains = run_hmc(model, params, 60, 3, 0, seed=58)
+            for chain, (states, flags, lps, _, _) in zip(chains, self.reference(model, params, 60, 3, 0, 58)):
                 assert np.max(np.abs(chain.states - states)) <= 1e-10, name
                 assert np.array_equal(chain.accept_flags, flags), name
                 np.testing.assert_allclose(chain.log_posteriors, lps, rtol=1e-10, atol=0)
@@ -450,13 +444,11 @@ class TestLockstepAgainstOneChainAtATime:
 
 
 class TestPsrf:
-    def test_well_mixed_chains_near_one(self):
+    def test_well_mixed_chains_near_one(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(
-            n_samples=4000, n_chains=2, burn_in=500, leapfrog_steps=16, step_size=0.2
-        )
-        chains = run_hmc(model, params, config, seed=59)
+        set_constants(monkeypatch, LEAPFROG_STEPS=16, STEP_SIZE=0.2)
+        chains = run_hmc(model, params, 4000, 2, 500, seed=59)
         assert np.max(split_chain_psrf(chains)) < 1.05
 
     def test_drifting_chain_flagged(self):
@@ -472,29 +464,26 @@ class TestPsrf:
         )
         assert np.max(split_chain_psrf([chain])) > 1.05
 
-    def test_unmixed_chains_draw_warning(self):
+    def test_unmixed_chains_draw_warning(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        # A step of 1e-6 freezes each chain near its own init, so the two
-        # chains never meet and the split statistic must flag it.
-        config = HmcConfig(
-            n_samples=30, n_chains=2, burn_in=0, leapfrog_steps=2,
-            step_size=1e-6, adapt=False,
-        )
+        # A step of 1e-6, never adapted without burn-in, freezes each chain
+        # near its own init, so the two chains never meet and the split
+        # statistic must flag it.
+        set_constants(monkeypatch, LEAPFROG_STEPS=2, STEP_SIZE=1e-6)
         with pytest.warns(UserWarning, match="PSRF"):
-            run_hmc(model, params, config, seed=60)
+            run_hmc(model, params, 30, 2, 0, seed=60)
 
 
 class TestValidationAndSerialization:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            HmcConfig(n_samples=0)
-        with pytest.raises(ConfigError):
-            HmcConfig(n_samples=10, target_accept=1.0)
-        with pytest.raises(ConfigError):
-            HmcConfig(n_samples=10, step_size=0.0)
-        with pytest.raises(ConfigError):
-            HmcConfig(n_samples=10, leapfrog_steps=0)
+    def test_config_validation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hmc, "log_posterior_and_grad", lambda *args: calls.append(args))
+        model, params = _ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0)
+        for counts, name in (((0, 1, 0), "n_samples"), ((1, 0, 0), "n_chains"), ((1, 1, -1), "burn_in")):
+            with pytest.raises(ConfigError, match=name):
+                run_hmc(model, params, *counts, seed=0)
+        assert calls == []
 
     def test_chain_rejects_nonfinite_states(self):
         with pytest.raises(ConfigError):
@@ -509,12 +498,12 @@ class TestValidationAndSerialization:
             )
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_csv_and_manifest(self, tmp_path):
+    def test_csv_and_manifest(self, tmp_path, monkeypatch):
         # Short chains for format checks; their PSRF warning is expected.
         model = _ZeroResidual(n_xi=2, n_eta=1)
         params = LossParams(sigma_r_sq=1.0)
-        config = HmcConfig(n_samples=12, n_chains=2, burn_in=5, leapfrog_steps=4)
-        chains = run_hmc(model, params, config, seed=61)
+        set_constants(monkeypatch, LEAPFROG_STEPS=4)
+        chains = run_hmc(model, params, 12, 2, 5, seed=61)
         csv_path = tmp_path / "chains.csv"
         chains_to_csv(chains, model.n_xi, csv_path)
         text = csv_path.read_text().splitlines()
@@ -526,10 +515,14 @@ class TestValidationAndSerialization:
         assert csv_path.read_bytes() == again.read_bytes()
 
         manifest = tmp_path / "hmc.json"
-        write_hmc_manifest(chains, config, params, manifest, extra={"stage": "unit"})
+        write_hmc_manifest(chains, params, 5, manifest, extra={"stage": "unit"})
         doc = json.loads(manifest.read_text())
         assert doc["sampler"] == "hmc-fixed-leapfrog"
         assert "fixed leapfrog" in doc["sampler_note"]
+        assert doc["config"] == {
+            "n_samples": 12, "n_chains": 2, "burn_in": 5,
+            "target_accept": 0.7, "leapfrog_steps": 4, "step_size": 0.1,
+        }
         assert len(doc["acceptance_rates"]) == 2
-        assert len(doc["adaptation_traces"][0]) == config.burn_in + 1
+        assert len(doc["adaptation_traces"][0]) == 5 + 1
         assert "timing" not in doc

@@ -57,6 +57,7 @@ from .diagnostics import (
 from .errors import ConfigError, NumericalError
 from .field_gen import build_synthetic_case, load_case, save_case
 from .gp_prior import (
+    DEFAULT_ENERGY,
     KernelParams,
     basis_from_json,
     basis_to_json,
@@ -103,88 +104,87 @@ SAMPLER_KINDS = ("rpickle", "hmc", "both")
 
 SUMMARY_COLUMNS = ("gamma", "n_usable", "lpp", "coverage", "rel_l2", "l_inf", "condition_number")
 
+# Every field of the config document, as ``(kind, default, bound)``; a dict
+# entry is a section.  An ``int`` field is a count of at least ``bound``; a
+# ``float`` field is a finite number, and a positive one when ``bound`` is
+# 0.0.  Only a field whose default is None may be null.  Fields of kind None
+# are copied, defaults filled, for the cross-field rules in
+# :func:`parse_run_config` to check.
+CONFIG_FIELDS = {
+    "mesh": {
+        "nx": (int, 8, 1),
+        "ny": (int, 8, 1),
+        "lx": (float, 1.0, 0.0),
+        "ly": (float, 1.0, 0.0),
+        "bc": (None, {}, None),
+    },
+    "kernel": {
+        "fit": (None, False, None),
+        "sigma": (float, None, 0.0),
+        "length_scale": (float, None, 0.0),
+    },
+    "truncation": {
+        "energy": (float, None, None),
+        "n_xi": (int, None, 1),
+        "n_eta": (int, None, 1),
+    },
+    "observations": {"n_y_obs": (int, 16, 1), "n_u_obs": (int, 16, 1)},
+    "smoothing_iterations": (int, 0, 0),
+    "mc_draws": (int, 4000, 2),
+    "sigma_r_sq": (None, [1e-2], None),
+    "sampler": {
+        "kind": (None, "rpickle", None),
+        "n_ens": (int, 100, 1),
+        "hmc_samples": (int, 1000, 1),
+        "hmc_chains": (int, 3, 1),
+        "hmc_burn_in": (int, 2000, 0),
+        "metropolize": (None, None, None),
+    },
+    "base_seed": (int, 0, 0),
+    "output_dir": (None, "out", None),
+    "linear_case": {"n_res": (int, 30, 1), "n_xi": (int, 5, 1), "n_eta": (int, 4, 0)},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; one instance drives every stage.
+    """One validated config document, every default filled; it drives every stage.
 
+    The document is the config: ``config["sampler"]["n_ens"]`` reads a
+    field, and its sections and keys are those of :data:`CONFIG_FIELDS`.
     Exactly one truncation rule is set: ``energy`` (fraction of prior
     variance to keep, both fields) or the explicit pair ``n_xi`` /
-    ``n_eta``.  ``kernel_sigma`` / ``kernel_length_scale`` may be None only
-    when ``kernel_fit`` is true, in which case ``generate`` is unavailable
+    ``n_eta``.  ``kernel.sigma`` / ``kernel.length_scale`` may be None only
+    when ``kernel.fit`` is true, in which case ``generate`` is unavailable
     and ``build-prior`` fits them from the case's parameter observations.
-    ``linear_case`` replaces the PDE model with a seeded random affine
-    residual for the map/sample stages.
+    ``linear_case``, None unless given, replaces the PDE model with a seeded
+    random affine residual for the map/sample stages.
     """
 
-    nx: int
-    ny: int
-    lx: float
-    ly: float
-    bc: dict
-    kernel_fit: bool
-    kernel_sigma: float | None
-    kernel_length_scale: float | None
-    energy: float | None
-    n_xi: int | None
-    n_eta: int | None
-    n_y_obs: int
-    n_u_obs: int
-    smoothing_iterations: int
-    mc_draws: int
-    gammas: tuple
-    sampler_kind: str
-    n_ens: int
-    hmc_samples: int
-    hmc_chains: int
-    hmc_burn_in: int
-    metropolize: bool | None
-    base_seed: int
-    output_dir: str
-    linear_case: dict | None
+    doc: dict
 
-    def to_dict(self) -> dict:
-        """Canonical nested form, echoed into manifests and hashed."""
-        return {
-            "mesh": {
-                "nx": self.nx,
-                "ny": self.ny,
-                "lx": self.lx,
-                "ly": self.ly,
-                "bc": dict(sorted(self.bc.items())),
-            },
-            "kernel": {
-                "fit": self.kernel_fit,
-                "sigma": self.kernel_sigma,
-                "length_scale": self.kernel_length_scale,
-            },
-            "truncation": {"energy": self.energy, "n_xi": self.n_xi, "n_eta": self.n_eta},
-            "observations": {"n_y_obs": self.n_y_obs, "n_u_obs": self.n_u_obs},
-            "smoothing_iterations": self.smoothing_iterations,
-            "mc_draws": self.mc_draws,
-            "sigma_r_sq": list(self.gammas),
-            "sampler": {
-                "kind": self.sampler_kind,
-                "n_ens": self.n_ens,
-                "hmc_samples": self.hmc_samples,
-                "hmc_chains": self.hmc_chains,
-                "hmc_burn_in": self.hmc_burn_in,
-                "metropolize": self.metropolize,
-            },
-            "base_seed": self.base_seed,
-            "output_dir": self.output_dir,
-            "linear_case": None if self.linear_case is None else dict(sorted(self.linear_case.items())),
-        }
+    def __getitem__(self, key: str):
+        return self.doc[key]
+
+    @property
+    def gammas(self) -> tuple:
+        return tuple(self.doc["sigma_r_sq"])
+
+    @property
+    def base_seed(self) -> int:
+        return self.doc["base_seed"]
+
+    @property
+    def output_dir(self) -> str:
+        return self.doc["output_dir"]
 
     def science_dict(self) -> dict:
-        """Canonical config minus the output location.
+        """The document without ``output_dir``.
 
         This is what gets hashed and echoed into manifests: moving a run
         to a different directory must not change a single output byte.
         """
-        doc = self.to_dict()
-        del doc["output_dir"]
-        return doc
+        return {key: value for key, value in self.doc.items() if key != "output_dir"}
 
     @property
     def config_hash(self) -> str:
@@ -212,66 +212,60 @@ def _int_field(value, name: str, minimum: int) -> int:
     return value
 
 
-def _float_field(value, name: str) -> float:
+def _float_field(value, name: str, positive: bool = False) -> float:
     """A finite number field; an integer such as ``1`` counts, a bool, a string, NaN or inf does not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
     return float(value)
 
 
-def parse_run_config(raw: dict) -> RunConfig:
-    """Validate a raw JSON document, filling defaults; see :class:`RunConfig`."""
-    _require_keys(
-        raw,
-        "config",
-        (
-            "mesh",
-            "kernel",
-            "truncation",
-            "observations",
-            "smoothing_iterations",
-            "mc_draws",
-            "sigma_r_sq",
-            "sampler",
-            "base_seed",
-            "output_dir",
-            "linear_case",
-        ),
-    )
+def _field(value, name: str, kind, default, bound):
+    """One field of :data:`CONFIG_FIELDS`, checked by its kind."""
+    if kind is None or (value is None and default is None):
+        return value
+    if kind is int:
+        return _int_field(value, name, bound)
+    return _float_field(value, name, positive=bound is not None)
 
-    linear_case = raw.get("linear_case")
-    if linear_case is not None:
-        _require_keys(linear_case, "linear_case", ("n_res", "n_xi", "n_eta"))
-        linear_case = {
-            "n_res": _int_field(linear_case.get("n_res", 30), "linear_case.n_res", 1),
-            "n_xi": _int_field(linear_case.get("n_xi", 5), "linear_case.n_xi", 1),
-            "n_eta": _int_field(linear_case.get("n_eta", 4), "linear_case.n_eta", 0),
+
+def parse_run_config(raw: dict) -> RunConfig:
+    """Validate a raw JSON document and fill its defaults; see :class:`RunConfig`.
+
+    The returned document is the config: it holds every section and field
+    of :data:`CONFIG_FIELDS`, and nothing else.
+    """
+    _require_keys(raw, "config", CONFIG_FIELDS)
+    doc = {}
+    for key, spec in CONFIG_FIELDS.items():
+        if not isinstance(spec, dict):
+            doc[key] = _field(raw.get(key, spec[1]), key, *spec)
+            continue
+        if key == "linear_case" and raw.get(key) is None:
+            doc[key] = None  # the one section that may be absent
+            continue
+        section = raw.get(key, {})
+        _require_keys(section, key, spec)
+        doc[key] = {
+            field: _field(section.get(field, default), f"{key}.{field}", kind, default, bound)
+            for field, (kind, default, bound) in spec.items()
         }
 
-    mesh = raw.get("mesh", {})
-    _require_keys(mesh, "mesh", ("nx", "ny", "lx", "ly", "bc"))
-    bc = mesh.get("bc", {})
+    bc = doc["mesh"]["bc"]
     _require_keys(bc, "mesh.bc", BC_SIDES)
-    if linear_case is None:
+    if doc["linear_case"] is None:
         # The forward problem needs a value on every side; name what is absent.
         missing = [f"mesh.bc.{side}" for side in BC_SIDES if side not in bc]
         if missing:
             raise ConfigError("missing required config fields: " + ", ".join(missing))
-    bc = {side: _float_field(bc[side], f"mesh.bc.{side}") for side in bc}
+    doc["mesh"]["bc"] = {side: _float_field(bc[side], f"mesh.bc.{side}") for side in sorted(bc)}
 
-    kernel = raw.get("kernel", {})
-    _require_keys(kernel, "kernel", ("fit", "sigma", "length_scale"))
-    kernel_fit = kernel.get("fit", False)
-    if not isinstance(kernel_fit, bool):
-        raise ConfigError(f"kernel.fit must be true or false, got {kernel_fit!r}")
-    sigma = kernel.get("sigma")
-    length_scale = kernel.get("length_scale")
-    if linear_case is None and not kernel_fit:
-        missing = [
-            f"kernel.{key}"
-            for key, value in (("sigma", sigma), ("length_scale", length_scale))
-            if value is None
-        ]
+    kernel = doc["kernel"]
+    if not isinstance(kernel["fit"], bool):
+        raise ConfigError(f"kernel.fit must be true or false, got {kernel['fit']!r}")
+    if doc["linear_case"] is None and not kernel["fit"]:
+        missing = [f"kernel.{key}" for key in ("sigma", "length_scale") if kernel[key] is None]
         if missing:
             raise ConfigError(
                 "missing required config fields: "
@@ -279,79 +273,39 @@ def parse_run_config(raw: dict) -> RunConfig:
                 + " (set kernel.fit to estimate them from observations)"
             )
 
-    truncation = raw.get("truncation", {})
-    _require_keys(truncation, "truncation", ("energy", "n_xi", "n_eta"))
-    n_xi = truncation.get("n_xi")
-    n_eta = truncation.get("n_eta")
-    energy = truncation.get("energy")
-    if energy is not None:
-        energy = _float_field(energy, "truncation.energy")
-    if n_xi is not None or n_eta is not None:
-        if energy is not None:
+    truncation = doc["truncation"]
+    if truncation["n_xi"] is not None or truncation["n_eta"] is not None:
+        if truncation["energy"] is not None:
             raise ConfigError("truncation takes either energy or n_xi/n_eta, not both")
-        if n_xi is None or n_eta is None:
+        if truncation["n_xi"] is None or truncation["n_eta"] is None:
             raise ConfigError("explicit truncation needs both truncation.n_xi and truncation.n_eta")
-        n_xi = _int_field(n_xi, "truncation.n_xi", 1)
-        n_eta = _int_field(n_eta, "truncation.n_eta", 1)
     else:
-        energy = 0.95 if energy is None else energy
-        if not 0.0 < energy <= 1.0:
+        if truncation["energy"] is None:
+            truncation["energy"] = DEFAULT_ENERGY
+        if not 0.0 < truncation["energy"] <= 1.0:
             raise ConfigError("truncation.energy must lie in (0, 1]")
 
-    observations = raw.get("observations", {})
-    _require_keys(observations, "observations", ("n_y_obs", "n_u_obs"))
-
-    gammas = raw.get("sigma_r_sq", [1e-2])
+    gammas = doc["sigma_r_sq"]
     if not isinstance(gammas, list):
         gammas = [gammas]
-    gammas = tuple(_float_field(g, "sigma_r_sq") for g in gammas)
+    gammas = [_float_field(g, "sigma_r_sq", positive=True) for g in gammas]
     if not gammas:
         raise ConfigError("sigma_r_sq must list at least one value")
-    if any(g <= 0 for g in gammas):
-        raise ConfigError("sigma_r_sq values must be positive")
+    if len(set(gammas)) < len(gammas):  # each value names its own gamma_<value>/ directory
+        raise ConfigError(f"sigma_r_sq must be distinct values, got {gammas}")
+    doc["sigma_r_sq"] = gammas
 
-    sampler = raw.get("sampler", {})
-    _require_keys(
-        sampler,
-        "sampler",
-        ("kind", "n_ens", "hmc_samples", "hmc_chains", "hmc_burn_in", "metropolize"),
-    )
-    kind = sampler.get("kind", "rpickle")
-    if kind not in SAMPLER_KINDS:
-        raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {kind!r}")
-    metropolize = sampler.get("metropolize")
-    if metropolize is not None and not isinstance(metropolize, bool):
-        raise ConfigError(f"sampler.metropolize must be true, false or null, got {metropolize!r}")
+    sampler = doc["sampler"]
+    if sampler["kind"] not in SAMPLER_KINDS:
+        raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {sampler['kind']!r}")
+    if sampler["metropolize"] is not None and not isinstance(sampler["metropolize"], bool):
+        raise ConfigError(
+            f"sampler.metropolize must be true, false or null, got {sampler['metropolize']!r}"
+        )
 
-    return RunConfig(
-        nx=_int_field(mesh.get("nx", 8), "mesh.nx", 1),
-        ny=_int_field(mesh.get("ny", 8), "mesh.ny", 1),
-        lx=_float_field(mesh.get("lx", 1.0), "mesh.lx"),
-        ly=_float_field(mesh.get("ly", 1.0), "mesh.ly"),
-        bc=bc,
-        kernel_fit=kernel_fit,
-        kernel_sigma=None if sigma is None else _float_field(sigma, "kernel.sigma"),
-        kernel_length_scale=None if length_scale is None else _float_field(length_scale, "kernel.length_scale"),
-        energy=energy,
-        n_xi=n_xi,
-        n_eta=n_eta,
-        n_y_obs=_int_field(observations.get("n_y_obs", 16), "observations.n_y_obs", 1),
-        n_u_obs=_int_field(observations.get("n_u_obs", 16), "observations.n_u_obs", 1),
-        smoothing_iterations=_int_field(
-            raw.get("smoothing_iterations", 0), "smoothing_iterations", 0
-        ),
-        mc_draws=_int_field(raw.get("mc_draws", 4000), "mc_draws", 2),
-        gammas=gammas,
-        sampler_kind=kind,
-        n_ens=_int_field(sampler.get("n_ens", 100), "sampler.n_ens", 1),
-        hmc_samples=_int_field(sampler.get("hmc_samples", 1000), "sampler.hmc_samples", 1),
-        hmc_chains=_int_field(sampler.get("hmc_chains", 3), "sampler.hmc_chains", 1),
-        hmc_burn_in=_int_field(sampler.get("hmc_burn_in", 2000), "sampler.hmc_burn_in", 0),
-        metropolize=metropolize,
-        base_seed=_int_field(raw.get("base_seed", 0), "base_seed", 0),
-        output_dir=str(raw.get("output_dir", "out")),
-        linear_case=linear_case,
-    )
+    if not isinstance(doc["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {doc['output_dir']!r}")
+    return RunConfig(doc)
 
 
 def load_run_config(path, seed: int | None = None, out: str | None = None) -> RunConfig:
@@ -407,32 +361,34 @@ def _record_timing(output_dir: str, stage: str, elapsed: float) -> None:
     path = os.path.join(output_dir, "timing.json")
     doc = {}
     if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError(f"cannot read timing file {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"timing file {path} must hold a JSON object")
     doc[stage] = elapsed
     write_json(path, doc)
 
 
-def _random_linear(n_res: int, n_xi: int, n_eta: int, seed: int) -> LinearModel:
-    rng = spawn_rng(seed, STREAM_REFERENCE)
-    a = rng.standard_normal((n_res, n_xi))
-    b = rng.standard_normal((n_res, n_eta)) if n_eta > 0 else None
-    c = rng.standard_normal(n_res)
-    return LinearModel(a, b, c)
-
-
 def linear_model_from_config(config: RunConfig) -> LinearModel:
-    """The seeded affine test model described by ``config.linear_case``."""
-    if config.linear_case is None:
+    """The seeded affine test model described by ``config["linear_case"]``."""
+    dims = config["linear_case"]
+    if dims is None:
         raise ConfigError("config has no linear_case section")
-    dims = config.linear_case
-    return _random_linear(dims["n_res"], dims["n_xi"], dims["n_eta"], config.base_seed)
+    rng = spawn_rng(config.base_seed, STREAM_REFERENCE)
+    a = rng.standard_normal((dims["n_res"], dims["n_xi"]))
+    b = rng.standard_normal((dims["n_res"], dims["n_eta"])) if dims["n_eta"] > 0 else None
+    c = rng.standard_normal(dims["n_res"])
+    return LinearModel(a, b, c)
 
 
 def _mesh_and_bc(config: RunConfig):
     """The configured mesh and its boundary conditions."""
-    mesh = build_structured_mesh(config.nx, config.ny, config.lx, config.ly)
-    return mesh, boundary_values(mesh, config.bc)
+    m = config["mesh"]
+    mesh = build_structured_mesh(m["nx"], m["ny"], m["lx"], m["ly"])
+    return mesh, boundary_values(mesh, m["bc"])
 
 
 def _flow_model(config: RunConfig):
@@ -454,13 +410,13 @@ def _flow_model(config: RunConfig):
 
 
 def _sampling_model(config: RunConfig):
-    if config.linear_case is not None:
+    if config["linear_case"] is not None:
         return linear_model_from_config(config)
     return _flow_model(config)[0]
 
 
 def _reject_linear(config: RunConfig, stage: str) -> None:
-    if config.linear_case is not None:
+    if config["linear_case"] is not None:
         raise ConfigError(
             f"linear_case has no synthetic field or prior; '{stage}' applies only to PDE runs"
         )
@@ -469,21 +425,21 @@ def _reject_linear(config: RunConfig, stage: str) -> None:
 def cmd_generate(config: RunConfig) -> None:
     """Sample the reference experiment and persist it under ``case/``."""
     _reject_linear(config, "generate")
-    if config.kernel_sigma is None or config.kernel_length_scale is None:
+    k = config["kernel"]
+    if k["sigma"] is None or k["length_scale"] is None:
         raise ConfigError(
             "generate needs explicit kernel.sigma and kernel.length_scale; "
             "kernel.fit only affects build-prior"
         )
     mesh, bc = _mesh_and_bc(config)
-    kernel = KernelParams(sigma=config.kernel_sigma, length_scale=config.kernel_length_scale)
     case = build_synthetic_case(
         mesh,
-        kernel,
+        KernelParams(sigma=k["sigma"], length_scale=k["length_scale"]),
         bc,
-        n_y_obs=config.n_y_obs,
-        n_u_obs=config.n_u_obs,
+        n_y_obs=config["observations"]["n_y_obs"],
+        n_u_obs=config["observations"]["n_u_obs"],
         seed=config.base_seed,
-        smoothing_iterations=config.smoothing_iterations,
+        smoothing_iterations=config["smoothing_iterations"],
     )
 
     case_dir = os.path.join(config.output_dir, "case")
@@ -518,22 +474,17 @@ def cmd_build_prior(config: RunConfig) -> None:
     case = load_case(case_dir)
     _check_wells(case, mesh, case_path)
 
-    if config.kernel_fit:
+    k, t = config["kernel"], config["truncation"]
+    if k["fit"]:
         kernel = fit_hyperparameters(case.y_obs)
     else:
-        kernel = KernelParams(sigma=config.kernel_sigma, length_scale=config.kernel_length_scale)
+        kernel = KernelParams(sigma=k["sigma"], length_scale=k["length_scale"])
     cov_y = matern52(mesh.cell_centers, mesh.cell_centers, kernel)
     gp_y = condition_on_cells(np.zeros(mesh.n_cells), cov_y, case.y_obs)
-    if config.n_xi is not None:
-        y_basis = build_basis(gp_y, energy=None, n_terms=config.n_xi)
-    else:
-        y_basis = build_basis(gp_y, energy=config.energy)
-    u_mean, u_cov = mc_state_prior(mesh, y_basis, bc, n_mc=config.mc_draws, seed=config.base_seed)
+    y_basis = build_basis(gp_y, energy=t["energy"], n_terms=t["n_xi"])
+    u_mean, u_cov = mc_state_prior(mesh, y_basis, bc, n_mc=config["mc_draws"], seed=config.base_seed)
     gp_u = condition_on_cells(u_mean, u_cov, case.u_obs)
-    if config.n_eta is not None:
-        u_basis = build_basis(gp_u, energy=None, n_terms=config.n_eta)
-    else:
-        u_basis = build_basis(gp_u, energy=config.energy)
+    u_basis = build_basis(gp_u, energy=t["energy"], n_terms=t["n_eta"])
 
     prior_dir = os.path.join(config.output_dir, "prior")
     os.makedirs(prior_dir, exist_ok=True)
@@ -544,13 +495,13 @@ def cmd_build_prior(config: RunConfig) -> None:
         "kernel": {
             "sigma": kernel.sigma,
             "length_scale": kernel.length_scale,
-            "fitted": config.kernel_fit,
+            "fitted": k["fit"],
         },
         "n_xi": y_basis.n_terms,
         "n_eta": u_basis.n_terms,
         "retained_energy_y": y_basis.retained_energy,
         "retained_energy_u": u_basis.retained_energy,
-        "mc_draws": config.mc_draws,
+        "mc_draws": config["mc_draws"],
     }
     manifest.update(_json_stamp(config))
     write_json(os.path.join(prior_dir, "manifest.json"), manifest)
@@ -577,12 +528,13 @@ def cmd_map(config: RunConfig) -> None:
 
 def cmd_sample_rpickle(config: RunConfig) -> None:
     """Randomized-loss ensembles over the sigma_r_sq grid."""
-    if config.sampler_kind not in ("rpickle", "both"):
+    sampler = config["sampler"]
+    if sampler["kind"] not in ("rpickle", "both"):
         raise ConfigError("sampler.kind excludes rpickle; set it to 'rpickle' or 'both'")
     model = _sampling_model(config)
     for gamma in config.gammas:
         params = LossParams(sigma_r_sq=gamma)
-        ensemble = run_ensemble(model, params, config.n_ens, config.base_seed, config.metropolize)
+        ensemble = run_ensemble(model, params, sampler["n_ens"], config.base_seed, sampler["metropolize"])
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         ensemble_to_csv(ensemble, os.path.join(gamma_dir, "rpickle.csv"), meta=_csv_stamp(config))
@@ -598,19 +550,22 @@ def cmd_sample_rpickle(config: RunConfig) -> None:
 
 def cmd_sample_hmc(config: RunConfig) -> None:
     """HMC chains over the sigma_r_sq grid."""
-    if config.sampler_kind not in ("hmc", "both"):
+    sampler = config["sampler"]
+    if sampler["kind"] not in ("hmc", "both"):
         raise ConfigError("sampler.kind excludes hmc; set it to 'hmc' or 'both'")
     model = _sampling_model(config)
     for gamma in config.gammas:
         params = LossParams(sigma_r_sq=gamma)
-        chains = run_hmc(model, params, config.hmc_samples, config.hmc_chains, config.hmc_burn_in, config.base_seed)
+        chains = run_hmc(
+            model, params, sampler["hmc_samples"], sampler["hmc_chains"], sampler["hmc_burn_in"], config.base_seed
+        )
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         chains_to_csv(chains, model.n_xi, os.path.join(gamma_dir, "hmc.csv"), meta=_csv_stamp(config))
         write_hmc_manifest(
             chains,
             params,
-            config.hmc_burn_in,
+            sampler["hmc_burn_in"],
             os.path.join(gamma_dir, "hmc.json"),
             extra=_json_stamp(config, gamma=gamma),
         )
@@ -693,7 +648,7 @@ def _diagnose_gamma(model, case, y_basis, config: RunConfig, gamma: float) -> di
 def cmd_diagnose(config: RunConfig) -> None:
     """Per-gamma reports plus ``summary.csv``, one row per sigma_r_sq value."""
     _reject_linear(config, "diagnose")
-    if config.sampler_kind == "hmc":
+    if config["sampler"]["kind"] == "hmc":
         raise ConfigError(
             "diagnose summarizes the rpickle ensemble; set sampler.kind to 'rpickle' or 'both'"
         )
@@ -727,7 +682,7 @@ def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) 
         raise ConfigError(f"--n-ens must be at least 2, got {n_ens}")
     if not 0.0 < cov_tol <= sys.float_info.max:
         raise ConfigError(f"--cov-tol must be a finite positive number, got {cov_tol}")
-    model = _random_linear(30, 5, 4, seed)
+    model = linear_model_from_config(parse_run_config({"linear_case": {}, "base_seed": seed}))
     params = LossParams(sigma_r_sq=0.5)
     mean, cov = linear_oracle(model, params)
     print(f"oracle-check: n_ens={n_ens} seed={seed} cov_tol={cov_tol:g}")

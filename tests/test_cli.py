@@ -95,7 +95,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="kernel.length_scale"):
             cli.parse_run_config(doc)
         doc["kernel"] = {"fit": True}
-        assert cli.parse_run_config(doc).kernel_sigma is None
+        assert cli.parse_run_config(doc)["kernel"]["sigma"] is None
 
     def test_sampler_and_grid_validation(self):
         base = {"linear_case": {}}
@@ -130,12 +130,23 @@ class TestConfigValidation:
             ("mesh", None, 5),
             ("sampler", None, [1]),
             ("kernel", None, None),
+            ("output_dir", None, None),
+            ("sigma_r_sq", None, [0.1, 0.1]),
+            ("mesh", "lx", 0),
+            ("mesh", "ly", -1.0),
+            ("kernel", "sigma", -0.5),
+            ("kernel", "length_scale", 0.0),
+            ("kernel", None, {"fit": True, "sigma": -0.7}),
         ],
     )
     def test_field_types_are_checked(self, tmp_path, capsys, section, field, value):
         # Before these checks, "false" read as true, 2.9 as 2 and [true] as 1.0;
         # a section that was not an object ended in a traceback or in a
-        # complaint about unknown fields.  ``field`` None replaces the section.
+        # complaint about unknown fields.  A null output_dir wrote into a
+        # directory named None, a repeated sigma_r_sq solved twice into one
+        # gamma directory, and a length or kernel value at or below zero
+        # passed until generate, whose message named no field (or, with
+        # kernel.fit, was never used).  ``field`` None replaces the section.
         name = section if field is None else f"{section}.{field}"
         override = {section: value} if field is None else {section: {field: value}}
         path = write_config(tmp_path / "c.json", tmp_path / "out", **override)
@@ -154,12 +165,47 @@ class TestConfigValidation:
         for value in (True, False, None):
             doc = {"linear_case": {}, "sampler": {"metropolize": value}, "kernel": {"fit": bool(value)}}
             parsed = cli.parse_run_config(doc)
-            assert parsed.metropolize is value and parsed.kernel_fit is bool(value)
+            assert parsed["sampler"]["metropolize"] is value and parsed["kernel"]["fit"] is bool(value)
+
+    def test_canonical_documents_fill_every_default(self):
+        # The parsed document is what gets hashed and echoed into manifests,
+        # so its every default and type (JSON writes 8 and 8.0 apart) is pinned.
+        sampler = {"kind": "rpickle", "n_ens": 100, "hmc_samples": 1000, "hmc_chains": 3,
+                   "hmc_burn_in": 2000, "metropolize": None}
+        common = {
+            "truncation": {"energy": 0.95, "n_xi": None, "n_eta": None},
+            "observations": {"n_y_obs": 16, "n_u_obs": 16},
+            "smoothing_iterations": 0,
+            "mc_draws": 4000,
+            "sigma_r_sq": [0.01],
+            "sampler": sampler,
+            "base_seed": 0,
+        }
+        linear = {
+            **common,
+            "mesh": {"nx": 8, "ny": 8, "lx": 1.0, "ly": 1.0, "bc": {}},
+            "kernel": {"fit": False, "sigma": None, "length_scale": None},
+            "linear_case": {"n_res": 30, "n_xi": 5, "n_eta": 4},
+        }
+        bc = {"east": 0.0, "north": 0.0, "south": 0.0, "west": 1.0}
+        flow = {
+            **common,
+            "mesh": {"nx": 8, "ny": 8, "lx": 1.0, "ly": 1.0, "bc": bc},
+            "kernel": {"fit": True, "sigma": None, "length_scale": None},
+            "linear_case": None,
+        }
+        for raw, expected in (
+            ({"linear_case": {}}, linear),
+            ({"mesh": {"bc": {"west": 1, "east": 0, "south": 0, "north": 0}}, "kernel": {"fit": True}}, flow),
+        ):
+            config = cli.parse_run_config(raw)
+            assert json.dumps(config.science_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+            assert config.output_dir == "out"
 
     def test_linear_case_skips_flow_requirements(self):
         config = cli.parse_run_config({"linear_case": {"n_res": 12, "n_xi": 3, "n_eta": 2}})
-        assert config.linear_case == {"n_res": 12, "n_xi": 3, "n_eta": 2}
-        assert config.bc == {}
+        assert config["linear_case"] == {"n_res": 12, "n_xi": 3, "n_eta": 2}
+        assert config["mesh"]["bc"] == {}
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["map", "--config", "/nonexistent/c.json"]) == 1
@@ -303,6 +349,19 @@ class TestLinearCaseStages:
             "target_accept": 0.7, "leapfrog_steps": 32, "step_size": 0.1,
         }
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"map": 0.5, '], ids=["list", "truncated"])
+    def test_malformed_timing_file_named(self, tmp_path, capsys, text):
+        # A list ended the stage in a TypeError traceback, and truncated JSON
+        # in an error that named no file, after the stage wrote its outputs.
+        path = write_config(
+            tmp_path / "c.json", tmp_path / "out", linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1}
+        )
+        timing = tmp_path / "out" / "timing.json"
+        timing.parent.mkdir()
+        timing.write_text(text)
+        assert cli.main(["map", "--config", path]) == 1
+        assert str(timing) in capsys.readouterr().err
+
     def test_samplers_start_no_thread_whatever_threads_says(self, tmp_path, monkeypatch):
         import threading
 
@@ -395,7 +454,7 @@ class TestPipelineArtifacts:
     def test_ensemble_roundtrips_from_disk(self, pipeline):
         config, out_dir = pipeline
         ensemble = ensemble_from_csv(os.path.join(out_dir, "gamma_0.05", "rpickle.csv"))
-        assert len(ensemble) == config.n_ens
+        assert len(ensemble) == config["sampler"]["n_ens"]
         assert ensemble.moments_defined
 
     def test_timing_records_every_stage(self, pipeline):

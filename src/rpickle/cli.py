@@ -82,7 +82,7 @@ from .rpickle_sampler import (
     run_ensemble,
     write_manifest,
 )
-from .seeding import STREAM_REFERENCE, float_token, spawn_rng, write_json
+from .seeding import STREAM_REFERENCE, float_token, read_json, spawn_rng, write_json, write_table
 
 __all__ = [
     "RunConfig",
@@ -303,8 +303,8 @@ def parse_run_config(raw: dict) -> RunConfig:
             f"sampler.metropolize must be true, false or null, got {sampler['metropolize']!r}"
         )
 
-    if not isinstance(doc["output_dir"], str):
-        raise ConfigError(f"output_dir must be a string, got {doc['output_dir']!r}")
+    if not isinstance(doc["output_dir"], str) or not doc["output_dir"]:
+        raise ConfigError(f"output_dir must be a nonempty string, got {doc['output_dir']!r}")
     return RunConfig(doc)
 
 
@@ -312,17 +312,12 @@ def load_run_config(path, seed: int | None = None, out: str | None = None) -> Ru
     """Read and validate a config file, applying command-line overrides.
 
     The seed override lands before hashing, so a rerun with ``--seed``
-    stamps a different hash than the file alone would.
+    stamps a different hash than the file alone would.  A negative seed
+    is reported as the ``--seed`` flag's error, not the config field's.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, ValueError) as exc:  # unreadable, or not JSON
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    raw = read_json(path, "config file")
     if seed is not None:
         raw["base_seed"] = int(seed)
     if out is not None:
@@ -335,11 +330,7 @@ def _csv_stamp(config: RunConfig) -> dict:
 
 
 def _json_stamp(config: RunConfig, gamma: float | None = None) -> dict:
-    stamp = {
-        "config_hash": config.config_hash,
-        "base_seed": config.base_seed,
-        "run_config": config.science_dict(),
-    }
+    stamp = {**_csv_stamp(config), "run_config": config.science_dict()}
     if gamma is not None:
         stamp["gamma"] = float(gamma)
     return stamp
@@ -359,15 +350,7 @@ def _record_timing(output_dir: str, stage: str, elapsed: float) -> None:
     # Wall times are the one artifact reruns may not reproduce, so they get
     # their own file instead of a manifest field.
     path = os.path.join(output_dir, "timing.json")
-    doc = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable, or not JSON
-            raise ConfigError(f"cannot read timing file {path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"timing file {path} must hold a JSON object")
+    doc = read_json(path, "timing file") if os.path.exists(path) else {}
     doc[stage] = elapsed
     write_json(path, doc)
 
@@ -575,9 +558,8 @@ def cmd_sample_hmc(config: RunConfig) -> None:
 
 def _map_point_from_json(path: str, n_xi: int, n_eta: int) -> np.ndarray:
     """The stacked MAP vector of a ``map.json``, checked against the model's sizes."""
+    doc = read_json(path, "map file")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         xi = np.asarray(doc["xi"], dtype=np.float64)
         eta = np.asarray(doc["eta"], dtype=np.float64)
     except (KeyError, TypeError, ValueError):
@@ -655,15 +637,11 @@ def cmd_diagnose(config: RunConfig) -> None:
     model, case, y_basis = _flow_model(config)
     rows = [_diagnose_gamma(model, case, y_basis, config, gamma) for gamma in config.gammas]
 
-    header = ",".join(SUMMARY_COLUMNS)
-    lines = [f"# config_hash={config.config_hash}", f"# base_seed={config.base_seed}", header]
-    lines += [",".join(row[key] for key in SUMMARY_COLUMNS) for row in rows]
+    table = [[row[key] for key in SUMMARY_COLUMNS] for row in rows]
     summary_path = os.path.join(config.output_dir, "summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(header)
-    for row in rows:
-        print(",".join(row[key] for key in SUMMARY_COLUMNS))
+    write_table(summary_path, _csv_stamp(config), SUMMARY_COLUMNS, table)
+    for line in [SUMMARY_COLUMNS, *table]:
+        print(",".join(line))
     print(f"diagnose: {len(rows)} rows -> {summary_path}")
 
 

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from .errors import ConfigError, NonPsdHessianError, SingularSystemError
 from .gp_prior import CkleBasis
 from .pickle_map import LossParams, PickleLoss
-from .seeding import float_token, write_json
+from .seeding import float_token, write_json, write_table
 
 __all__ = [
     "LinearModel",
@@ -331,23 +331,19 @@ def report_to_csv(report: DiagnosticsReport, out_dir, meta: dict | None = None) 
     (coordinate, m, mean_ratio, std_ratio; blank where undefined) under
     ``out_dir``.  ``meta`` adds ``# key=value`` comment lines to both.
     """
-    stamp = [f"# {key}={meta[key]}" for key in sorted(meta or {})]
-    lines = stamp + ["cell,mean,std"]
-    for i, (m, s) in enumerate(zip(report.mean_field, report.std_field)):
-        lines.append(f"{i},{float_token(m)},{float_token(s)}")
-    with open(f"{out_dir}/fields.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    stamp = dict(sorted((meta or {}).items()))
+    fields = (
+        [i, float_token(m), float_token(s)] for i, (m, s) in enumerate(zip(report.mean_field, report.std_field))
+    )
+    write_table(f"{out_dir}/fields.csv", stamp, ["cell", "mean", "std"], fields)
 
-    lines = stamp + ["coordinate,m,mean_ratio,std_ratio"]
+    rows = []
     for coord in sorted(report.convergence_curves):
         curves = report.convergence_curves[coord]
         mean_r, std_r = curves.get("mean"), curves.get("std")
         length = len(mean_r) if mean_r is not None else len(std_r) if std_r is not None else 0
         for m in range(length):
             mean_cell = "" if mean_r is None else float_token(mean_r[m])
-            std_cell = (
-                "" if std_r is None or np.isnan(std_r[m]) else float_token(std_r[m])
-            )
-            lines.append(f"{coord},{m + 1},{mean_cell},{std_cell}")
-    with open(f"{out_dir}/convergence.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            std_cell = "" if std_r is None or np.isnan(std_r[m]) else float_token(std_r[m])
+            rows.append([coord, m + 1, mean_cell, std_cell])
+    write_table(f"{out_dir}/convergence.csv", stamp, ["coordinate", "m", "mean_ratio", "std_ratio"], rows)

@@ -12,7 +12,6 @@ cells average over the neighbors they have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .gp_prior import (
     observations_at_cells,
 )
 from .mesh_fv import BoundaryConditions, FlowOperator, Mesh, save_field_csv, load_field_csv
-from .seeding import STREAM_REFERENCE, STREAM_WELLS, seed_token, spawn_rng, write_json
+from .seeding import STREAM_REFERENCE, STREAM_WELLS, read_json, seed_token, spawn_rng, write_json
 
 __all__ = [
     "SyntheticCase",
@@ -193,9 +192,8 @@ def load_case(directory) -> SyntheticCase:
             cells=d["cells"],
         )
 
+    doc = read_json(path, "case file")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         y_obs, u_obs, provenance = obs_from(doc["y_obs"]), obs_from(doc["u_obs"]), doc["provenance"]
     except KeyError as exc:
         raise ConfigError(f"case file {path} has no {exc} entry") from None

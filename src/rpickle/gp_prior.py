@@ -14,7 +14,6 @@ problem, take moments, then condition on head observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, EnsembleFailureError, IllConditionedError, NumericalError
 from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
-from .seeding import STREAM_MC_PRIOR, spawn_rng, write_json
+from .seeding import STREAM_MC_PRIOR, read_json, spawn_rng, write_json
 
 __all__ = [
     "KernelParams",
@@ -436,9 +435,8 @@ def basis_to_json(basis: CkleBasis, path, meta: dict | None = None) -> None:
 
 def basis_from_json(path) -> CkleBasis:
     """Read a basis written by :func:`basis_to_json`; a malformed file raises ConfigError naming it."""
+    doc = read_json(path, "prior file")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         basis = CkleBasis(
             mean=doc["mean"],
             eigenvalues=doc["eigenvalues"],

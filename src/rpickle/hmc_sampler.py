@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .pickle_map import LossParams, PickleLoss
-from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json
+from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json, write_table
 
 __all__ = [
     "Chain",
@@ -292,27 +292,21 @@ def chains_to_csv(chains, n_xi: int, path, meta: dict | None = None) -> None:
     """One row per retained state: seed, chain id, coefficients, log posterior, flag."""
     if not chains:
         raise ConfigError("no chains to serialize")
-    dim = chains[0].states.shape[1]
-    n_eta = dim - n_xi
+    n_eta = chains[0].states.shape[1] - n_xi
     cols = (
         ["seed", "chain_id"]
         + [f"xi_{i}" for i in range(n_xi)]
         + [f"eta_{i}" for i in range(n_eta)]
         + ["log_posterior", "accepted"]
     )
-    lines = [f"# n_xi={n_xi}", f"# n_eta={n_eta}", f"# n_chains={len(chains)}"]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(cols))
-    for chain in chains:
-        for k in range(chain.states.shape[0]):
-            row = [chain.seed, str(chain.chain_id)]
-            row += [float_token(v) for v in chain.states[k]]
-            row.append(float_token(chain.log_posteriors[k]))
-            row.append("1" if chain.accept_flags[k] else "0")
-            lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    comments = {"n_xi": n_xi, "n_eta": n_eta, "n_chains": len(chains)}
+    comments.update(sorted((meta or {}).items()))
+    rows = (
+        [chain.seed, chain.chain_id, *map(float_token, state), float_token(log_post), "1" if accepted else "0"]
+        for chain in chains
+        for state, log_post, accepted in zip(chain.states, chain.log_posteriors, chain.accept_flags)
+    )
+    write_table(path, comments, cols, rows)
 
 
 def write_hmc_manifest(chains, params: LossParams, burn_in: int, path, extra: dict | None = None) -> None:

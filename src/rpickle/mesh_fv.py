@@ -35,7 +35,6 @@ face and Dirichlet terms and, where they can, take a batch of fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import csv
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -43,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConfigError, SingularSystemError, SolveConvergenceError
-from .seeding import float_token
+from .seeding import float_token, read_table, write_table
 
 __all__ = [
     "Mesh",
@@ -578,15 +577,9 @@ def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", me
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_cells,):
         raise ConfigError(f"field must have shape ({mesh.n_cells},), got {values.shape}")
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta) if meta else ():
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "x", "y", name])
-        for c in range(mesh.n_cells):
-            writer.writerow(
-                [c, float_token(mesh.cell_centers[c, 0]), float_token(mesh.cell_centers[c, 1]), float_token(values[c])]
-            )
+    cells = enumerate(zip(mesh.cell_centers, values))
+    rows = ([c, float_token(x), float_token(y), float_token(v)] for c, ((x, y), v) in cells)
+    write_table(path, dict(sorted((meta or {}).items())), ["cell", "x", "y", name], rows)
 
 
 def load_field_csv(path) -> np.ndarray:
@@ -595,14 +588,11 @@ def load_field_csv(path) -> np.ndarray:
     The cell column must hold ``0 .. rows-1``, each once, in any order, and
     every value must be a finite number.
     """
-    cells, vals = [], []
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
+    _, header, rows = read_table(path)
     if len(header) < 4:
-        raise ConfigError(f"field csv needs at least 4 columns, got {header}")
-    for row in reader:
+        raise ConfigError(f"{path}: field csv needs at least 4 columns, got {header}")
+    cells, vals = [], []
+    for row in rows:
         if len(row) < 4:
             raise ConfigError(f"{path}: field row {row} has fewer than 4 columns")
         try:

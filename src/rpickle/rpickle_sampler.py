@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, EnsembleFailureError
 from .pickle_map import LossParams, PickleLoss, map_optimize, minimize_batch
-from .seeding import STREAM_METROPOLIS, STREAM_NOISE, float_token, seed_token, spawn_rng, write_json
+from .seeding import (
+    STREAM_METROPOLIS, STREAM_NOISE, float_token, read_table, seed_token, spawn_rng, write_json, write_table
+)
 
 __all__ = [
     "NoiseDraw",
@@ -294,20 +296,18 @@ def ensemble_to_csv(ensemble: PosteriorEnsemble, path, meta: dict | None = None)
         + [f"eta_{i}" for i in range(n_eta)]
         + ["loss", "log_det_j", "accepted", "converged"]
     )
-    lines = [f"# n_xi={n_xi}", f"# n_eta={n_eta}"]
+    comments = {"n_xi": n_xi, "n_eta": n_eta}
     if ensemble.acceptance_rate is not None:
-        lines.append(f"# acceptance_rate={float_token(ensemble.acceptance_rate)}")
-    lines.append(f"# n_failed={ensemble.n_failed}")
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(cols))
+        comments["acceptance_rate"] = float_token(ensemble.acceptance_rate)
+    comments["n_failed"] = ensemble.n_failed
+    comments.update(sorted((meta or {}).items()))
     log_det = [""] * len(ensemble) if ensemble.log_det_j is None else map(float_token, ensemble.log_det_j)
     columns = zip(ensemble.seeds, ensemble.z, ensemble.loss, log_det, ensemble.accepted, ensemble.converged)
-    for seed, z, loss, ld, accepted, converged in columns:
-        row = [seed, *map(float_token, z), float_token(loss), ld, "1" if accepted else "0", "1" if converged else "0"]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        [seed, *map(float_token, z), float_token(loss), ld, "1" if accepted else "0", "1" if converged else "0"]
+        for seed, z, loss, ld, accepted, converged in columns
+    )
+    write_table(path, comments, cols, rows)
 
 
 def ensemble_from_csv(path) -> PosteriorEnsemble:
@@ -321,20 +321,8 @@ def ensemble_from_csv(path) -> PosteriorEnsemble:
     rejects, such as a non-finite coefficient.  A log-det of ``-inf`` is
     legal.
     """
-    meta = {}
-    rows = []
-    header = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-            elif header is None:
-                header = line.split(",")
-            elif line:
-                rows.append(line.split(","))
-    if header is None or "n_xi" not in meta or "n_eta" not in meta:
+    meta, _, rows = read_table(path)
+    if "n_xi" not in meta or "n_eta" not in meta:
         raise ConfigError(f"not an ensemble CSV: {path}")
     rate = meta.get("acceptance_rate")
     try:

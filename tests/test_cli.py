@@ -137,13 +137,14 @@ class TestConfigValidation:
             ("kernel", "sigma", -0.5),
             ("kernel", "length_scale", 0.0),
             ("kernel", None, {"fit": True, "sigma": -0.7}),
+            ("output_dir", None, ""),
         ],
     )
     def test_field_types_are_checked(self, tmp_path, capsys, section, field, value):
         # Before these checks, "false" read as true, 2.9 as 2 and [true] as 1.0;
         # a section that was not an object ended in a traceback or in a
         # complaint about unknown fields.  A null output_dir wrote into a
-        # directory named None, a repeated sigma_r_sq solved twice into one
+        # directory named None and an empty one into the working directory, a repeated sigma_r_sq solved twice into one
         # gamma directory, and a length or kernel value at or below zero
         # passed until generate, whose message named no field (or, with
         # kernel.fit, was never used).  ``field`` None replaces the section.
@@ -206,6 +207,20 @@ class TestConfigValidation:
         config = cli.parse_run_config({"linear_case": {"n_res": 12, "n_xi": 3, "n_eta": 2}})
         assert config["linear_case"] == {"n_res": 12, "n_xi": 3, "n_eta": 2}
         assert config["mesh"]["bc"] == {}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--seed", "-1"], "--seed must be nonnegative, got -1"), (["--out", ""], "output_dir must be")],
+        ids=["negative-seed", "empty-out"],
+    )
+    def test_stage_overrides_checked(self, tmp_path, capsys, monkeypatch, flags, message):
+        # A negative seed was reported as the config field base_seed, and an
+        # empty --out wrote gamma_*/map.json and timing.json into the working directory.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", tmp_path / "out", linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1})
+        assert cli.main(["map", "--config", path, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["map", "--config", "/nonexistent/c.json"]) == 1
@@ -539,6 +554,35 @@ class TestCorruptInputs:
         assert cli.main(["diagnose", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join(*rel.split("/")) in err
+
+    @pytest.mark.parametrize(
+        "rel, text",
+        [
+            ("case/y_ref.csv", ""),
+            ("case/y_ref.csv", "# seed=3\n"),
+            ("case/case.json", None),
+            ("prior/u_basis.json", None),
+            ("gamma_0.05/map.json", None),
+            ("gamma_0.05/rpickle.csv", None),
+        ],
+        ids=["empty-field", "comment-only-field", "case-dir", "basis-dir", "map-dir", "ensemble-dir"],
+    )
+    def test_unreadable_artifact_named(self, pipeline, tmp_path, capsys, rel, text):
+        # An empty field CSV ended in StopIteration and a directory in
+        # IsADirectoryError, both tracebacks naming no file.  ``text`` None
+        # puts a directory in place of the file.
+        _, out_dir = pipeline
+        shutil.copytree(out_dir, tmp_path / "out")
+        target = tmp_path / "out" / rel
+        target.unlink()
+        if text is None:
+            target.mkdir()
+        else:
+            target.write_text(text)
+        path = write_config(tmp_path / "config.json", tmp_path / "out", **PIPELINE)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(target) in err
 
     @pytest.mark.parametrize(
         "tamper, message",

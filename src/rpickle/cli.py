@@ -379,7 +379,7 @@ def _flow_model(config: RunConfig):
     mesh, bc = _mesh_and_bc(config)
     case_dir = _require(os.path.join(config.output_dir, "case"), "generate")
     _require(os.path.join(case_dir, "case.json"), "generate")
-    case = load_case(case_dir)
+    case = load_case(case_dir, mesh)
     prior_dir = os.path.join(config.output_dir, "prior")
     bases = []
     for name in ("y_basis.json", "u_basis.json"):
@@ -454,7 +454,7 @@ def cmd_build_prior(config: RunConfig) -> None:
     mesh, bc = _mesh_and_bc(config)
     case_dir = _require(os.path.join(config.output_dir, "case"), "generate")
     case_path = _require(os.path.join(case_dir, "case.json"), "generate")
-    case = load_case(case_dir)
+    case = load_case(case_dir, mesh)
     _check_wells(case, mesh, case_path)
 
     k, t = config["kernel"], config["truncation"]

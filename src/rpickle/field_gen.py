@@ -180,8 +180,12 @@ def save_case(case: SyntheticCase, mesh: Mesh, directory, meta: dict | None = No
     write_json(f"{directory}/case.json", doc)
 
 
-def load_case(directory) -> SyntheticCase:
-    """Read a case written by :func:`save_case`; a malformed case.json raises ConfigError naming it."""
+def load_case(directory, mesh: Mesh) -> SyntheticCase:
+    """Read a case of ``mesh`` written by :func:`save_case`.
+
+    A malformed case.json, or a reference field that is not one of ``mesh``'s
+    (see :func:`load_field_csv`), raises ConfigError naming the file.
+    """
     directory = str(directory)
     path = f"{directory}/case.json"
 
@@ -200,8 +204,8 @@ def load_case(directory) -> SyntheticCase:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"case file {path} is malformed: {exc}") from None
     return SyntheticCase(
-        y_ref=load_field_csv(f"{directory}/y_ref.csv"),
-        u_ref=load_field_csv(f"{directory}/u_ref.csv"),
+        y_ref=load_field_csv(f"{directory}/y_ref.csv", mesh),
+        u_ref=load_field_csv(f"{directory}/u_ref.csv", mesh),
         y_obs=y_obs,
         u_obs=u_obs,
         provenance=provenance,

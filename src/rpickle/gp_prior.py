@@ -17,9 +17,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.optimize import minimize_scalar
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, EnsembleFailureError, IllConditionedError, NumericalError
 from .mesh_fv import BoundaryConditions, FlowOperator, Mesh
@@ -131,6 +128,7 @@ def matern52(x, x2, params: KernelParams):
     (n, d); returns a scalar for two single points, else the (n, m) matrix
     ``sigma^2 (1 + r + r^2/3) exp(-r)`` with ``r = sqrt(5) |x - x2| / l``.
     """
+    from scipy.spatial.distance import cdist
     xa = np.asarray(x, dtype=np.float64)
     xb = np.asarray(x2, dtype=np.float64)
     scalar = xa.ndim <= 1 and xb.ndim <= 1
@@ -143,6 +141,7 @@ def matern52(x, x2, params: KernelParams):
 
 def _nlml(k_corr, values, sigma_sq):
     """Negative marginal log likelihood for K = sigma_sq * k_corr."""
+    from scipy.linalg import cho_factor, cho_solve
     n = values.shape[0]
     cho = cho_factor(k_corr, lower=True)
     quad = float(values @ cho_solve(cho, values))
@@ -163,6 +162,8 @@ def fit_hyperparameters(obs: Observations) -> KernelParams:
     sample variance.  Constant observations have no variance to fit; they
     return sigma at its floor of 1e-8 with a warning.
     """
+    from scipy.optimize import minimize_scalar
+    from scipy.spatial.distance import cdist
     if len(obs) < 2:
         raise ConfigError("hyperparameter fit needs at least two observations")
     y = obs.values
@@ -205,6 +206,7 @@ def fit_hyperparameters(obs: Observations) -> KernelParams:
 
 
 def _checked_cho(k_xx, context):
+    from scipy.linalg import cho_factor
     cond = float(np.linalg.cond(k_xx)) if k_xx.size else 1.0
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(
@@ -220,6 +222,7 @@ def gpr_condition(kernel, params: KernelParams, obs: Observations, targets) -> C
     Returns the posterior mean and covariance at ``targets`` (an (m, 2) array
     of locations).  With no observations this is the prior itself.
     """
+    from scipy.linalg import cho_solve
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
     prior = np.atleast_2d(kernel(targets, targets, params))
     if len(obs) == 0:
@@ -245,6 +248,7 @@ def condition_on_cells(
     used for the Monte Carlo head prior.  Default nugget: ``1e-8`` times the
     mean prior variance.
     """
+    from scipy.linalg import cho_solve
     prior_mean = np.asarray(prior_mean, dtype=np.float64)
     prior_cov = np.asarray(prior_cov, dtype=np.float64)
     n = prior_mean.shape[0]
@@ -276,6 +280,7 @@ def _eig_truncation(cov, energy, n_terms):
     matrix is symmetrized and negatives are clipped to zero either way.
     Eigenvector signs are fixed so the largest-magnitude entry is positive.
     """
+    from scipy.linalg import eigh
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ConfigError("covariance must be square")

@@ -26,20 +26,23 @@ All of these live on :class:`FlowOperator`, built once per mesh and boundary
 conditions.  It keeps what does not change between evaluations (face
 incidence and transmissibilities, Dirichlet and Neumann terms, the one
 sparsity pattern of every matrix with the index that scatters face terms
-into it, and a bandwidth-reducing ordering of the cells for the forward
-solve), so a caller that evaluates many fields, such as the optimizer or the
-Monte Carlo head prior, holds one operator.  Its methods share one kernel of
-face and Dirichlet terms and, where they can, take a batch of fields.
+into it, and, from the first forward solve on, a bandwidth-reducing ordering
+of the cells for that solve), so a caller that evaluates many fields, such
+as the optimizer or the Monte Carlo head prior, holds one operator.  Its
+methods share one kernel of face and Dirichlet terms and, where they can,
+take a batch of fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+if TYPE_CHECKING:  # scipy is imported where it is called, so stages that never call it never load it
+    import scipy.sparse as sp
 
 from .errors import ConfigError, SingularSystemError, SolveConvergenceError
 from .seeding import float_token, read_table, write_table
@@ -172,6 +175,7 @@ class Mesh:
         Row i holds ``1/deg(i)`` at each cell sharing a face with i.  Cells
         with no neighbor (single-cell mesh) keep their own value.
         """
+        import scipy.sparse as sp
         i, j = self.face_cells[:, 0], self.face_cells[:, 1]
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
@@ -319,18 +323,20 @@ class FlowOperator:
     """The discrete Darcy operator of one mesh and one set of boundary values.
 
     Everything that depends only on the mesh and the boundary conditions is
-    computed once, at construction: face endpoints and geometric
+    computed once.  At construction: face endpoints and geometric
     transmissibilities, the Dirichlet cells with their half-cell
     transmissibilities and head values, the Neumann load, and the CSR
     pattern shared by ``dR/du``, ``dR/dy`` and the Hessian contractions,
-    with the one index that scatters face and Dirichlet terms into its data,
-    and for the forward solve a reverse Cuthill-McKee ordering of the cells,
-    its half-bandwidth ``half_bandwidth`` and the index that scatters the
-    same terms into LAPACK band storage.  The methods then take only fields,
-    so repeated evaluations (optimizer steps, Monte Carlo forward solves) pay
-    for arithmetic alone.  The one thing kept between calls is the
-    row-offset index of the largest batch summed so far, which smaller
-    batches reuse as a prefix; results never depend on it.
+    with the one index that scatters face and Dirichlet terms into its data.
+    On the first forward solve (or the first read of ``half_bandwidth``): a
+    reverse Cuthill-McKee ordering of the cells, its half-bandwidth
+    ``half_bandwidth`` and the index that scatters the same terms into
+    LAPACK band storage; callers that never solve never build them.  The
+    methods then take only fields, so repeated evaluations (optimizer steps,
+    Monte Carlo forward solves) pay for arithmetic alone.  The one other
+    thing kept between calls is the row-offset index of the largest batch
+    summed so far, which smaller batches reuse as a prefix; results never
+    depend on it.
 
     One kernel gives every method the face and Dirichlet terms it uses.  One
     rule checks the fields: all of one shape, ``(n_cells,)``, or for
@@ -371,19 +377,31 @@ class FlowOperator:
         # The one COO entry order of every matrix: faces (ii, ij, ji, jj), then Dirichlet (dd).
         self._slots = np.concatenate([ii, ij, ji, jj, dd])
 
-        # Forward-solve ordering: cell order[k] becomes unknown k.  In LAPACK
-        # general-band storage with kl = ku (kl more rows for the LU's fill),
-        # entry (r, c) of the reordered matrix sits in row 2 kl + r - c of
-        # column c; _band_slots takes each term of _slots straight there, as a
-        # flat index into the Fortran-ordered (3 kl + 1, n) array.
-        pattern = sp.csr_matrix((np.ones(keys.size), self._indices, self._indptr), shape=(n, n))
-        self._order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    @functools.cached_property
+    def _band(self):
+        """The forward solve's ``(order, half_bandwidth, band_slots)``, built on first use.
+
+        Cell ``order[k]`` becomes unknown k.  In LAPACK general-band storage
+        with kl = ku (kl more rows for the LU's fill), entry (r, c) of the
+        reordered matrix sits in row 2 kl + r - c of column c; ``band_slots``
+        takes each term of ``_slots`` straight there, as a flat index into
+        the Fortran-ordered (3 kl + 1, n) array.
+        """
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        n = self.n_cells
+        pattern = sp.csr_matrix((np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n))
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
         rank = np.empty(n, dtype=np.int64)
-        rank[self._order] = np.arange(n)
-        r, c = rank[keys // n], rank[keys % n]
-        self.half_bandwidth = int(np.max(np.abs(r - c), initial=0))
-        self._band_rows = 3 * self.half_bandwidth + 1
-        self._band_slots = (c * self._band_rows + 2 * self.half_bandwidth + r - c)[self._slots]
+        rank[order] = np.arange(n)
+        r, c = rank[np.repeat(np.arange(n), np.diff(self._indptr))], rank[self._indices]
+        kl = int(np.max(np.abs(r - c), initial=0))
+        return order, kl, (c * (3 * kl + 1) + 2 * kl + r - c)[self._slots]
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Half-bandwidth of ``dR/du`` in the forward solve's cell ordering."""
+        return self._band[1]
 
     def _check(self, batch=False, **fields):
         """The fields as float arrays of one shape, ``(n_cells,)`` or, with ``batch``, ``(rows, n_cells)``."""
@@ -439,6 +457,7 @@ class FlowOperator:
 
     def _matrix(self, terms) -> sp.csr_matrix:
         """The CSR matrix summed from ``[ii, ij, ji, jj, dd]`` terms at their ``_slots``."""
+        import scipy.sparse as sp
         data = np.bincount(self._slots, weights=np.concatenate(terms), minlength=self._indices.size)
         n = self.n_cells
         return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
@@ -529,7 +548,7 @@ class FlowOperator:
         """Solve R(y, u) = 0 for the head field u.
 
         The solve is a LAPACK band LU (``dgbtrf``) in the reverse
-        Cuthill-McKee order computed at construction.  The returned solution
+        Cuthill-McKee order computed on the first solve.  The returned solution
         satisfies ``max|R(y, u)| <= SOLVE_TOL * max(1, max|b|)`` or
         :class:`SolveConvergenceError` is raised with the achieved residual,
         as it is for a singular band factor.
@@ -557,14 +576,17 @@ class FlowOperator:
 
     def _band_solve(self, terms, b) -> np.ndarray:
         """``A^{-1} b`` by a band LU of ``A``, summed from its ``_slots`` terms."""
-        n, kl = self.n_cells, self.half_bandwidth
-        band = np.bincount(self._band_slots, weights=np.concatenate(terms), minlength=n * self._band_rows)
-        lu, piv, info = dgbtrf(band.reshape(n, self._band_rows).T, kl, kl, overwrite_ab=1)
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        n = self.n_cells
+        order, kl, band_slots = self._band
+        rows = 3 * kl + 1
+        band = np.bincount(band_slots, weights=np.concatenate(terms), minlength=n * rows)
+        lu, piv, info = dgbtrf(band.reshape(n, rows).T, kl, kl, overwrite_ab=1)
         if info != 0:
             raise SolveConvergenceError(f"band LU of the forward system failed (dgbtrf info {info})")
-        x, _ = dgbtrs(lu, kl, kl, b[self._order], piv, overwrite_b=1)
+        x, _ = dgbtrs(lu, kl, kl, b[order], piv, overwrite_b=1)
         u = np.empty(n)
-        u[self._order] = x
+        u[order] = x
         return u
 
 
@@ -582,21 +604,24 @@ def save_field_csv(path, mesh: Mesh, values: np.ndarray, name: str = "value", me
     write_table(path, dict(sorted((meta or {}).items())), ["cell", "x", "y", name], rows)
 
 
-def load_field_csv(path) -> np.ndarray:
-    """Read a field written by :func:`save_field_csv`, ordered by cell index.
+def load_field_csv(path, mesh: Mesh) -> np.ndarray:
+    """Read a field of ``mesh`` written by :func:`save_field_csv`, ordered by cell index.
 
-    The cell column must hold ``0 .. rows-1``, each once, in any order, and
-    every value must be a finite number.
+    The cell column must hold ``0 .. rows-1``, each once, in any order, one
+    row per mesh cell, every value must be a finite number, and each row's
+    ``x, y`` must be its cell's center exactly, as :func:`save_field_csv`
+    writes it.
     """
     _, header, rows = read_table(path)
     if len(header) < 4:
         raise ConfigError(f"{path}: field csv needs at least 4 columns, got {header}")
-    cells, vals = [], []
+    cells, centers, vals = [], [], []
     for row in rows:
         if len(row) < 4:
             raise ConfigError(f"{path}: field row {row} has fewer than 4 columns")
         try:
             cells.append(int(row[0]))
+            centers.append((float(row[1]), float(row[2])))
             vals.append(float(row[3]))
         except ValueError as exc:
             raise ConfigError(f"{path}: field row {row}: {exc}") from None
@@ -605,6 +630,13 @@ def load_field_csv(path) -> np.ndarray:
     cells = np.asarray(cells, dtype=int)
     if not np.array_equal(np.sort(cells), np.arange(cells.size)):
         raise ConfigError(f"{path}: cells must be 0..{cells.size - 1}, each once")
+    if cells.size != mesh.n_cells:
+        raise ConfigError(f"{path}: field has {cells.size} cells, the mesh has {mesh.n_cells}")
+    for cell, center in zip(cells, centers):
+        if center != tuple(mesh.cell_centers[cell]):
+            raise ConfigError(
+                f"{path}: cell {cell} is at {list(center)}, its mesh center is {mesh.cell_centers[cell].tolist()}"
+            )
     out = np.empty(cells.size)
     out[cells] = vals
     return out

@@ -606,6 +606,28 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "error:" in err and os.path.join("case", "case.json") in err and message in err
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("y_ref.csv", lambda lines: lines[:-1], "35 cells, the mesh has 36"),
+            ("u_ref.csv", lambda lines: lines[:-1], "35 cells, the mesh has 36"),
+            (
+                "y_ref.csv",
+                lambda lines: ["2,9.0,9.0," + line.split(",")[3] if line.startswith("2,") else line for line in lines],
+                "cell 2 is at [9.0, 9.0]",
+            ),
+        ],
+        ids=["y-one-cell-short", "u-one-cell-short", "y-cell-moved"],
+    )
+    def test_reference_field_of_another_mesh(self, pipeline, tmp_path, capsys, name, edit, message):
+        # A field one row short failed in diagnose with "y_ref and u_ref must
+        # have equal shapes", naming no file; the x, y columns were never
+        # read, so a field of another geometry with as many cells passed.
+        path = self.corrupt_copy(pipeline, tmp_path, f"case/{name}", edit)
+        assert cli.main(["diagnose", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and os.path.join("case", name) in err and message in err
+
     @pytest.mark.parametrize("name", ["y_basis.json", "u_basis.json"])
     def test_basis_one_cell_short(self, pipeline, tmp_path, capsys, name):
         # A basis that reads cleanly but covers one cell less than the mesh
@@ -746,3 +768,41 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "importing rpickle.cli loaded scipy.stats"
+
+
+def scipy_loaded_after(*stages, config=None):
+    """The ``scipy`` modules a fresh interpreter holds after importing ``rpickle.cli`` and running ``stages``."""
+    code = (
+        f"import json, sys\nfrom rpickle import cli\nfor stage in {stages!r}:\n"
+        f"    assert cli.main([stage, '--config', {str(config)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy's subpackages cost a stage most of its start-up.
+    assert scipy_loaded_after() == []
+
+
+def test_linear_sampling_stages_load_no_scipy(tmp_path):
+    path = write_config(
+        tmp_path / "c.json",
+        tmp_path / "out",
+        linear_case={"n_res": 10, "n_xi": 2, "n_eta": 1},
+        sampler={"kind": "both", "n_ens": 6, "hmc_samples": 8, "hmc_chains": 2, "hmc_burn_in": 10},
+    )
+    assert scipy_loaded_after("map", "sample-rpickle", "sample-hmc", config=path) == []
+
+
+def test_flow_hmc_stage_loads_no_scipy(pipeline, tmp_path):
+    # The forward solve's band layout needs scipy; HMC never solves, so the
+    # operator must not build that layout up front.
+    _, out_dir = pipeline
+    shutil.copytree(out_dir, tmp_path / "out")
+    path = write_config(tmp_path / "config.json", tmp_path / "out", **PIPELINE)
+    assert scipy_loaded_after("sample-hmc", config=path) == []

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from rpickle.diagnostics import (
+    Z_975,
     DiagnosticsReport,
     LinearModel,
     convergence_ratios,
@@ -177,6 +179,10 @@ class TestCoverage:
 
     def test_zero_spread_with_mismatch(self):
         assert coverage(np.zeros(8), np.zeros(8), np.ones(8)) == 0.0
+
+    def test_quantile_constant_is_scipys_to_the_bit(self):
+        # coverage holds the quantile as a literal so diagnose need not load scipy.special.
+        assert Z_975.hex() == float(ndtri(0.975)).hex()
 
     def test_gaussian_calibration(self):
         rng = np.random.default_rng(46)

@@ -167,7 +167,7 @@ class TestBuildCase:
     def test_roundtrip(self, tmp_path):
         mesh, _, case = self.make()
         fg.save_case(case, mesh, tmp_path)
-        back = fg.load_case(tmp_path)
+        back = fg.load_case(tmp_path, mesh)
         np.testing.assert_array_equal(back.y_ref, case.y_ref)
         np.testing.assert_array_equal(back.u_ref, case.u_ref)
         np.testing.assert_array_equal(back.y_obs.cells, case.y_obs.cells)
@@ -181,7 +181,7 @@ class TestBuildCase:
         doc["y_obs"]["cells"][0] = -1
         (tmp_path / "case.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="nonnegative"):
-            fg.load_case(tmp_path)
+            fg.load_case(tmp_path, mesh)
 
     def test_load_rejects_non_finite_observation_value(self, tmp_path):
         mesh, _, case = self.make()
@@ -190,4 +190,4 @@ class TestBuildCase:
         doc["u_obs"]["values"][0] = float("nan")
         (tmp_path / "case.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="case.json.*finite"):
-            fg.load_case(tmp_path)
+            fg.load_case(tmp_path, mesh)

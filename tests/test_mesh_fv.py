@@ -448,7 +448,7 @@ class TestSerialization:
         path = tmp_path / "field.csv"
         mf.save_field_csv(path, mesh, values, name="y", meta={"seed": 7})
         assert path.read_text().startswith("# seed=7\n")
-        np.testing.assert_array_equal(mf.load_field_csv(path), values)
+        np.testing.assert_array_equal(mf.load_field_csv(path, mesh), values)
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -461,17 +461,17 @@ class TestSerialization:
         rows = [f"{c},0.5,0.5,{2.5 + c}" for c in cells]
         path.write_text("\n".join(["cell,x,y,y", *rows]) + "\n")
         with pytest.raises(ConfigError, match=message):
-            mf.load_field_csv(path)
+            mf.load_field_csv(path, mf.build_structured_mesh(3, 1))
 
     @pytest.mark.parametrize("row", ["1,0.5,0.5,nan", "1,0.5,0.5,inf", "1,0.5,0.5,abc", "one,0.5,0.5,1.0"])
     def test_field_csv_rejects_non_finite_or_non_numeric(self, tmp_path, row):
         path = tmp_path / "field.csv"
         path.write_text(f"cell,x,y,y\n0,0.5,0.5,1.0\n{row}\n")
         with pytest.raises(ConfigError, match="field.csv"):
-            mf.load_field_csv(path)
+            mf.load_field_csv(path, mf.build_structured_mesh(3, 1))
 
     def test_field_csv_rejects_short_row(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("cell,x,y,y\n0,0.5,0.5,1.0\n1,0.5\n")
         with pytest.raises(ConfigError, match="fewer than 4 columns"):
-            mf.load_field_csv(path)
+            mf.load_field_csv(path, mf.build_structured_mesh(3, 1))

@@ -545,14 +545,8 @@ def cmd_sample_hmc(config: RunConfig) -> None:
         gamma_dir = _gamma_dir(config, gamma)
         os.makedirs(gamma_dir, exist_ok=True)
         chains_to_csv(chains, model.n_xi, os.path.join(gamma_dir, "hmc.csv"), meta=_csv_stamp(config))
-        write_hmc_manifest(
-            chains,
-            params,
-            sampler["hmc_burn_in"],
-            os.path.join(gamma_dir, "hmc.json"),
-            extra=_json_stamp(config, gamma=gamma),
-        )
-        rates = ", ".join(f"{chain.acceptance_rate:.3f}" for chain in chains)
+        write_hmc_manifest(chains, os.path.join(gamma_dir, "hmc.json"), extra=_json_stamp(config, gamma=gamma))
+        rates = ", ".join(f"{rate:.3f}" for rate in chains.acceptance_rates)
         print(f"sample-hmc: gamma={float_token(gamma)} acceptance=[{rates}] -> {gamma_dir}")
 
 
@@ -645,7 +639,7 @@ def cmd_diagnose(config: RunConfig) -> None:
     print(f"diagnose: {len(rows)} rows -> {summary_path}")
 
 
-def cmd_oracle_check(seed: int = 0, n_ens: int = 20_000, cov_tol: float = 0.05) -> bool:
+def cmd_oracle_check(seed: int, n_ens: int, cov_tol: float) -> bool:
     """Linear-Gaussian consistency suite; prints PASS/FAIL per check.
 
     On an affine residual the randomized-loss samples are exact posterior

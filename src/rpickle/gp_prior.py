@@ -139,18 +139,6 @@ def matern52(x, x2, params: KernelParams):
     return float(k[0, 0]) if scalar else k
 
 
-def _nlml(k_corr, values, sigma_sq):
-    """Negative marginal log likelihood for K = sigma_sq * k_corr."""
-    from scipy.linalg import cho_factor, cho_solve
-    n = values.shape[0]
-    cho = cho_factor(k_corr, lower=True)
-    quad = float(values @ cho_solve(cho, values))
-    logdet_corr = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return 0.5 * (
-        n * np.log(2.0 * np.pi * sigma_sq) + logdet_corr + quad / sigma_sq
-    ), quad
-
-
 def fit_hyperparameters(obs: Observations) -> KernelParams:
     """Fit (sigma, length_scale) by minimizing the marginal likelihood.
 
@@ -162,6 +150,7 @@ def fit_hyperparameters(obs: Observations) -> KernelParams:
     sample variance.  Constant observations have no variance to fit; they
     return sigma at its floor of 1e-8 with a warning.
     """
+    from scipy.linalg import cho_factor, cho_solve
     from scipy.optimize import minimize_scalar
     from scipy.spatial.distance import cdist
     if len(obs) < 2:
@@ -182,13 +171,15 @@ def fit_hyperparameters(obs: Observations) -> KernelParams:
     n = len(obs)
 
     def objective(log_l):
+        """Negative marginal log likelihood at the profiled variance, and that variance."""
         params = KernelParams(sigma=1.0, length_scale=float(np.exp(log_l)))
         k_corr = matern52(obs.locations, obs.locations, params)
         k_corr[np.diag_indices(n)] += RELATIVE_NUGGET
-        _, quad = _nlml(k_corr, y, 1.0)
+        cho = cho_factor(k_corr, lower=True)
+        quad = float(y @ cho_solve(cho, y))
         sigma_sq = float(np.clip(quad / n, s_lo**2, s_hi**2))
-        value, _ = _nlml(k_corr, y, sigma_sq)
-        return value, sigma_sq
+        logdet_corr = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+        return 0.5 * (n * np.log(2.0 * np.pi * sigma_sq) + logdet_corr + quad / sigma_sq), sigma_sq
 
     grid = np.log(np.geomspace(l_lo, l_hi, 25))
     scores = [objective(g)[0] for g in grid]

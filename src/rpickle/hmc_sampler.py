@@ -11,7 +11,9 @@ are independent (one RNG stream, step size and adaptation each) and advance
 in lockstep as rows of one state, so each leapfrog step is one batched
 gradient call for all of them, and the step adaptation runs over per-chain
 arrays.  A single chain is a one-row batch and rounds exactly as one vector;
-with several, the batched basis products may move a chain's last bits.
+with several, the batched basis products may move a chain's last bits.  The
+result stays in that layout: one :class:`Chains` of row-aligned arrays, row
+``c`` being chain ``c``, which the PSRF, the CSV and the manifest read whole.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .pickle_map import LossParams, PickleLoss
 from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json, write_table
 
 __all__ = [
-    "Chain",
+    "Chains",
     "log_posterior_and_grad",
     "leapfrog",
     "run_hmc",
@@ -57,30 +59,26 @@ STEP_JITTER = (0.8, 1.2)
 
 
 @dataclass(frozen=True)
-class Chain:
-    """Post-burn-in states of one chain, with adaptation bookkeeping."""
+class Chains:
+    """Post-burn-in draws of every chain, with adaptation bookkeeping.
+
+    Row ``c`` of each array is chain ``c``: ``states`` is ``(n_chains,
+    n_samples, dim)``, ``accepted`` and ``log_posteriors`` are ``(n_chains,
+    n_samples)``, ``step_sizes`` (the frozen steps) is ``(n_chains,)``, and
+    ``adaptation_traces`` is ``(n_chains, burn_in + 1)``, the initial step
+    then one per burn-in iteration.  ``seeds`` holds each chain's seed token.
+    """
 
     states: np.ndarray
-    accept_flags: np.ndarray
-    adapted_step_size: float
+    accepted: np.ndarray
     log_posteriors: np.ndarray
-    adaptation_trace: np.ndarray
-    chain_id: int
-    seed: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.float64))
-        object.__setattr__(self, "accept_flags", np.asarray(self.accept_flags, dtype=bool))
-        object.__setattr__(self, "log_posteriors", np.asarray(self.log_posteriors, dtype=np.float64))
-        object.__setattr__(self, "adaptation_trace", np.asarray(self.adaptation_trace, dtype=np.float64))
-        if not np.all(np.isfinite(self.states)):
-            raise ConfigError("chain states must be finite")
-        if self.states.shape[0] != self.accept_flags.shape[0]:
-            raise ConfigError("accept_flags length must match states")
+    step_sizes: np.ndarray
+    adaptation_traces: np.ndarray
+    seeds: tuple[str, ...]
 
     @property
-    def acceptance_rate(self) -> float:
-        return float(self.accept_flags.mean())
+    def acceptance_rates(self) -> np.ndarray:
+        return self.accepted.mean(axis=1)
 
 
 def log_posterior_and_grad(model, params: LossParams, z) -> tuple:
@@ -161,13 +159,14 @@ def _dual_averaging(t, accept_prob, h_bar, log_step_avg):
     return h_bar, np.exp(log_step), eta * log_step + (1.0 - eta) * log_step_avg
 
 
-def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: int, seed: int) -> list[Chain]:
+def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: int, seed: int) -> Chains:
     """Run ``n_chains`` chains from prior draws, all in lockstep.
 
     Each chain adapts its step over ``burn_in`` iterations, then keeps
-    ``n_samples`` states.  The chains are held as one ``(n_chains, dim)``
-    state, so every leapfrog step makes one :func:`log_posterior_and_grad`
-    call for all of them.  Each chain keeps its own RNG stream (drawing, per
+    ``n_samples`` states; the result is one :class:`Chains` whose row ``c``
+    is chain ``c``.  The chains are held as one ``(n_chains, dim)`` state,
+    so every leapfrog step makes one :func:`log_posterior_and_grad` call for
+    all of them.  Each chain keeps its own RNG stream (drawing, per
     iteration, its momenta, its step jitter and one accept uniform), and its
     own entries of the step, dual-averaging and trace arrays, so its draws
     do not depend on the others; only the batched products may round a
@@ -234,21 +233,16 @@ def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: i
             k = t - burn_in
             states[:, k], flags[:, k], lps[:, k] = z, accept, lp
 
-    chains = [
-        Chain(
-            states=states[c],
-            accept_flags=flags[c],
-            adapted_step_size=float(step[c]),
-            log_posteriors=lps[c],
-            adaptation_trace=traces[c],
-            chain_id=c,
-            seed=seed_token(seed, STREAM_HMC, c),
-        )
-        for c in range(n)
-    ]
+    chains = Chains(
+        states=states,
+        accepted=flags,
+        log_posteriors=lps,
+        step_sizes=step,
+        adaptation_traces=traces,
+        seeds=tuple(seed_token(seed, STREAM_HMC, c) for c in range(n)),
+    )
     if n_samples >= 4:
-        psrf = split_chain_psrf(chains)
-        worst = float(np.max(psrf))
+        worst = float(np.max(split_chain_psrf(states)))
         if worst > PSRF_WARN_THRESHOLD:
             warnings.warn(
                 f"split-chain PSRF {worst:.3f} exceeds {PSRF_WARN_THRESHOLD}; "
@@ -257,22 +251,21 @@ def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: i
     return chains
 
 
-def split_chain_psrf(chains) -> np.ndarray:
+def split_chain_psrf(states) -> np.ndarray:
     """Per-coordinate potential scale reduction over half-chains.
 
-    Splitting each chain in half doubles the sequence count and makes the
-    statistic sensitive to within-chain drift even for a single chain.
+    ``states`` is ``(n_chains, n_samples, dim)``.  Splitting each chain in
+    half (its first and second ``n_samples // 2`` states, an odd last one
+    dropped) doubles the sequence count and makes the statistic sensitive to
+    within-chain drift even for a single chain.
     """
-    halves = []
-    for chain in chains:
-        states = chain.states
-        n = states.shape[0] // 2
-        if n < 2:
-            raise ConfigError("need at least 4 samples per chain for split PSRF")
-        halves.append(states[:n])
-        halves.append(states[n : 2 * n])
-    seqs = np.asarray(halves)  # (m, n, dim)
-    m, n, _ = seqs.shape
+    states = np.asarray(states)
+    n_chains, n_samples, dim = states.shape
+    n = n_samples // 2
+    if n < 2:
+        raise ConfigError("need at least 4 samples per chain for split PSRF")
+    # Chain c's halves are sequences 2c and 2c + 1.
+    seqs = states[:, : 2 * n].reshape(2 * n_chains, n, dim)
     means = seqs.mean(axis=1)
     variances = seqs.var(axis=1, ddof=1)
     w = variances.mean(axis=0)
@@ -288,53 +281,53 @@ def split_chain_psrf(chains) -> np.ndarray:
 # Serialization
 
 
-def chains_to_csv(chains, n_xi: int, path, meta: dict | None = None) -> None:
+def chains_to_csv(chains: Chains, n_xi: int, path, meta: dict | None = None) -> None:
     """One row per retained state: seed, chain id, coefficients, log posterior, flag."""
-    if not chains:
-        raise ConfigError("no chains to serialize")
-    n_eta = chains[0].states.shape[1] - n_xi
+    n_chains, _, dim = chains.states.shape
+    n_eta = dim - n_xi
     cols = (
         ["seed", "chain_id"]
         + [f"xi_{i}" for i in range(n_xi)]
         + [f"eta_{i}" for i in range(n_eta)]
         + ["log_posterior", "accepted"]
     )
-    comments = {"n_xi": n_xi, "n_eta": n_eta, "n_chains": len(chains)}
+    comments = {"n_xi": n_xi, "n_eta": n_eta, "n_chains": n_chains}
     comments.update(sorted((meta or {}).items()))
     rows = (
-        [chain.seed, chain.chain_id, *map(float_token, state), float_token(log_post), "1" if accepted else "0"]
-        for chain in chains
-        for state, log_post, accepted in zip(chain.states, chain.log_posteriors, chain.accept_flags)
+        [seed, c, *map(float_token, state), float_token(log_post), "1" if accepted else "0"]
+        for c, seed in enumerate(chains.seeds)
+        for state, log_post, accepted in zip(chains.states[c], chains.log_posteriors[c], chains.accepted[c])
     )
     write_table(path, comments, cols, rows)
 
 
-def write_hmc_manifest(chains, params: LossParams, burn_in: int, path, extra: dict | None = None) -> None:
+def write_hmc_manifest(chains: Chains, path, extra: dict | None = None) -> None:
     """Run manifest: config, outcomes, adaptation traces (timing lives apart).
 
-    ``config`` holds the run's three counts and the integrator constants.
+    ``config`` holds the run's three counts, read off the arrays (the
+    burn-in is one less than a trace's length), and the integrator
+    constants.
 
     Records that the sampler is plain fixed-length leapfrog HMC standing in
     for a tree-based sampler.
     """
-    n_samples = chains[0].states.shape[0]
-    psrf = split_chain_psrf(chains) if n_samples >= 4 else None
+    n_chains, n_samples, _ = chains.states.shape
+    psrf = split_chain_psrf(chains.states) if n_samples >= 4 else None
     doc = {
         "sampler": "hmc-fixed-leapfrog",
         "sampler_note": "plain HMC with a fixed leapfrog count in place of a tree-based sampler",
         "config": {
             "n_samples": n_samples,
-            "n_chains": len(chains),
-            "burn_in": burn_in,
+            "n_chains": n_chains,
+            "burn_in": chains.adaptation_traces.shape[1] - 1,
             "target_accept": TARGET_ACCEPT,
             "leapfrog_steps": LEAPFROG_STEPS,
             "step_size": STEP_SIZE,
         },
-        "gamma": params.sigma_r_sq,
-        "acceptance_rates": [chain.acceptance_rate for chain in chains],
-        "adapted_step_sizes": [chain.adapted_step_size for chain in chains],
+        "acceptance_rates": chains.acceptance_rates.tolist(),
+        "adapted_step_sizes": chains.step_sizes.tolist(),
         "split_chain_psrf_max": None if psrf is None else float(np.max(psrf)),
-        "adaptation_traces": [chain.adaptation_trace.tolist() for chain in chains],
+        "adaptation_traces": chains.adaptation_traces.tolist(),
     }
     if extra:
         doc.update(extra)

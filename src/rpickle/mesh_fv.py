@@ -153,14 +153,6 @@ class Mesh:
         return self.cell_centers.shape[0]
 
     @property
-    def n_interior_faces(self) -> int:
-        return self.face_cells.shape[0]
-
-    @property
-    def n_boundary_faces(self) -> int:
-        return self.boundary_cells.shape[0]
-
-    @property
     def dirichlet_index(self) -> np.ndarray:
         """Indices into the boundary arrays holding Dirichlet faces."""
         return np.flatnonzero(self.boundary_tags == DIRICHLET)

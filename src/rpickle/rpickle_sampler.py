@@ -359,7 +359,6 @@ def write_manifest(ensemble: PosteriorEnsemble, path, extra: dict | None = None)
     """Run manifest: config snapshot plus outcome summary (timing lives apart)."""
     doc = {
         "config": ensemble.config,
-        "gamma": ensemble.config.get("sigma_r_sq"),
         "n_ens": len(ensemble),
         "acceptance_rate": ensemble.acceptance_rate,
         "n_failed": ensemble.n_failed,

@@ -22,7 +22,7 @@ def dense_residual(mesh, y, u, dirichlet_by_face, neumann_by_face):
         k = 2.0 * t[i] * t[j] / (t[i] + t[j])
         r[i] += tau * k * (u[i] - u[j])
         r[j] -= tau * k * (u[i] - u[j])
-    for b in range(mesh.n_boundary_faces):
+    for b in range(mesh.boundary_cells.shape[0]):
         c = int(mesh.boundary_cells[b])
         area = float(mesh.boundary_areas[b])
         dist = float(mesh.boundary_distances[b])
@@ -45,7 +45,7 @@ def dense_forward_system(mesh, y, dirichlet_by_face, neumann_by_face):
         a[i, j] -= tau * k
         a[j, j] += tau * k
         a[j, i] -= tau * k
-    for f in range(mesh.n_boundary_faces):
+    for f in range(mesh.boundary_cells.shape[0]):
         c = int(mesh.boundary_cells[f])
         area = float(mesh.boundary_areas[f])
         dist = float(mesh.boundary_distances[f])

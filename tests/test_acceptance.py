@@ -80,7 +80,7 @@ def darcy_runs():
 def test_samplers_agree_on_darcy_posterior(darcy_runs):
     ens, chains, elapsed = darcy_runs
     zs = ens.coefficient_matrix()
-    hs = np.vstack([c.states for c in chains])
+    hs = chains.states.reshape(-1, chains.states.shape[2])
     pooled = np.sqrt(0.5 * (zs.var(axis=0, ddof=1) + hs.var(axis=0, ddof=1)))
     assert np.max(np.abs(zs.mean(axis=0) - hs.mean(axis=0)) / pooled) < 0.10
     assert np.max(np.abs(zs.std(axis=0, ddof=1) - hs.std(axis=0, ddof=1)) / pooled) < 0.15

@@ -322,12 +322,12 @@ class TestSamplersAgainstOracle:
 
         monkeypatch.setattr(hmc, "STEP_SIZE", 0.05)
         chains = hmc.run_hmc(model, params, 6667, 3, 800, seed=62)
-        states = np.vstack([c.states for c in chains])
+        states = chains.states.reshape(-1, chains.states.shape[2])
         # Batch-means SE per coordinate absorbs the chain autocorrelation.
         batch_means = np.array(
             [
-                c.states[b * 833 : (b + 1) * 833].mean(axis=0)
-                for c in chains
+                chain[b * 833 : (b + 1) * 833].mean(axis=0)
+                for chain in chains.states
                 for b in range(8)
             ]
         )

@@ -7,7 +7,6 @@ from rpickle.diagnostics import linear_oracle
 from rpickle.errors import ConfigError, NumericalError
 import rpickle.hmc_sampler as hmc
 from rpickle.hmc_sampler import (
-    Chain,
     _dual_averaging,
     chains_to_csv,
     leapfrog,
@@ -59,14 +58,13 @@ def set_constants(monkeypatch, **values):
         monkeypatch.setattr(hmc, name, value)
 
 
-def pooled_batch_se(chains, n_batches_per_chain=8):
+def pooled_batch_se(states, n_batches_per_chain=8):
     """Per-coordinate standard error of the pooled mean from chain batches."""
     batch_means = []
-    for chain in chains:
-        states = chain.states
-        m = states.shape[0] // n_batches_per_chain
+    for chain in states:
+        m = chain.shape[0] // n_batches_per_chain
         for b in range(n_batches_per_chain):
-            batch_means.append(states[b * m : (b + 1) * m].mean(axis=0))
+            batch_means.append(chain[b * m : (b + 1) * m].mean(axis=0))
     batch_means = np.asarray(batch_means)
     return batch_means.std(axis=0, ddof=1) / np.sqrt(batch_means.shape[0])
 
@@ -259,25 +257,25 @@ class TestDualAveraging:
     def test_empty_history_returns_initial(self, monkeypatch):
         # No burn-in: the step is never adapted and stays the initial one.
         set_constants(monkeypatch, STEP_SIZE=0.3)
-        (chain,) = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), 2, 1, 0, seed=52)
-        assert chain.adapted_step_size == 0.3
-        np.testing.assert_array_equal(chain.adaptation_trace, [0.3])
+        chains = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), 2, 1, 0, seed=52)
+        np.testing.assert_array_equal(chains.step_sizes, [0.3])
+        np.testing.assert_array_equal(chains.adaptation_traces, [[0.3]])
 
     def test_adapted_chain_hits_target_window(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
         set_constants(monkeypatch, STEP_SIZE=0.05)
-        (chain,) = run_hmc(model, params, 10_000, 1, 1500, seed=50)
-        assert 0.6 <= chain.acceptance_rate <= 0.8
+        chains = run_hmc(model, params, 10_000, 1, 1500, seed=50)
+        assert 0.6 <= chains.acceptance_rates[0] <= 0.8
 
 
 class TestRunHmc:
     def test_standard_gaussian_moments(self):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
-        (chain,) = run_hmc(model, params, 10_000, 1, 1000, seed=51)
-        mean = chain.states.mean(axis=0)
-        std = chain.states.std(axis=0, ddof=1)
+        states = run_hmc(model, params, 10_000, 1, 1000, seed=51).states[0]
+        mean = states.mean(axis=0)
+        std = states.std(axis=0, ddof=1)
         assert np.all(np.abs(mean) < 0.05)
         assert np.all((std >= 0.95) & (std <= 1.05))
 
@@ -288,16 +286,16 @@ class TestRunHmc:
         set_constants(monkeypatch, STEP_SIZE=0.05)
         chains = run_hmc(model, params, 4000, 3, 800, seed=52)
         mean, cov = linear_oracle(model, params)
-        pooled = np.vstack([chain.states for chain in chains])
-        se_mean = pooled_batch_se(chains)
+        pooled = chains.states.reshape(-1, chains.states.shape[2])
+        se_mean = pooled_batch_se(chains.states)
         assert np.all(np.abs(pooled.mean(axis=0) - mean) <= 3 * se_mean)
         # Std agreement: batch-means SE of the variance, propagated to std.
         batch_vars = []
-        for chain in chains:
-            m = chain.states.shape[0] // 8
+        for chain in chains.states:
+            m = chain.shape[0] // 8
             mu = pooled.mean(axis=0)
             for b in range(8):
-                seg = chain.states[b * m : (b + 1) * m]
+                seg = chain[b * m : (b + 1) * m]
                 batch_vars.append(((seg - mu) ** 2).mean(axis=0))
         batch_vars = np.asarray(batch_vars)
         se_var = batch_vars.std(axis=0, ddof=1) / np.sqrt(batch_vars.shape[0])
@@ -311,10 +309,9 @@ class TestRunHmc:
         set_constants(monkeypatch, LEAPFROG_STEPS=8)
         a = run_hmc(model, params, 50, 2, 20, seed=53)
         b = run_hmc(model, params, 50, 2, 20, seed=53)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.states, cb.states)
-            assert np.array_equal(ca.accept_flags, cb.accept_flags)
-            assert ca.adapted_step_size == cb.adapted_step_size
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.accepted, b.accepted)
+        assert np.array_equal(a.step_sizes, b.step_sizes)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
@@ -334,7 +331,7 @@ class TestRunHmc:
         # one per leapfrog step for all chains together
         assert len(rows) == 1 + 32 * (5 + 3)
         assert set(rows) == {3}
-        assert all(chain.acceptance_rate > 0.5 for chain in chains)
+        assert np.all(chains.acceptance_rates > 0.5)
 
     def test_nonfinite_initial_posterior_aborts(self, monkeypatch):
         model = _HugeResidual(n_xi=2)
@@ -347,8 +344,8 @@ class TestRunHmc:
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
         set_constants(monkeypatch, LEAPFROG_STEPS=16, STEP_SIZE=0.2)
-        (chain,) = run_hmc(model, params, 50_000, 1, 1000, seed=56)
-        emp = np.cov(chain.states, rowvar=False, ddof=1)
+        chains = run_hmc(model, params, 50_000, 1, 1000, seed=56)
+        emp = np.cov(chains.states[0], rowvar=False, ddof=1)
         rel = np.linalg.norm(emp - np.eye(2)) / np.linalg.norm(np.eye(2))
         assert rel < 0.05
 
@@ -360,10 +357,10 @@ class TestRunHmc:
         model, params, _ = cases.make_flow_case()
         ensemble = run_ensemble(model, params, 4000, base_seed=57)
         set_constants(monkeypatch, STEP_SIZE=0.02)
-        (chain,) = run_hmc(model, params, 4000, 1, 800, seed=57)
+        states = run_hmc(model, params, 4000, 1, 800, seed=57).states[0]
         mean_r = ensemble.coefficient_matrix().mean(axis=0)
-        mean_h = chain.states.mean(axis=0)
-        std = chain.states.std(axis=0, ddof=1)
+        mean_h = states.mean(axis=0)
+        std = states.std(axis=0, ddof=1)
         assert np.all(np.abs(mean_r - mean_h) <= 0.10 * std)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -374,8 +371,8 @@ class TestRunHmc:
         set_constants(monkeypatch, LEAPFROG_STEPS=16)
         steps = []
         for gamma in (1e-1, 1e-2, 1e-4):
-            (chain,) = run_hmc(model, LossParams(sigma_r_sq=gamma), 4, 1, 600, seed=58)
-            steps.append(chain.adapted_step_size)
+            chains = run_hmc(model, LossParams(sigma_r_sq=gamma), 4, 1, 600, seed=58)
+            steps.append(chains.step_sizes[0])
         assert steps[0] > steps[1] > steps[2]
 
 
@@ -410,13 +407,13 @@ class TestLockstepAgainstOneChainAtATime:
     def test_one_chain_is_bit_for_bit_the_reference(self, monkeypatch):
         for name, model, params, step in self.models():
             set_constants(monkeypatch, STEP_SIZE=step)
-            (chain,) = run_hmc(model, params, 80, 1, 120, seed=57)
+            chains = run_hmc(model, params, 80, 1, 120, seed=57)
             ((states, flags, lps, final_step, trace),) = self.reference(model, params, 80, 1, 120, 57)
-            assert np.array_equal(chain.states, states), name
-            assert np.array_equal(chain.accept_flags, flags), name
-            assert np.array_equal(chain.log_posteriors, lps), name
-            assert chain.adapted_step_size == final_step, name
-            assert np.array_equal(chain.adaptation_trace, trace), name
+            assert np.array_equal(chains.states[0], states), name
+            assert np.array_equal(chains.accepted[0], flags), name
+            assert np.array_equal(chains.log_posteriors[0], lps), name
+            assert chains.step_sizes[0] == final_step, name
+            assert np.array_equal(chains.adaptation_traces[0], trace), name
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_each_of_three_chains_tracks_its_reference(self, monkeypatch):
@@ -426,10 +423,10 @@ class TestLockstepAgainstOneChainAtATime:
         for name, model, params, step in self.models():
             set_constants(monkeypatch, STEP_SIZE=step)
             chains = run_hmc(model, params, 60, 3, 0, seed=58)
-            for chain, (states, flags, lps, _, _) in zip(chains, self.reference(model, params, 60, 3, 0, 58)):
-                assert np.max(np.abs(chain.states - states)) <= 1e-10, name
-                assert np.array_equal(chain.accept_flags, flags), name
-                np.testing.assert_allclose(chain.log_posteriors, lps, rtol=1e-10, atol=0)
+            for c, (states, flags, lps, _, _) in enumerate(self.reference(model, params, 60, 3, 0, 58)):
+                assert np.max(np.abs(chains.states[c] - states)) <= 1e-10, name
+                assert np.array_equal(chains.accepted[c], flags), name
+                np.testing.assert_allclose(chains.log_posteriors[c], lps, rtol=1e-10, atol=0)
 
     def test_one_row_batch_is_one_vector(self):
         # A single chain rounds exactly as one vector, value included.
@@ -449,20 +446,29 @@ class TestPsrf:
         params = LossParams(sigma_r_sq=1.0)
         set_constants(monkeypatch, LEAPFROG_STEPS=16, STEP_SIZE=0.2)
         chains = run_hmc(model, params, 4000, 2, 500, seed=59)
-        assert np.max(split_chain_psrf(chains)) < 1.05
+        assert np.max(split_chain_psrf(chains.states)) < 1.05
 
     def test_drifting_chain_flagged(self):
         drift = np.linspace(0.0, 5.0, 400)[:, None]
-        chain = Chain(
-            states=drift + 0.01 * np.random.default_rng(0).standard_normal((400, 1)),
-            accept_flags=np.ones(400, dtype=bool),
-            adapted_step_size=0.1,
-            log_posteriors=np.zeros(400),
-            adaptation_trace=np.array([0.1]),
-            chain_id=0,
-            seed="0/5/0",
-        )
-        assert np.max(split_chain_psrf([chain])) > 1.05
+        states = drift + 0.01 * np.random.default_rng(0).standard_normal((400, 1))
+        assert np.max(split_chain_psrf(states[None])) > 1.05
+
+    def test_halves_are_each_chains_first_and_second_half(self):
+        # Three chains of an odd length: each splits into its first 100 and
+        # next 100 states, the last one dropped, in chain order.  The
+        # statistic is written out from those explicit sequences.
+        states = np.random.default_rng(1).standard_normal((3, 201, 2))
+        states += np.arange(3)[:, None, None] * np.array([0.3, -0.1])
+        states[:, 200] = 1e6  # dropped, so it must not move the statistic
+        seqs = []
+        for chain in states:
+            seqs += [chain[:100], chain[100:200]]
+        n = 100
+        means = np.array([seq.mean(axis=0) for seq in seqs])
+        w = np.mean([seq.var(axis=0, ddof=1) for seq in seqs], axis=0)
+        b = n * means.var(axis=0, ddof=1)
+        expected = np.sqrt(((n - 1) / n * w + b / n) / w)
+        np.testing.assert_allclose(split_chain_psrf(states), expected, rtol=1e-12, atol=0)
 
     def test_unmixed_chains_draw_warning(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
@@ -485,18 +491,6 @@ class TestValidationAndSerialization:
                 run_hmc(model, params, *counts, seed=0)
         assert calls == []
 
-    def test_chain_rejects_nonfinite_states(self):
-        with pytest.raises(ConfigError):
-            Chain(
-                states=np.array([[np.inf]]),
-                accept_flags=np.array([True]),
-                adapted_step_size=0.1,
-                log_posteriors=np.zeros(1),
-                adaptation_trace=np.zeros(1),
-                chain_id=0,
-                seed="s",
-            )
-
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_csv_and_manifest(self, tmp_path, monkeypatch):
         # Short chains for format checks; their PSRF warning is expected.
@@ -515,7 +509,7 @@ class TestValidationAndSerialization:
         assert csv_path.read_bytes() == again.read_bytes()
 
         manifest = tmp_path / "hmc.json"
-        write_hmc_manifest(chains, params, 5, manifest, extra={"stage": "unit"})
+        write_hmc_manifest(chains, manifest, extra={"stage": "unit"})
         doc = json.loads(manifest.read_text())
         assert doc["sampler"] == "hmc-fixed-leapfrog"
         assert "fixed leapfrog" in doc["sampler_note"]
@@ -526,3 +520,15 @@ class TestValidationAndSerialization:
         assert len(doc["acceptance_rates"]) == 2
         assert len(doc["adaptation_traces"][0]) == 5 + 1
         assert "timing" not in doc
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_manifest_burn_in_is_the_runs(self, tmp_path, monkeypatch, burn_in):
+        # The manifest reads the burn-in off the adaptation traces.
+        set_constants(monkeypatch, LEAPFROG_STEPS=4)
+        chains = run_hmc(_ZeroResidual(n_xi=2), LossParams(sigma_r_sq=1.0), 6, 2, burn_in, seed=62)
+        manifest = tmp_path / "hmc.json"
+        write_hmc_manifest(chains, manifest)
+        doc = json.loads(manifest.read_text())
+        assert doc["config"]["burn_in"] == burn_in
+        assert [len(trace) for trace in doc["adaptation_traces"]] == [burn_in + 1] * 2

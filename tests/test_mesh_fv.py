@@ -14,7 +14,7 @@ import oracles
 
 def retagged(mesh, tag):
     """The same mesh with every boundary face tagged ``tag``."""
-    return replace(mesh, boundary_tags=np.full(mesh.n_boundary_faces, tag))
+    return replace(mesh, boundary_tags=np.full(mesh.boundary_cells.shape[0], tag))
 
 
 def all_neumann(nx, ny, lx=1.0, ly=1.0):
@@ -29,14 +29,14 @@ class TestStructuredMesh:
     def test_two_by_two_counts(self):
         mesh = mf.build_structured_mesh(2, 2)
         assert mesh.n_cells == 4
-        assert mesh.n_interior_faces == 4
-        assert mesh.n_boundary_faces == 8
+        assert mesh.face_cells.shape[0] == 4
+        assert mesh.boundary_cells.shape[0] == 8
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 1), (4, 3), (7, 5)])
     def test_face_counts(self, nx, ny):
         mesh = mf.build_structured_mesh(nx, ny)
-        assert mesh.n_interior_faces == nx * (ny - 1) + ny * (nx - 1)
-        assert mesh.n_boundary_faces == 2 * (nx + ny)
+        assert mesh.face_cells.shape[0] == nx * (ny - 1) + ny * (nx - 1)
+        assert mesh.boundary_cells.shape[0] == 2 * (nx + ny)
 
     def test_square_cell_transmissibilities(self):
         mesh = mf.build_structured_mesh(3, 1, 3.0, 1.0)

@@ -576,7 +576,7 @@ class TestSerialization:
         model, params, _ = cases.make_flow_case()
         ensemble = run_ensemble(model, params, 5, base_seed=10)
         path = tmp_path / "manifest.json"
-        write_manifest(ensemble, path, extra={"stage": "unit"})
+        write_manifest(ensemble, path, extra={"stage": "unit", "gamma": params.sigma_r_sq})
         doc = json.loads(path.read_text())
         assert doc["gamma"] == params.sigma_r_sq
         assert doc["n_ens"] == 5

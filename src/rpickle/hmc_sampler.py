@@ -2,18 +2,26 @@
 
 Reference sampler for desk-scale validation of the randomized-minimization
 ensembles.  The target is the coefficient posterior ``-loss/gamma`` (up to a
-constant); proposals integrate Hamiltonian dynamics with a plain fixed-length
-leapfrog of ``LEAPFROG_STEPS`` steps and identity mass matrix; the step starts
-at ``STEP_SIZE`` and adapts over every burn-in iteration by dual averaging
-toward the acceptance rate ``TARGET_ACCEPT``, then freezes.  Each iteration
-jitters the step within a narrow band to avoid resonant trajectories.  Chains
-are independent (one RNG stream, step size and adaptation each) and advance
-in lockstep as rows of one state, so each leapfrog step is one batched
-gradient call for all of them, and the step adaptation runs over per-chain
-arrays.  A single chain is a one-row batch and rounds exactly as one vector;
-with several, the batched basis products may move a chain's last bits.  The
-result stays in that layout: one :class:`Chains` of row-aligned arrays, row
-``c`` being chain ``c``, which the PSRF, the CSV and the manifest read whole.
+constant).  The chains sample it in coordinates whitened at the MAP point
+(Neal 2011, section 4.1): with ``G = L L^T`` the Gauss-Newton matrix
+``J^T J / gamma + I`` there, a chain at ``w`` stands for the coefficients
+``z = z_map + L^-T w``.  In ``w`` the posterior is near a unit Gaussian in
+every direction, so a short trajectory of ``LEAPFROG_STEPS`` leapfrog steps
+with identity mass moves each coordinate about as far as any other; that is
+HMC with the fixed mass matrix ``G`` in ``z``, which leaves the target
+invariant whatever the MAP's quality.  The step starts at ``STEP_SIZE`` and
+adapts over every burn-in iteration by dual averaging toward the acceptance
+rate ``TARGET_ACCEPT``, then freezes.  Each iteration jitters the step within
+a narrow band to avoid resonant trajectories.  Chains are independent (one
+RNG stream, step size and adaptation each) and advance in lockstep as rows
+of one state, so each leapfrog step is one batched gradient call for all of
+them, and the step adaptation runs over per-chain arrays.  The change of
+coordinates is a per-row dot product, so a single chain is a one-row batch
+and rounds exactly as one vector; with several, the batched basis products
+may move a chain's last bits.  The result stays in that layout: one
+:class:`Chains` of row-aligned arrays, row ``c`` being chain ``c``, holding
+the coefficients ``z``, which the PSRF, the effective sample size, the CSV
+and the manifest read whole.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .pickle_map import LossParams, PickleLoss
+from .pickle_map import LossParams, PickleLoss, map_optimize
 from .seeding import STREAM_HMC, float_token, seed_token, spawn_rng, write_json, write_table
 
 __all__ = [
@@ -33,13 +41,14 @@ __all__ = [
     "leapfrog",
     "run_hmc",
     "split_chain_psrf",
+    "effective_sample_size",
     "chains_to_csv",
     "write_hmc_manifest",
 ]
 
 # Integrator and adaptation settings, read at call time.
 TARGET_ACCEPT = 0.70
-LEAPFROG_STEPS = 32
+LEAPFROG_STEPS = 4
 STEP_SIZE = 0.1
 
 # Dual-averaging constants: shrinkage toward mu, iteration offset, and the
@@ -159,28 +168,63 @@ def _dual_averaging(t, accept_prob, h_bar, log_step_avg):
     return h_bar, np.exp(log_step), eta * log_step + (1.0 - eta) * log_step_avg
 
 
+def _whitening(model, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
+    """The MAP point and ``L^-1``, for the Gauss-Newton matrix ``G = L L^T`` there.
+
+    ``G`` is positive definite by construction, so it always has the factor.
+    """
+    z_map = map_optimize(model, params).z
+    factor = np.linalg.cholesky(PickleLoss(model, params).gauss_newton(z_map))
+    return z_map, np.linalg.inv(factor)
+
+
 def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: int, seed: int) -> Chains:
-    """Run ``n_chains`` chains from prior draws, all in lockstep.
+    """Run ``n_chains`` whitened chains from Gauss-Newton draws around the MAP, all in lockstep.
+
+    The MAP point comes from :func:`map_optimize` and the whitening factor
+    ``L`` from :meth:`PickleLoss.gauss_newton` there.  Chain ``c`` starts at
+    a standard normal ``w0``, that is at ``z_map + L^-T w0``, a draw from
+    ``N(z_map, G^-1)``, and leapfrog runs on ``w``: each gradient call maps
+    the points to ``z``, calls :func:`log_posterior_and_grad` there and maps
+    the gradient back by ``L^-1``.  The states, log posteriors and PSRF are
+    of the ``z`` points the calls saw.
 
     Each chain adapts its step over ``burn_in`` iterations, then keeps
     ``n_samples`` states; the result is one :class:`Chains` whose row ``c``
     is chain ``c``.  The chains are held as one ``(n_chains, dim)`` state,
     so every leapfrog step makes one :func:`log_posterior_and_grad` call for
-    all of them.  Each chain keeps its own RNG stream (drawing, per
-    iteration, its momenta, its step jitter and one accept uniform), and its
-    own entries of the step, dual-averaging and trace arrays, so its draws
-    do not depend on the others; only the batched products may round a
-    chain's gradient differently in the last bits from a run of that chain
-    alone.  A split-chain potential-scale-reduction factor above 1.05 draws
-    a warning (never an error).
+    all of them.  Each chain keeps its own RNG stream (drawing its start,
+    then, per iteration, its momenta, its step jitter and one accept
+    uniform), and its own entries of the step, dual-averaging and trace
+    arrays, so its draws do not depend on the others; only the batched
+    products may round a chain's gradient differently in the last bits from
+    a run of that chain alone.  A split-chain potential-scale-reduction
+    factor above 1.05 draws a warning (never an error).
     """
     _check_count(n_samples, "n_samples", 1)
     _check_count(n_chains, "n_chains", 1)
     _check_count(burn_in, "burn_in", 0)
     n, dim = n_chains, model.n_xi + model.n_eta
+    z_map, inv_factor = _whitening(model, params)
+    inv_factor_t = np.ascontiguousarray(inv_factor.T)
+
+    # The point, log posterior and gradient (in w) at the last points
+    # grad_fn saw.  Leapfrog's last call is at the proposals still finite,
+    # so their coefficients, log posteriors and, once accepted, gradients
+    # are read from here instead of being evaluated again.  Both maps are
+    # per-row dot products, so a row rounds as it would alone.
+    last = {}
+
+    def grad_fn(w):
+        last["z"] = z_map + np.vecdot(w[:, None, :], inv_factor_t)
+        last["lp"], grad_z = log_posterior_and_grad(model, params, last["z"])
+        last["grad"] = np.vecdot(grad_z[:, None, :], inv_factor)
+        return last["grad"]
+
     rngs = [spawn_rng(seed, STREAM_HMC, c) for c in range(n)]
-    z = np.array([rng.standard_normal(dim) for rng in rngs])
-    lp, grad = log_posterior_and_grad(model, params, z)
+    w = np.array([rng.standard_normal(dim) for rng in rngs])
+    grad = grad_fn(w)
+    z, lp = last["z"], last["lp"]
     bad = np.flatnonzero(~np.isfinite(lp))
     if bad.size:
         c = int(bad[0])
@@ -188,16 +232,6 @@ def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: i
             f"chain {c}: non-finite log posterior at the initial point "
             f"(seed {seed_token(seed, STREAM_HMC, c)})"
         )
-
-    # Log posterior and gradient at the last points grad_fn saw.  Leapfrog's
-    # last call is at the proposals still finite, so their log posteriors,
-    # and their gradients once accepted, are read from here instead of being
-    # evaluated again.
-    last = {}
-
-    def grad_fn(x):
-        last["lp"], last["grad"] = log_posterior_and_grad(model, params, x)
-        return last["grad"]
 
     step = np.full(n, STEP_SIZE)
     h_bar, log_step_avg = np.zeros(n), np.full(n, np.log(STEP_SIZE))
@@ -212,17 +246,17 @@ def run_hmc(model, params: LossParams, n_samples: int, n_chains: int, burn_in: i
         # Divergent trajectories overflow before they are rejected; the
         # resulting warnings carry no information, so mute them here.
         with np.errstate(over="ignore", invalid="ignore"):
-            z_new, p_new = leapfrog(z, p, step_t, LEAPFROG_STEPS, grad_fn, grad)
-            live = np.isfinite(z_new).all(axis=1)
-            lp_new, grad_new = np.full(n, -np.inf), np.zeros((n, dim))
+            w_new, p_new = leapfrog(w, p, step_t, LEAPFROG_STEPS, grad_fn, grad)
+            live = np.isfinite(w_new).all(axis=1)
+            z_new, lp_new, grad_new = np.empty((n, dim)), np.full(n, -np.inf), np.zeros((n, dim))
             if live.any():
-                lp_new[live], grad_new[live] = last["lp"], last["grad"]
+                z_new[live], lp_new[live], grad_new[live] = last["z"], last["lp"], last["grad"]
             # The kinetic energies are per-row dots, as one chain's p @ p.
             log_alpha = (lp_new - lp) + 0.5 * (np.vecdot(p, p) - np.vecdot(p_new, p_new))
             log_alpha[~(live & np.isfinite(p_new).all(axis=1))] = -np.inf
         alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
         accept = np.array([rng.uniform() for rng in rngs]) < alpha
-        z[accept], lp[accept], grad[accept] = z_new[accept], lp_new[accept], grad_new[accept]
+        w[accept], z[accept], lp[accept], grad[accept] = w_new[accept], z_new[accept], lp_new[accept], grad_new[accept]
 
         if t < burn_in:
             h_bar, step, log_step_avg = _dual_averaging(t + 1, alpha, h_bar, log_step_avg)
@@ -257,7 +291,9 @@ def split_chain_psrf(states) -> np.ndarray:
     ``states`` is ``(n_chains, n_samples, dim)``.  Splitting each chain in
     half (its first and second ``n_samples // 2`` states, an odd last one
     dropped) doubles the sequence count and makes the statistic sensitive to
-    within-chain drift even for a single chain.
+    within-chain drift even for a single chain.  A coordinate whose
+    sequences are each constant reads 1.0 when they agree and ``inf`` when
+    they do not (stuck chains).
     """
     states = np.asarray(states)
     n_chains, n_samples, dim = states.shape
@@ -273,8 +309,37 @@ def split_chain_psrf(states) -> np.ndarray:
     var_plus = (n - 1) / n * w + b / n
     with np.errstate(divide="ignore", invalid="ignore"):
         psrf = np.sqrt(var_plus / w)
-    # Zero within-sequence variance (constant chains) means perfect agreement.
-    return np.where(w > 0, psrf, 1.0)
+    return np.where(w > 0, psrf, np.where(b > 0, np.inf, 1.0))
+
+
+def effective_sample_size(states) -> np.ndarray:
+    """Per-coordinate effective sample size of ``(n_chains, n_samples, dim)`` draws.
+
+    Each chain's is ``n_samples / tau`` (Geyer 1992), with the integrated
+    autocorrelation time ``tau = -1 + 2 sum_k (rho_2k + rho_2k+1)`` summed
+    over the initial positive sequence: the pairs up to the first one that
+    is not positive.  The autocorrelations ``rho`` come from the chain's
+    biased autocovariance, computed by FFT.  Strongly anti-correlated
+    draws can make that sum small or negative, so ``tau`` is floored at
+    ``1 / log10(n_samples)``, as Stan does.  The chains' values are summed;
+    a chain constant in a coordinate adds 0 there.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    n_chains, n, dim = states.shape
+    x = states - states.mean(axis=1, keepdims=True)
+    size = 1 << (2 * n - 1).bit_length()  # zero padding keeps the products acyclic
+    f = np.fft.rfft(x, n=size, axis=1)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=1)[:, :n] / n
+    var = acov[:, 0]
+    moving = var > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = acov / var[:, None]
+    pairs = rho[:, : 2 * (n // 2)].reshape(n_chains, n // 2, 2, dim).sum(axis=2)
+    initial = np.cumprod(pairs > 0, axis=1, dtype=bool)
+    tau = -1.0 + 2.0 * np.where(initial, pairs, 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ess = np.where(moving, n / np.maximum(tau, 1.0 / np.log10(n)), 0.0)
+    return ess.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +371,9 @@ def write_hmc_manifest(chains: Chains, path, extra: dict | None = None) -> None:
 
     ``config`` holds the run's three counts, read off the arrays (the
     burn-in is one less than a trace's length), and the integrator
-    constants.
+    constants.  Beside them sit the mass matrix (the Gauss-Newton matrix at
+    the MAP, through the whitening) and ``ess_min``, the smallest
+    per-coordinate :func:`effective_sample_size` over the kept states.
 
     Records that the sampler is plain fixed-length leapfrog HMC standing in
     for a tree-based sampler.
@@ -327,6 +394,8 @@ def write_hmc_manifest(chains: Chains, path, extra: dict | None = None) -> None:
         "acceptance_rates": chains.acceptance_rates.tolist(),
         "adapted_step_sizes": chains.step_sizes.tolist(),
         "split_chain_psrf_max": None if psrf is None else float(np.max(psrf)),
+        "mass_matrix": "gauss-newton at MAP",
+        "ess_min": float(np.min(effective_sample_size(chains.states))),
         "adaptation_traces": chains.adaptation_traces.tolist(),
     }
     if extra:

@@ -121,8 +121,10 @@ class ResidualModel:
     def misfit_vjp(self, xi, eta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Misfit ``m = R(xi, eta) - omega`` and ``((dR/dxi)^T m, (dR/deta)^T m)`` in one pass.
 
-        Coefficients are one vector each or ``(rows, n)`` batches.  A single
-        row and a one-row batch give the same bits, exactly :meth:`residual`
+        Coefficients are one vector each or ``(rows, n)`` batches, and
+        ``omega`` broadcasts against them (one point with ``(rows,
+        n_residual)`` targets gives a row per target).  A single row and a
+        one-row batch give the same bits, exactly :meth:`residual`
         minus ``omega`` followed by :meth:`vjp`; in a larger batch, the basis
         products are matrix products and may round differently in the last
         bits.
@@ -161,9 +163,10 @@ class PickleLoss:
     randomized draw, and targets with a leading row axis give one draw per
     row.  ``L / gamma`` is the negative log posterior up to a constant, and
     the methods return it and its derivatives: value and gradient for the
-    optimizer and HMC (per row for a batch of points), and the full Hessian
-    for the polish, the Metropolis log-det and the Laplace approximation.  The
-    methods take a stacked vector as it is; :meth:`stacked` checks one.
+    optimizer and HMC (per row for a batch of points), the full Hessian for
+    the polish, the Metropolis log-det and the Laplace approximation, and its
+    Gauss-Newton part for HMC's whitening.  The methods take a stacked
+    vector as it is; :meth:`stacked` checks one.
     """
 
     def __init__(self, model, params: LossParams, omega=None, alpha=None, beta=None):
@@ -225,6 +228,21 @@ class PickleLoss:
         curvature = self.model.hessian_contract(xi, eta, misfit)
         h = (j.T @ j + curvature) / self.gamma + np.eye(self.size)
         return 0.5 * (h + h.T)
+
+    def gauss_newton(self, z) -> np.ndarray:
+        """The Gauss-Newton part ``J^T J / gamma + I`` of :meth:`hessian` at one stacked ``z``.
+
+        Positive definite by construction, whatever the point.  Row ``n`` of
+        ``J`` comes from one batched ``misfit_vjp`` call whose misfits are the
+        unit rows (targets ``R(z) - I``), so the model needs nothing beyond
+        the method HMC and the solver call: no Jacobian matrices are built.
+        """
+        xi, eta = z[: self.n_xi], z[self.n_xi :]
+        r = self.model.misfit_vjp(xi, eta, 0.0)[0]
+        _, j_xi, j_eta = self.model.misfit_vjp(xi, eta, r - np.eye(r.size))
+        j = np.concatenate([j_xi, j_eta], axis=-1)
+        g = j.T @ j / self.gamma + np.eye(self.size)
+        return 0.5 * (g + g.T)
 
 
 def _target(value, n: int):

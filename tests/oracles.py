@@ -175,19 +175,29 @@ def reference_randomized_loss(mesh, bc, y_basis, u_basis, sigma_r_sq, xi, eta,
 
 
 def reference_hmc_chain(log_post, dim, rng, n_samples, burn_in, leapfrog_steps,
-                        step_size, target_accept):
-    """One fixed-length leapfrog HMC chain, run on its own.
+                        step_size, target_accept, z_map, inv_factor):
+    """One fixed-length leapfrog HMC chain, run on its own in whitened coordinates.
 
     ``log_post(z)`` returns the log posterior and its gradient at one vector.
-    Each iteration draws momenta, a step jitter in [0.8, 1.2) and one accept
-    uniform from ``rng``; during burn-in the step adapts by dual averaging
-    (shrinkage 0.05, offset 10, decay 0.75) and then freezes at its average.
-    A trajectory that goes non-finite stops there and is rejected.  Returns
-    the kept states, accept flags and log posteriors, the final step and the
-    adaptation trace.
+    The chain moves ``w``, standing for ``z = z_map + inv_factor^T w``, so
+    its gradient in ``w`` is ``inv_factor`` times the one in ``z``; both
+    products are written one dot product per entry.  It starts at a
+    standard normal ``w`` from ``rng``.  Each iteration draws momenta, a
+    step jitter in [0.8, 1.2) and one accept uniform from ``rng``; during
+    burn-in the step adapts by dual averaging (shrinkage 0.05, offset 10,
+    decay 0.75) and then freezes at its average.  A trajectory that goes
+    non-finite stops there and is rejected.  Returns the kept ``z`` states,
+    accept flags and log posteriors, the final step and the adaptation trace.
     """
-    z = rng.standard_normal(dim)
-    lp, grad = log_post(z)
+    columns = np.ascontiguousarray(np.transpose(inv_factor))
+
+    def log_post_w(w):
+        z = z_map + np.array([col @ w for col in columns])
+        lp_z, g_z = log_post(z)
+        return z, lp_z, np.array([row @ g_z for row in inv_factor])
+
+    w = rng.standard_normal(dim)
+    z, lp, grad = log_post_w(w)
     mu = np.log(10.0 * step_size)
     h_bar, log_step_avg = 0.0, np.log(step_size)
     step, trace = step_size, [step_size]
@@ -196,21 +206,21 @@ def reference_hmc_chain(log_post, dim, rng, n_samples, burn_in, leapfrog_steps,
         p0 = rng.standard_normal(dim)
         eps = step * rng.uniform(0.8, 1.2)
         with np.errstate(over="ignore", invalid="ignore"):
-            x, p = z, p0 + 0.5 * eps * grad
+            x, p = w, p0 + 0.5 * eps * grad
             finite = True
             for k in range(leapfrog_steps):
                 x = x + eps * p
                 if not np.all(np.isfinite(x)):
                     finite = False
                     break
-                lp_x, g_x = log_post(x)
+                z_x, lp_x, g_x = log_post_w(x)
                 p = p + (eps if k < leapfrog_steps - 1 else 0.5 * eps) * g_x
             finite = finite and np.all(np.isfinite(p))
             log_alpha = (lp_x - lp) + 0.5 * (p0 @ p0 - p @ p) if finite else -np.inf
         alpha = float(np.exp(min(0.0, log_alpha))) if np.isfinite(log_alpha) else 0.0
         accept = rng.uniform() < alpha
         if accept:
-            z, lp, grad = x, lp_x, g_x
+            w, z, lp, grad = x, z_x, lp_x, g_x
         if t < burn_in:
             m = t + 1
             h_bar += (target_accept - alpha - h_bar) / (m + 10.0)

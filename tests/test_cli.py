@@ -361,7 +361,7 @@ class TestLinearCaseStages:
             doc = json.load(fh)
         assert doc["config"] == {
             "n_samples": 8, "n_chains": 2, "burn_in": 10,
-            "target_accept": 0.7, "leapfrog_steps": 32, "step_size": 0.1,
+            "target_accept": 0.7, "leapfrog_steps": 4, "step_size": 0.1,
         }
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"map": 0.5, '], ids=["list", "truncated"])

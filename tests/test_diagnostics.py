@@ -308,7 +308,7 @@ class TestLaplacePosterior:
 
 
 class TestSamplersAgainstOracle:
-    def test_linear_triangle(self, monkeypatch):
+    def test_linear_triangle(self):
         import rpickle.hmc_sampler as hmc
 
         model, params, ensemble, _ = cases.make_linear_ensemble()
@@ -320,7 +320,6 @@ class TestSamplersAgainstOracle:
         cov_r = np.cov(coeffs, rowvar=False, ddof=1)
         assert np.linalg.norm(cov_r - cov_o) <= 0.05 * np.linalg.norm(cov_o)
 
-        monkeypatch.setattr(hmc, "STEP_SIZE", 0.05)
         chains = hmc.run_hmc(model, params, 6667, 3, 800, seed=62)
         states = chains.states.reshape(-1, chains.states.shape[2])
         # Batch-means SE per coordinate absorbs the chain autocorrelation.

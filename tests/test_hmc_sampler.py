@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import rpickle.hmc_sampler as hmc
 from rpickle.hmc_sampler import (
     _dual_averaging,
     chains_to_csv,
+    effective_sample_size,
     leapfrog,
     log_posterior_and_grad,
     run_hmc,
@@ -317,7 +319,6 @@ class TestRunHmc:
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         model = cases.make_random_linear(np.random.default_rng(57), n_res=12, n_xi=3, n_eta=2)
         params = LossParams(sigma_r_sq=0.5)
-        set_constants(monkeypatch, STEP_SIZE=0.01)
         rows = []
         counted = hmc.log_posterior_and_grad
 
@@ -329,7 +330,7 @@ class TestRunHmc:
         chains = run_hmc(model, params, 3, 3, 5, seed=57)
         # one batched evaluation of every chain at the initial points, then
         # one per leapfrog step for all chains together
-        assert len(rows) == 1 + 32 * (5 + 3)
+        assert len(rows) == 1 + hmc.LEAPFROG_STEPS * (5 + 3)
         assert set(rows) == {3}
         assert np.all(chains.acceptance_rates > 0.5)
 
@@ -364,16 +365,41 @@ class TestRunHmc:
         assert np.all(np.abs(mean_r - mean_h) <= 0.10 * std)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_adapted_step_decreases_with_gamma(self, monkeypatch):
-        # PSRF on a 4-sample chain is meaningless; the warning is expected.
+    def test_adapted_step_is_invariant_to_gamma(self):
+        # Whitening by the Gauss-Newton matrix makes the posterior near a unit
+        # Gaussian at any gamma, so the adapted step stays put while the
+        # posterior std shrinks about 30-fold (with identity mass the steps
+        # were 0.085, 0.027 and 0.0028).  PSRF on a 4-sample chain is
+        # meaningless; the warning is expected.
         rng = np.random.default_rng(36)
         model = cases.make_random_linear(rng, n_res=20, n_xi=3, n_eta=2)
-        set_constants(monkeypatch, LEAPFROG_STEPS=16)
         steps = []
         for gamma in (1e-1, 1e-2, 1e-4):
             chains = run_hmc(model, LossParams(sigma_r_sq=gamma), 4, 1, 600, seed=58)
             steps.append(chains.step_sizes[0])
-        assert steps[0] > steps[1] > steps[2]
+        assert max(steps) <= 1.25 * min(steps)
+
+    def test_whitening_is_the_linear_posterior(self):
+        # On a linear model the Gauss-Newton matrix is the posterior
+        # precision, so z_map + L^-T w with w standard normal is an exact
+        # posterior draw: L^-T L^-1 is the posterior covariance.
+        model = cases.make_random_linear(np.random.default_rng(35))
+        params = LossParams(sigma_r_sq=0.5)
+        z_map, inv_factor = hmc._whitening(model, params)
+        mean, cov = linear_oracle(model, params)
+        np.testing.assert_allclose(z_map, mean, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(inv_factor.T @ inv_factor, cov, rtol=1e-10, atol=1e-12)
+
+    def test_flow_case_mixes_at_benchmark_sizes(self):
+        # The darcy8-lowdim benchmark's sizes: 3 chains of 100 burn-in and
+        # 100 kept iterations, short enough that slow mixing shows in the
+        # split PSRF.
+        model, params, _ = cases.make_flow_case()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chains = run_hmc(model, params, 100, 3, 100, seed=11)
+        assert not [w for w in caught if "PSRF" in str(w.message)]
+        assert np.max(split_chain_psrf(chains.states)) <= 1.05
 
 
 class TestLockstepAgainstOneChainAtATime:
@@ -383,6 +409,7 @@ class TestLockstepAgainstOneChainAtATime:
     def reference(model, params, n_samples, n_chains, burn_in, seed):
         from rpickle.seeding import STREAM_HMC, spawn_rng
 
+        z_map, inv_factor = hmc._whitening(model, params)
         return [
             oracles.reference_hmc_chain(
                 lambda z: log_posterior_and_grad(model, params, z),
@@ -393,6 +420,8 @@ class TestLockstepAgainstOneChainAtATime:
                 hmc.LEAPFROG_STEPS,
                 hmc.STEP_SIZE,
                 hmc.TARGET_ACCEPT,
+                z_map,
+                inv_factor,
             )
             for c in range(n_chains)
         ]
@@ -470,6 +499,22 @@ class TestPsrf:
         expected = np.sqrt(((n - 1) / n * w + b / n) / w)
         np.testing.assert_allclose(split_chain_psrf(states), expected, rtol=1e-12, atol=0)
 
+    def test_stuck_chains_read_inf(self):
+        # Constant sequences: agreeing ones are perfect agreement, others
+        # are chains that never met.
+        states = np.zeros((2, 10, 1))
+        states[1] = 5.0
+        np.testing.assert_array_equal(split_chain_psrf(states), [np.inf])
+        np.testing.assert_array_equal(split_chain_psrf(np.full((2, 10, 1), 5.0)), [1.0])
+
+    def test_stuck_chains_draw_warning(self, monkeypatch):
+        # A step far past stability rejects every proposal, so each chain
+        # stays at its own start.
+        set_constants(monkeypatch, STEP_SIZE=1e8)
+        with pytest.warns(UserWarning, match="PSRF inf"):
+            chains = run_hmc(_ZeroResidual(n_xi=1), LossParams(sigma_r_sq=1.0), 10, 2, 0, seed=63)
+        assert not chains.accepted.any()
+
     def test_unmixed_chains_draw_warning(self, monkeypatch):
         model = _ZeroResidual(n_xi=2)
         params = LossParams(sigma_r_sq=1.0)
@@ -479,6 +524,41 @@ class TestPsrf:
         set_constants(monkeypatch, LEAPFROG_STEPS=2, STEP_SIZE=1e-6)
         with pytest.warns(UserWarning, match="PSRF"):
             run_hmc(model, params, 30, 2, 0, seed=60)
+
+
+class TestEffectiveSampleSize:
+    @staticmethod
+    def ar1(rho, shape, seed):
+        """Stationary AR(1) chains along axis 1 with unit marginal variance."""
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(shape) * np.sqrt(1.0 - rho**2)
+        x = np.empty(shape)
+        x[:, 0] = rng.standard_normal((shape[0], shape[2]))
+        for t in range(1, shape[1]):
+            x[:, t] = rho * x[:, t - 1] + noise[:, t]
+        return x
+
+    def test_iid_draws_count_fully(self):
+        ess = effective_sample_size(np.random.default_rng(64).standard_normal((4, 2500, 3)))
+        np.testing.assert_allclose(ess, 10_000, rtol=0.1)
+
+    def test_ar1_chain_matches_its_autocorrelation_time(self):
+        # ESS = n (1 - rho) / (1 + rho) for an AR(1) chain.
+        rho = 0.9
+        ess = effective_sample_size(self.ar1(rho, (4, 20_000, 2), seed=65))
+        np.testing.assert_allclose(ess, 80_000 * (1 - rho) / (1 + rho), rtol=0.15)
+
+    def test_antithetic_chain_is_capped(self):
+        # rho = -0.9 gives tau = 0.05, under the 1 / log10(n) floor.
+        n = 10_000
+        ess = effective_sample_size(self.ar1(-0.9, (1, n, 1), seed=66))
+        np.testing.assert_allclose(ess, [n * np.log10(n)], rtol=1e-12)
+
+    def test_constant_chain_adds_nothing(self):
+        states = np.random.default_rng(67).standard_normal((2, 500, 2))
+        one = effective_sample_size(states[:1])
+        states[1] = 3.0
+        np.testing.assert_array_equal(effective_sample_size(states), one)
 
 
 class TestValidationAndSerialization:
@@ -518,6 +598,8 @@ class TestValidationAndSerialization:
             "target_accept": 0.7, "leapfrog_steps": 4, "step_size": 0.1,
         }
         assert len(doc["acceptance_rates"]) == 2
+        assert doc["mass_matrix"] == "gauss-newton at MAP"
+        assert doc["ess_min"] == float(np.min(effective_sample_size(chains.states)))
         assert len(doc["adaptation_traces"][0]) == 5 + 1
         assert "timing" not in doc
 

@@ -315,6 +315,29 @@ class TestPickleGrad:
         h_fd = oracles.fd_hessian(lambda v: row.value_grad(v)[0], z)
         assert np.linalg.norm(h - h_fd) <= 1e-4 * np.linalg.norm(h_fd)
 
+    @pytest.mark.parametrize("kind", ["flow", "linear"])
+    def test_gauss_newton_is_jacobian_gram_plus_identity(self, kind):
+        # Built from misfit_vjp with unit misfits; the reference is the
+        # model's Jacobian matrices, and the targets do not enter.
+        rng = np.random.default_rng(31)
+        if kind == "flow":
+            model, params, _ = cases.make_flow_case()
+        else:
+            model, params = cases.make_random_linear(rng), LossParams(sigma_r_sq=0.5)
+        z = random_point(model, rng)
+        g = PickleLoss(model, params, omega=rng.standard_normal(model.n_residual)).gauss_newton(z)
+        j = np.hstack(model.jacobians(z[: model.n_xi], z[model.n_xi :]))
+        want = j.T @ j / params.sigma_r_sq + np.eye(z.size)
+        np.testing.assert_array_equal(g, g.T)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        np.linalg.cholesky(g)
+
+    def test_gauss_newton_is_the_hessian_on_a_linear_model(self):
+        model, params = cases.make_random_linear(np.random.default_rng(32)), LossParams(sigma_r_sq=0.5)
+        loss = PickleLoss(model, params)
+        z = random_point(model, np.random.default_rng(33))
+        np.testing.assert_allclose(loss.gauss_newton(z), loss.hessian(z), rtol=1e-13, atol=0)
+
 
 class TestMapOptimize:
     def test_linear_matches_posterior_mean(self):

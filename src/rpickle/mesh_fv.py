@@ -17,20 +17,19 @@ The cell balance residual is
         + sum_neumann q A_b
 
 so ``R(y, u) = 0`` is discrete mass conservation.  Besides the residual the
-module provides its exact first derivatives (sparse Jacobians in ``y`` and
-``u``), adjoint products, and second-derivative contractions against a weight
-vector, which downstream modules assemble into loss gradients, sampling
-corrections, and Laplace Hessians.
+module provides its exact first derivatives (Jacobians in ``y`` and ``u``
+times field bases, and adjoint products) and second-derivative contractions
+against a weight vector projected onto the same bases, which downstream
+modules assemble into loss gradients, sampling corrections, and Laplace
+Hessians.
 
 All of these live on :class:`FlowOperator`, built once per mesh and boundary
 conditions.  It keeps what does not change between evaluations (face
-incidence and transmissibilities, Dirichlet and Neumann terms, the one
-sparsity pattern of every matrix with the index that scatters face terms
-into it, and, from the first forward solve on, a bandwidth-reducing ordering
-of the cells for that solve), so a caller that evaluates many fields, such
-as the optimizer or the Monte Carlo head prior, holds one operator.  Its
-methods share one kernel of face and Dirichlet terms and, where they can,
-take a batch of fields.
+incidence and transmissibilities, Dirichlet and Neumann terms, and, from the
+first forward solve on, a bandwidth-reducing ordering of the cells for that
+solve), so a caller that evaluates many fields, such as the optimizer or the
+Monte Carlo head prior, holds one operator.  Its methods share one kernel of
+face and Dirichlet terms and, where they can, take a batch of fields.
 """
 
 from __future__ import annotations
@@ -317,34 +316,33 @@ class FlowOperator:
     Everything that depends only on the mesh and the boundary conditions is
     computed once.  At construction: face endpoints and geometric
     transmissibilities, the Dirichlet cells with their half-cell
-    transmissibilities and head values, the Neumann load, and the CSR
-    pattern shared by ``dR/du``, ``dR/dy`` and the Hessian contractions,
-    with the one index that scatters face and Dirichlet terms into its data.
-    On the first forward solve (or the first read of ``half_bandwidth``): a
-    reverse Cuthill-McKee ordering of the cells, its half-bandwidth
-    ``half_bandwidth`` and the index that scatters the same terms into
-    LAPACK band storage; callers that never solve never build them.  The
-    methods then take only fields, so repeated evaluations (optimizer steps,
-    Monte Carlo forward solves) pay for arithmetic alone.  The one other
-    thing kept between calls is the row-offset index of the largest batch
-    summed so far, which smaller batches reuse as a prefix; results never
-    depend on it.
+    transmissibilities and head values, and the Neumann load.  On the first
+    forward solve (or the first read of ``half_bandwidth``): a reverse
+    Cuthill-McKee ordering of the cells, its half-bandwidth
+    ``half_bandwidth`` and the index that scatters the face and Dirichlet
+    terms of ``dR/du`` into LAPACK band storage; callers that never solve
+    never build them.  The methods then take only fields, so repeated
+    evaluations (optimizer steps, Monte Carlo forward solves) pay for
+    arithmetic alone.  The one other thing kept between calls is the
+    row-offset index of the largest batch summed so far, which smaller
+    batches reuse as a prefix; results never depend on it.  No derivative
+    matrix is formed: :meth:`jacobians` and :meth:`hessian_contract` return
+    the derivatives times field bases (identity bases give the matrices).
 
     One kernel gives every method the face and Dirichlet terms it uses.  One
     rule checks the fields: all of one shape, ``(n_cells,)``, or for
     :meth:`residual`, :meth:`vjp` and :meth:`misfit_vjp` ``(rows, n_cells)``,
     each row treated exactly as it would be alone.
 
-    Every sum into a cell or matrix slot adds its terms in one fixed order,
+    Every sum into a cell or band slot adds its terms in one fixed order,
     starting from zero: faces by their ``i`` end, faces by their ``j`` end,
     Dirichlet faces, Neumann faces.  That is the order in which ``np.add.at``
-    or a COO-to-CSR assembly would add the same terms, so the rounding is
-    theirs too.
+    would add the same terms, so the rounding is its too.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryConditions):
         bc.validate(mesh)
-        self.n_cells = n = mesh.n_cells
+        self.n_cells = mesh.n_cells
         i, j = np.ascontiguousarray(mesh.face_cells.T)  # take() copies a strided index on every call
         d_idx, n_idx = mesh.dirichlet_index, mesh.neumann_index
         d = mesh.boundary_cells[d_idx]
@@ -360,15 +358,6 @@ class FlowOperator:
         self._cells = {"all": cells, "faces": cells[: 2 * i.size + d.size], "boundary": cells[2 * i.size :]}
         self._row_cells = {}
 
-        keys = np.unique(np.concatenate([i * n + i, i * n + j, j * n + i, j * n + j, d * n + d]))
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
-        ii, ij, ji, jj, dd = (
-            np.searchsorted(keys, rows * n + cols) for rows, cols in ((i, i), (i, j), (j, i), (j, j), (d, d))
-        )
-        # The one COO entry order of every matrix: faces (ii, ij, ji, jj), then Dirichlet (dd).
-        self._slots = np.concatenate([ii, ij, ji, jj, dd])
-
     @functools.cached_property
     def _band(self):
         """The forward solve's ``(order, half_bandwidth, band_slots)``, built on first use.
@@ -376,19 +365,23 @@ class FlowOperator:
         Cell ``order[k]`` becomes unknown k.  In LAPACK general-band storage
         with kl = ku (kl more rows for the LU's fill), entry (r, c) of the
         reordered matrix sits in row 2 kl + r - c of column c; ``band_slots``
-        takes each term of ``_slots`` straight there, as a flat index into
-        the Fortran-ordered (3 kl + 1, n) array.
+        takes each term of ``dR/du`` (per face ``ii, ij, ji, jj``, then
+        Dirichlet ``dd``) there, as a flat index into the Fortran-ordered
+        (3 kl + 1, n) array.
         """
         import scipy.sparse as sp
         from scipy.sparse.csgraph import reverse_cuthill_mckee
         n = self.n_cells
-        pattern = sp.csr_matrix((np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n))
+        i, j, d = self._i, self._j, self._d
+        rows, cols = np.concatenate([i, i, j, j, d]), np.concatenate([i, j, i, j, d])
+        keys = np.unique(rows * n + cols)
+        pattern = sp.csr_matrix((np.ones(keys.size), (keys // n, keys % n)), shape=(n, n))
         order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        r, c = rank[np.repeat(np.arange(n), np.diff(self._indptr))], rank[self._indices]
+        r, c = rank[rows], rank[cols]
         kl = int(np.max(np.abs(r - c), initial=0))
-        return order, kl, (c * (3 * kl + 1) + 2 * kl + r - c)[self._slots]
+        return order, kl, c * (3 * kl + 1) + 2 * kl + r - c
 
     @property
     def half_bandwidth(self) -> int:
@@ -447,13 +440,6 @@ class FlowOperator:
             index = self._row_cells[kind] = cells + n * np.arange(rows)[:, None]
         return np.bincount(index[:rows].ravel(), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
-    def _matrix(self, terms) -> sp.csr_matrix:
-        """The CSR matrix summed from ``[ii, ij, ji, jj, dd]`` terms at their ``_slots``."""
-        import scipy.sparse as sp
-        data = np.bincount(self._slots, weights=np.concatenate(terms), minlength=self._indices.size)
-        n = self.n_cells
-        return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
-
     def _balance(self, tk, ed, du, ud):
         """R from the kernel's terms and ``tk = tau k``."""
         flux = tk * du
@@ -477,19 +463,37 @@ class FlowOperator:
         k, _, _, ed, du, ud = self._kernel(y, u)
         return self._balance(self._tau * k, ed, du, ud)
 
-    def jacobians(self, y, u) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Exact sparse Jacobians (dR/dy, dR/du) at (y, u)."""
+    def basis_rows(self, basis) -> np.ndarray:
+        """A ``(n_cells, n_terms)`` basis as :meth:`jacobians` and :meth:`hessian_contract` take it, gathered once.
+
+        That is ``(n_terms, 2 n_faces + n_dirichlet)``: its rows at each
+        face's ``i`` end, at each face's ``j`` end, at each Dirichlet cell.
+        """
+        return np.asarray(basis, dtype=np.float64).T.take(self._cells["faces"], axis=1)
+
+    def _ends(self, rows):
+        """Split :meth:`basis_rows` into its ``i``-end, ``j``-end and Dirichlet blocks."""
+        f = self._i.size
+        return rows[:, :f], rows[:, f : 2 * f], rows[:, 2 * f :]
+
+    def jacobians(self, y, u, rows_y, rows_u) -> tuple[np.ndarray, np.ndarray]:
+        """``((dR/dy) phi_y, (dR/du) phi_u)`` at (y, u), for bases ``rows_y``, ``rows_u`` from :meth:`basis_rows`.
+
+        A forward-mode product, the mirror of :meth:`vjp`: each basis column
+        is one direction, whose per-face terms are summed into cells as one
+        batch row.  Dense ``(n_cells, n_terms)`` blocks.
+        """
         y, u = self._check(y=y, u=u)
         k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
         tk = self._tau * k
         kd = self._tau_b * ed
-        # dR/dy: d(flux)/dy_i = tau k s_i du, rows i (+) and j (-)
-        gi = tk * s_i * du
-        gj = tk * s_j * du
-        dr_dy = self._matrix([gi, gj, -gi, -gj, kd * ud])
-        # dR/du: face stencil [[tk, -tk], [-tk, tk]]
-        dr_du = self._matrix([tk, -tk, -tk, tk, kd])
-        return dr_dy, dr_du
+        yi, yj, yd = self._ends(rows_y)
+        ui, uj, u_d = self._ends(rows_u)
+        # d(flux)/dy_a = tk s_a du for a = i, j; d(flux)/du_i = -d(flux)/du_j = tk
+        flux = np.concatenate([(tk * s_i * du) * yi + (tk * s_j * du) * yj, tk * (ui - uj)])
+        dirichlet = np.concatenate([(kd * ud) * yd, kd * u_d])
+        out = self._sum("faces", [flux, -flux, dirichlet]).T
+        return out[:, : rows_y.shape[0]], out[:, rows_y.shape[0] :]
 
     def vjp(self, y, u, w) -> tuple[np.ndarray, np.ndarray]:
         """Adjoint products ``((dR/dy)^T w, (dR/du)^T w)`` without forming matrices, batched like :meth:`residual`."""
@@ -510,31 +514,33 @@ class FlowOperator:
         m = self._balance(tk, ed, du, ud) - omega
         return (m, *self._adjoint(tk, s_i, s_j, ed, du, ud, m))
 
-    def hessian_contract(self, y, u, w) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Weighted second derivatives ``(sum_i w_i d2R_i/dydy, sum_i w_i d2R_i/dydu)``.
+    def hessian_contract(self, y, u, w, rows_y, rows_u) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted second derivatives ``(phi_y' H_yy phi_y, phi_y' H_yu phi_u)``, dense, bases as in :meth:`jacobians`.
 
-        The residual is linear in ``u``, so the (u, u) block vanishes; the two
-        returned sparse matrices are the only nonzero blocks of
-        ``sum_i w_i Hess(R_i)`` (the (u, y) block is the transpose of the second).
+        ``H_yy = sum_n w_n d2R_n/dydy``, ``H_yu = sum_n w_n d2R_n/dydu``.  R
+        is linear in ``u``, so these are the only nonzero blocks of the
+        projected ``sum_n w_n Hess(R_n)``.  Each face adds its 2x2 block
+        through the basis rows at its two ends; the first block is symmetric
+        up to rounding.
         """
         y, u, w = self._check(y=y, u=u, w=w)
         k, s_i, s_j, ed, du, ud = self._kernel(y, u, weights=True)
         dw_tau = (w[self._i] - w[self._j]) * self._tau
         wkd = w[self._d] * self._tau_b * ed
+        yi, yj, yd = self._ends(rows_y)
+        ui, uj, u_d = self._ends(rows_u)
 
         # Second derivatives of the harmonic mean:
         #   d2k/dy_i2 = k s_i (s_i - s_j), d2k/dy_j2 = k s_j (s_j - s_i),
         #   d2k/dy_i dy_j = 2 k s_i s_j   (their sum is k, matching k(y+c) = e^c k)
         wface = dw_tau * du
-        hij = wface * (2 * k * s_i * s_j)
-        h_yy = self._matrix(
-            [wface * (k * s_i * (s_i - s_j)), hij, hij, wface * (k * s_j * (s_j - s_i)), wkd * ud]
-        )
+        hii, hjj, hij = wface * (k * s_i * (s_i - s_j)), wface * (k * s_j * (s_j - s_i)), wface * (2 * k * s_i * s_j)
         # Mixed block: d2(flux)/dy_a du_i = tau k s_a, du_j enters with minus
-        ci = dw_tau * k * s_i
-        cj = dw_tau * k * s_j
-        h_yu = self._matrix([ci, -ci, cj, -cj, wkd])
-        return h_yy, h_yu
+        dui = ui - uj
+        w_yy = np.concatenate([hii * yi + hij * yj, hij * yi + hjj * yj, (wkd * ud) * yd], axis=1)
+        w_yu = np.concatenate([(dw_tau * k * s_i) * dui, (dw_tau * k * s_j) * dui, wkd * u_d], axis=1)
+        out = rows_y @ np.concatenate([w_yy, w_yu]).T
+        return out[:, : rows_y.shape[0]], out[:, rows_y.shape[0] :]
 
     def solve(self, y) -> np.ndarray:
         """Solve R(y, u) = 0 for the head field u.
@@ -567,7 +573,7 @@ class FlowOperator:
         return u
 
     def _band_solve(self, terms, b) -> np.ndarray:
-        """``A^{-1} b`` by a band LU of ``A``, summed from its ``_slots`` terms."""
+        """``A^{-1} b`` by a band LU of ``A = dR/du``, summed from its ``[ii, ij, ji, jj, dd]`` terms."""
         from scipy.linalg.lapack import dgbtrf, dgbtrs
         n = self.n_cells
         order, kl, band_slots = self._band

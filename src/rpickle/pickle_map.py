@@ -67,7 +67,9 @@ class ResidualModel:
 
     Wraps a mesh, boundary values, and the (y, u) bases into the coefficient-
     space residual ``R(xi, eta) = R(y(xi), u(eta))`` with exact first
-    derivatives and weighted second-derivative contractions.  Any object with
+    derivatives and weighted second-derivative contractions, which the
+    operator returns already projected onto the bases (gathered once by
+    :meth:`FlowOperator.basis_rows`).  Any object with
     the same ``n_xi/n_eta/n_residual/residual/jacobians/vjp/misfit_vjp/
     hessian_contract`` surface (e.g. :class:`~rpickle.diagnostics.LinearModel`)
     can stand in for it downstream.
@@ -83,6 +85,8 @@ class ResidualModel:
         self.bc = bc
         self._phi_y = y_basis.modes
         self._phi_u = u_basis.modes
+        self._rows_y = self.operator.basis_rows(self._phi_y)
+        self._rows_u = self.operator.basis_rows(self._phi_u)
 
     @property
     def n_xi(self) -> int:
@@ -107,10 +111,9 @@ class ResidualModel:
         return self.operator.residual(y, u)
 
     def jacobians(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (n_residual, n_xi) and (n_residual, n_eta) Jacobian blocks."""
+        """Dense (n_residual, n_xi) and (n_residual, n_eta) Jacobian blocks, one forward-mode direction per coefficient."""
         y, u = self.fields(xi, eta)
-        dr_dy, dr_du = self.operator.jacobians(y, u)
-        return dr_dy @ self._phi_y, dr_du @ self._phi_u
+        return self.operator.jacobians(y, u, self._rows_y, self._rows_u)
 
     def vjp(self, xi, eta, w) -> tuple[np.ndarray, np.ndarray]:
         """Gradient pieces ``((dR/dxi)^T w, (dR/deta)^T w)`` via the adjoint."""
@@ -136,13 +139,10 @@ class ResidualModel:
     def hessian_contract(self, xi, eta, w) -> np.ndarray:
         """Dense symmetric ``sum_n w_n Hess_z R_n`` over stacked coefficients."""
         y, u = self.fields(xi, eta)
-        h_yy, h_yu = self.operator.hessian_contract(y, u, w)
-        block_xx = self._phi_y.T @ (h_yy @ self._phi_y)
-        block_xx = 0.5 * (block_xx + block_xx.T)
-        block_xe = self._phi_y.T @ (h_yu @ self._phi_u)
+        block_xx, block_xe = self.operator.hessian_contract(y, u, w, self._rows_y, self._rows_u)
         n = self.n_xi + self.n_eta
         out = np.zeros((n, n))
-        out[: self.n_xi, : self.n_xi] = block_xx
+        out[: self.n_xi, : self.n_xi] = 0.5 * (block_xx + block_xx.T)
         out[: self.n_xi, self.n_xi :] = block_xe
         out[self.n_xi :, : self.n_xi] = block_xe.T
         return out
@@ -215,32 +215,26 @@ class PickleLoss:
         return value / self.gamma, grad / self.gamma
 
     def hessian(self, z) -> np.ndarray:
-        """The Hessian of ``L / gamma`` at one stacked ``z``, symmetrized.
+        """The Hessian of ``L / gamma`` at one stacked ``z``, symmetric.
 
-        That is ``(J^T J + sum_n m_n Hess R_n) / gamma + I`` with ``J`` the
-        residual Jacobian and ``m = R(z) - omega`` the misfit of a loss
-        whose targets have no row axis (one row of a batch: :meth:`take`).
+        That is :meth:`gauss_newton` plus the curvature ``sum_n m_n Hess
+        R_n / gamma`` (the model's ``hessian_contract``, symmetrized), with
+        ``m = R(z) - omega`` the misfit of a loss whose targets have no row
+        axis (one row of a batch: :meth:`take`).
         """
         xi, eta = z[: self.n_xi], z[self.n_xi :]
-        misfit = self.model.residual(xi, eta) - self.omega
-        j_xi, j_eta = self.model.jacobians(xi, eta)
-        j = np.hstack([np.atleast_2d(j_xi), np.atleast_2d(j_eta)])
-        curvature = self.model.hessian_contract(xi, eta, misfit)
-        h = (j.T @ j + curvature) / self.gamma + np.eye(self.size)
-        return 0.5 * (h + h.T)
+        curvature = self.model.hessian_contract(xi, eta, self.model.residual(xi, eta) - self.omega)
+        return self.gauss_newton(z) + (0.5 / self.gamma) * (curvature + curvature.T)
 
     def gauss_newton(self, z) -> np.ndarray:
-        """The Gauss-Newton part ``J^T J / gamma + I`` of :meth:`hessian` at one stacked ``z``.
+        """The Gauss-Newton part ``J^T J / gamma + I`` of :meth:`hessian` at one stacked ``z``, symmetric.
 
-        Positive definite by construction, whatever the point.  Row ``n`` of
-        ``J`` comes from one batched ``misfit_vjp`` call whose misfits are the
-        unit rows (targets ``R(z) - I``), so the model needs nothing beyond
-        the method HMC and the solver call: no Jacobian matrices are built.
+        Positive definite by construction, whatever the point.  ``J`` is the
+        model's ``jacobians``: one column per coefficient, which the flow
+        model computes as one forward-mode direction each.  The targets do
+        not enter.
         """
-        xi, eta = z[: self.n_xi], z[self.n_xi :]
-        r = self.model.misfit_vjp(xi, eta, 0.0)[0]
-        _, j_xi, j_eta = self.model.misfit_vjp(xi, eta, r - np.eye(r.size))
-        j = np.concatenate([j_xi, j_eta], axis=-1)
+        j = np.hstack(self.model.jacobians(z[: self.n_xi], z[self.n_xi :]))
         g = j.T @ j / self.gamma + np.eye(self.size)
         return 0.5 * (g + g.T)
 

@@ -63,9 +63,8 @@ def _read_text(path, what: str) -> str:
 
 def write_json(path, doc: dict) -> None:
     """Write ``doc`` as one line of compact JSON with sorted keys, then a newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(path, "w") as fh:  # json.dumps runs the C encoder, json.dump the pure-Python one; same bytes
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path, what: str) -> dict:

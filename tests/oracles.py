@@ -57,6 +57,30 @@ def dense_forward_system(mesh, y, dirichlet_by_face, neumann_by_face):
     return a, b
 
 
+def sparse_head_jacobian(mesh, y):
+    """``dR/du`` at log-transmissivity ``y`` as a CSC matrix, from per-face COO entries.
+
+    For meshes too large for :func:`dense_forward_system`; ``dR/du`` is the
+    matrix ``A`` of that system.
+    """
+    import scipy.sparse as sp
+
+    t = np.exp(np.asarray(y, dtype=float))
+    rows, cols, vals = [], [], []
+    for (i, j), tau in zip(mesh.face_cells, mesh.face_trans):
+        k = 2.0 * t[i] * t[j] / (t[i] + t[j])
+        rows += [i, i, j, j]
+        cols += [i, j, i, j]
+        vals += [tau * k, -tau * k, -tau * k, tau * k]
+    for f in range(mesh.boundary_cells.shape[0]):
+        if mesh.boundary_tags[f] == "dirichlet":
+            c = int(mesh.boundary_cells[f])
+            rows.append(c)
+            cols.append(c)
+            vals.append(float(mesh.boundary_areas[f]) / float(mesh.boundary_distances[f]) * t[c])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_cells))
+
+
 def bc_by_face(mesh, bc):
     """Expand per-tag value arrays to boundary-face-indexed dicts."""
     dirichlet = {int(f): v for f, v in zip(mesh.dirichlet_index, bc.dirichlet_values)}
@@ -109,6 +133,24 @@ def fd_hessian(f, x, eps=1e-4):
             xmm[b] -= eps
             h[a, b] = h[b, a] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4 * eps**2)
     return h
+
+
+# -- Gauss-Newton matrix -------------------------------------------------------
+
+
+def gauss_newton_by_unit_misfits(model, z, gamma):
+    """``J^T J / gamma + I`` at stacked ``z``, with ``J`` built one residual at a time.
+
+    Row ``n`` of ``J`` is the model's adjoint product with the n-th unit
+    misfit: one batched ``misfit_vjp`` call with targets ``R(z) - I``, so it
+    needs neither ``jacobians`` nor any forward-mode product.
+    """
+    z = np.asarray(z, dtype=float)
+    xi, eta = z[: model.n_xi], z[model.n_xi :]
+    r = model.misfit_vjp(xi, eta, 0.0)[0]
+    _, j_xi, j_eta = model.misfit_vjp(xi, eta, r - np.eye(r.size))
+    j = np.concatenate([j_xi, j_eta], axis=-1)
+    return j.T @ j / gamma + np.eye(z.size)
 
 
 # -- Gaussian linear-model posterior ----------------------------------------

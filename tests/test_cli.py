@@ -799,10 +799,15 @@ def test_linear_sampling_stages_load_no_scipy(tmp_path):
     assert scipy_loaded_after("map", "sample-rpickle", "sample-hmc", config=path) == []
 
 
-def test_flow_hmc_stage_loads_no_scipy(pipeline, tmp_path):
-    # The forward solve's band layout needs scipy; HMC never solves, so the
-    # operator must not build that layout up front.
+@pytest.mark.parametrize("stage", ["sample-hmc", "sample-rpickle", "diagnose"])
+def test_flow_hmc_stage_loads_no_scipy(pipeline, tmp_path, stage):
+    # The forward solve's band layout needs scipy; these stages never solve,
+    # so the operator must not build that layout up front.  The filtered
+    # ensemble's log-dets and diagnose's Laplace Hessian are numpy products.
     _, out_dir = pipeline
     shutil.copytree(out_dir, tmp_path / "out")
     path = write_config(tmp_path / "config.json", tmp_path / "out", **PIPELINE)
-    assert scipy_loaded_after("sample-hmc", config=path) == []
+    assert scipy_loaded_after(stage, config=path) == []
+    for gamma in PIPELINE["sigma_r_sq"]:
+        with open(tmp_path / "out" / f"gamma_{gamma}" / "rpickle.json") as fh:
+            assert json.load(fh)["config"]["metropolize"] is True

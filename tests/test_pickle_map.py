@@ -315,22 +315,42 @@ class TestPickleGrad:
         h_fd = oracles.fd_hessian(lambda v: row.value_grad(v)[0], z)
         assert np.linalg.norm(h - h_fd) <= 1e-4 * np.linalg.norm(h_fd)
 
-    @pytest.mark.parametrize("kind", ["flow", "linear"])
+    @pytest.mark.parametrize("kind", ["flow", "flow32", "linear"])
     def test_gauss_newton_is_jacobian_gram_plus_identity(self, kind):
-        # Built from misfit_vjp with unit misfits; the reference is the
-        # model's Jacobian matrices, and the targets do not enter.
+        # Built from the model's forward-mode Jacobian blocks; the reference
+        # builds J one residual at a time from misfit_vjp with unit misfits,
+        # and the targets do not enter.
         rng = np.random.default_rng(31)
         if kind == "flow":
             model, params, _ = cases.make_flow_case()
+        elif kind == "flow32":
+            model, params, _ = cases.make_flow_case(nx=32, ny=32, n_mc=200)
         else:
             model, params = cases.make_random_linear(rng), LossParams(sigma_r_sq=0.5)
         z = random_point(model, rng)
         g = PickleLoss(model, params, omega=rng.standard_normal(model.n_residual)).gauss_newton(z)
-        j = np.hstack(model.jacobians(z[: model.n_xi], z[model.n_xi :]))
-        want = j.T @ j / params.sigma_r_sq + np.eye(z.size)
+        want = oracles.gauss_newton_by_unit_misfits(model, z, params.sigma_r_sq)
         np.testing.assert_array_equal(g, g.T)
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
         np.linalg.cholesky(g)
+
+    @pytest.mark.parametrize("kind", ["flow", "toy"])
+    def test_hessian_is_gauss_newton_plus_curvature(self, kind):
+        # J'J is formed once, in gauss_newton; the Hessian adds the
+        # misfit-weighted curvature over gamma.
+        rng = np.random.default_rng(34)
+        if kind == "flow":
+            model, params, _ = cases.make_flow_case()
+        else:
+            model, params = _CurvedToy(0.2), LossParams(sigma_r_sq=0.1)
+        loss = PickleLoss(model, params, omega=rng.standard_normal(model.n_residual))
+        z = random_point(model, rng)
+        xi, eta = z[: model.n_xi], z[model.n_xi :]
+        curvature = model.hessian_contract(xi, eta, model.residual(xi, eta) - loss.omega)
+        h = loss.hessian(z)
+        np.testing.assert_allclose(
+            h - loss.gauss_newton(z), curvature / params.sigma_r_sq, rtol=0, atol=1e-13 * np.max(np.abs(h))
+        )
 
     def test_gauss_newton_is_the_hessian_on_a_linear_model(self):
         model, params = cases.make_random_linear(np.random.default_rng(32)), LossParams(sigma_r_sq=0.5)

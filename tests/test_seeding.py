@@ -1,9 +1,11 @@
-"""The table layout of ``rpickle.seeding``, which every CSV artifact is written and read through."""
+"""The table and JSON layouts of ``rpickle.seeding``, which every artifact is written and read through."""
+
+import json
 
 import pytest
 
 from rpickle.errors import ConfigError
-from rpickle.seeding import read_table, write_table
+from rpickle.seeding import read_table, write_json, write_table
 
 
 def test_table_layout_and_round_trip(tmp_path):
@@ -29,3 +31,17 @@ def test_unreadable_table_named(tmp_path, text, reason):
     with pytest.raises(ConfigError, match=reason) as info:
         read_table(path)
     assert str(path) in str(info.value)
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    doc = {
+        "z": [[0.1, -0.0, 5e-324], [float("nan"), float("inf"), -float("inf")]],
+        "a": {"nested": [[], [1, [2.5e300, -1e-300]]], "flag": True, "none": None},
+        "text": "caf\u00e9",
+    }
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
